@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from coopt import build_grid_hamiltonian, jacobi_eigen, lowest_states
+from coopt import build_grid_hamiltonian, default_step, jacobi_eigen, lowest_states
 
 
 def main():
@@ -21,7 +21,7 @@ def main():
 
     xs = np.linspace(-8.0, 8.0, args.points)
     operator = build_grid_hamiltonian(-8.0, 8.0, args.points, xs**2 / 2.0)
-    dt = args.dt if args.dt is not None else 0.9 / operator.scale()
+    dt = args.dt if args.dt is not None else default_step(operator)
 
     psi0 = np.full(args.points, 1.0)
     psi0[: args.points // 2] += np.linspace(0.3, 0.0, args.points // 2)  # break symmetry

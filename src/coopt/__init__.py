@@ -13,6 +13,7 @@ from .continuous import (
     StationaryState,
     WaveState,
     build_grid_hamiltonian,
+    default_step,
     effective_hamiltonian,
     evolve_coupled,
     evolve_linear,

@@ -22,7 +22,15 @@ from .rng import random_unit_vector
 
 DEFAULT_T_MAX = 1000.0
 DEFAULT_STATIONARY_TOL = 1e-8
-_DT_SAFETY = 0.01
+# Renormalized RK4 multiplies each eigencomponent of H by R(-dt*lambda/hbar),
+# R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  R is positive everywhere and
+# increasing above the one real root of R'(z) = 1 + z + z^2/2 + z^3/6, so
+# while dt * scale(H) / hbar stays below RK4_MONOTONE_LIMIT = -root, lower
+# eigenvalues are amplified more and the flow converges to the lowest
+# eigenvector.  With z = y - 1, 6 R'(z) = 0 becomes y^3 + 3y + 2 = 0, whose
+# real root by Cardano's formula gives the limit 1.5961 in closed form.
+RK4_MONOTONE_LIMIT = 1.0 + (math.sqrt(2.0) + 1.0) ** (1 / 3) - (math.sqrt(2.0) - 1.0) ** (1 / 3)
+_DT_SAFETY = 0.9  # default step in characteristic times hbar / scale(H)
 _TRAJECTORY_POINTS = 1000
 
 
@@ -94,17 +102,27 @@ def _default_dt(scale: float, hbar: float) -> float:
 
 
 def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
-    """Default integrator step: one percent of the characteristic time."""
+    """Default integrator step: 0.9 * hbar / scale(H), nine tenths of the
+    characteristic time and well inside the RK4 monotone limit."""
     return _default_dt(operator.scale(), hbar)
 
 
 def _check_dt(dt: float, scale: float, hbar: float) -> None:
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if dt * scale / hbar > 1.0:
+    if not dt * scale / hbar < RK4_MONOTONE_LIMIT:
+        characteristic = hbar / scale if scale else math.inf
         raise ValueError(
-            f"dt={dt} exceeds the characteristic time {hbar / scale if scale else math.inf}"
+            f"dt={dt} is not below the RK4 stability limit {RK4_MONOTONE_LIMIT:.4f} "
+            f"times the characteristic time {characteristic}"
         )
+
+
+def _step_count(t_max: float, dt: float) -> int:
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_max={t_max} / dt={dt} is not a finite number of steps")
+    return max(1, math.ceil(steps))
 
 
 def _orthonormalize(vectors) -> np.ndarray | None:
@@ -145,6 +163,23 @@ def effective_hamiltonian(model: GameModel, state: WaveState, index: int) -> Dia
     return Diagonal(arr)
 
 
+def coupled_scale(model: GameModel) -> float:
+    """Bound on scale() of every agent's effective Hamiltonian at any state.
+
+    The entries are expectations of the agent's energies under unit-norm
+    weights, so a pairwise agent's are bounded by the sum over its tables
+    of max|table| and a dense agent's by max|values|.
+    """
+    bounds = []
+    for agent in model.agents:
+        obj = agent.objective
+        if isinstance(obj, PairwiseEnergy):
+            bounds.append(sum(float(np.abs(table).max()) for _, table in obj.terms))
+        else:
+            bounds.append(float(np.abs(obj.values).max()))
+    return max(bounds)
+
+
 def stationarity_check(operator: HermitianOperator, psi: np.ndarray) -> tuple[float, float]:
     """Rayleigh quotient and eigen-residual norm ||H psi - lambda psi||."""
     psi = np.asarray(psi, dtype=float)
@@ -173,8 +208,8 @@ def evolve_linear(
 
     Stops when ||H psi - lambda psi|| <= tol (projected out of the deflated
     subspace when `deflate` vectors are given) or when t_max is reached.
-    The default step is 0.01 * hbar / scale(H); steps past the characteristic
-    time hbar / scale(H) are rejected.
+    The default step is 0.9 * hbar / scale(H); steps at or past
+    RK4_MONOTONE_LIMIT * hbar / scale(H) are rejected.
     """
     if not (hbar > 0 and tol > 0 and t_max > 0):
         raise ValueError("hbar, tol and t_max must be positive")
@@ -195,7 +230,7 @@ def evolve_linear(
     if dt is None:
         dt = _default_dt(scale, hbar)
     _check_dt(dt, scale, hbar)
-    max_steps = max(1, math.ceil(t_max / dt))
+    max_steps = _step_count(t_max, dt)
     if record_every is None:
         record_every = max(1, max_steps // _TRAJECTORY_POINTS)
 
@@ -288,8 +323,10 @@ def evolve_coupled(
     the same state snapshot each step.
 
     Stops when every agent's residual against its current effective
-    operator is <= tol, or at t_max.  Reduces exactly to evolve_linear
-    when the model has a single agent.
+    operator is <= tol, or at t_max.  The step is sized and checked against
+    coupled_scale(model), which bounds the effective operators over the
+    whole run.  Reduces exactly to evolve_linear when the model has a
+    single agent.
     """
     if not (tol > 0 and t_max > 0):
         raise ValueError("tol and t_max must be positive")
@@ -298,12 +335,11 @@ def evolve_coupled(
     amplitudes = [_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)]
     n = len(model.agents)
 
-    operators = [effective_hamiltonian(model, WaveState(tuple(amplitudes)), i) for i in range(n)]
-    scale = max(op.scale() for op in operators)
+    scale = coupled_scale(model)
     if dt is None:
         dt = _default_dt(scale, hbar)
     _check_dt(dt, scale, hbar)
-    max_steps = max(1, math.ceil(t_max / dt))
+    max_steps = _step_count(t_max, dt)
     if record_every is None:
         record_every = max(1, max_steps // _TRAJECTORY_POINTS)
 

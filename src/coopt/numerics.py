@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Log-domain accumulation keeps the dynamics stable when the temperature
-constant is small, the cyclic Jacobi eigensolver is the self-contained
+constant is small, the round-robin Jacobi eigensolver is the self-contained
 oracle used to certify stationary states, and the fixed-step RK4 update
 drives both continuous-time evolutions.
 """
@@ -125,37 +125,53 @@ def log_sum_exp_along(values: np.ndarray, axis: int) -> np.ndarray:
     return np.where(np.isfinite(np.squeeze(m, axis=axis)), out, np.squeeze(m, axis=axis))
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    # Two-sided rotation zeroing a[p, q]; accumulates the rotation into v.
-    phi = 0.5 * math.atan2(2.0 * a[p, q], a[q, q] - a[p, p])
-    c, s = math.cos(phi), math.sin(phi)
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
+def _round_robin(n: int):
+    # Modulus ordering of one sweep (Brent & Luk 1985): with m = n rounded up
+    # to even, round r pairs i < j with i + j = r (mod m - 1), and the one i
+    # with 2i = r with m - 1.  Every pair meets once per sweep, and the pairs
+    # of a round are disjoint.  When n is odd, m - 1 is padding and its pair
+    # is dropped.  Yields the p < q index arrays of each round.
+    m = n + n % 2
+    i = np.arange(m - 1)
+    for r in range(m - 1):
+        j = (r - i) % (m - 1)
+        below = i < j
+        p, q = i[below], j[below]
+        if m == n:  # m // 2 is the inverse of 2 modulo m - 1
+            p = np.append(p, r * (m // 2) % (m - 1))
+            q = np.append(q, m - 1)
+        yield p, q
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
+def _rotate_rows(x: np.ndarray, p, q, t, s, work: np.ndarray) -> None:
+    # Rows p_k and q_k become c_k*x[p_k] - s_k*x[q_k] and s_k*x[p_k] + c_k*x[q_k],
+    # with s = sin(phi), c = cos(phi), applied as three shears by t = tan(phi/2),
+    # s and t again.  work is three reused (n // 2, n) buffers: fresh
+    # temporaries of that size cost more to map and unmap than the arithmetic.
+    xp, xq, tmp = work[:, : p.size]
+    np.take(x, p, axis=0, out=xp, mode="clip")  # indices are valid; "clip" avoids a copy
+    np.take(x, q, axis=0, out=xq, mode="clip")
+    xp -= np.multiply(t, xq, out=tmp)
+    xq += np.multiply(s, xp, out=tmp)
+    xp -= np.multiply(t, xq, out=tmp)
+    x[p] = xp
+    x[q] = xq
+
+
+def _off_diagonal_norm(a: np.ndarray, scratch: np.ndarray) -> float:
+    np.copyto(scratch, a)
+    np.fill_diagonal(scratch, 0.0)
+    return math.sqrt(np.vdot(scratch, scratch))
 
 
 def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+    """Full eigendecomposition by round-robin Jacobi rotations.
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 times the Frobenius norm of the input.  Intended as a
-    trustworthy reference at modest dimension, not as a fast solver.
+    Each sweep runs n - 1 (n even) or n (n odd) rounds of disjoint
+    rotations, each round applied to whole rows at once.  Sweeps run
+    until the off-diagonal Frobenius norm drops below 1e-12 times the
+    Frobenius norm of the input.  Intended as a trustworthy reference at
+    modest dimension, not as a fast solver.
     """
     n = operator.dimension
     if n > JACOBI_MAX_DIMENSION:
@@ -167,27 +183,42 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
         return EigenDecomposition(operator.entries[order].copy(), vecs)
 
     a = 0.5 * (operator.matrix + operator.matrix.T)
-    v = np.eye(n)
     if n == 1:
-        return EigenDecomposition(np.diag(a).copy(), v)
+        return EigenDecomposition(np.diag(a).copy(), np.eye(1))
 
     target = 1e-12 * float(np.sqrt((a * a).sum()))
     skip = target / n  # entries below this cannot push the total above target
-    off = _off_diagonal_norm(a)
+    vt = np.eye(n)  # eigenvectors as rows, so that every update is a row update
+    spare = np.empty_like(a)
+    work = np.empty((3, n // 2, n))
+    off = _off_diagonal_norm(a, spare)
     sweeps = 0
     while off > target:
         if sweeps >= _JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(off, sweeps)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _rotate(a, v, p, q)
+        for p, q in _round_robin(n):
+            apq = a[p, q]
+            big = np.abs(apq) > skip
+            if not big.all():
+                p, q, apq = p[big], q[big], apq[big]
+                if p.size == 0:
+                    continue
+            phi = 0.5 * np.arctan2(2.0 * apq, a[q, q] - a[p, p])
+            t, s = np.tan(0.5 * phi)[:, None], np.sin(phi)[:, None]
+            # A <- J^T A J as a row update, a transpose and a row update.
+            _rotate_rows(a, p, q, t, s, work)
+            np.copyto(spare, a.T)
+            a, spare = spare, a
+            _rotate_rows(a, p, q, t, s, work)
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            _rotate_rows(vt, p, q, t, s, work)
         sweeps += 1
-        off = _off_diagonal_norm(a)
+        off = _off_diagonal_norm(a, spare)
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(eigenvalues[order], v[:, order])
+    return EigenDecomposition(eigenvalues[order], vt[order].T)
 
 
 def rk4_step(derivative, state: np.ndarray, dt: float) -> np.ndarray:

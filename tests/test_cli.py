@@ -164,6 +164,14 @@ class TestQuantum:
         assert proc.returncode == 1
         assert "characteristic" in proc.stderr
 
+    def test_unbounded_step_count_exits_one(self, tmp_path):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"diagonal": [1e308, -1e308]}))
+        proc = run_cli("quantum", "--hamiltonian", str(h))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "t_max" in proc.stderr and "dt" in proc.stderr
+
 
 class TestDeterminism:
     def test_solve_twice_is_byte_identical(self, tmp_path):

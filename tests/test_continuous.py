@@ -5,8 +5,10 @@ import pytest
 
 import helpers
 from coopt.continuous import (
+    RK4_MONOTONE_LIMIT,
     WaveState,
     build_grid_hamiltonian,
+    coupled_scale,
     default_step,
     effective_hamiltonian,
     evolve_coupled,
@@ -16,8 +18,20 @@ from coopt.continuous import (
     stationarity_check,
     write_trajectory_csv,
 )
-from coopt.model import Agent, DenseEnergy, DomainSpec, GameModel
+from coopt.model import Agent, DenseEnergy, DomainSpec, GameModel, PairwiseEnergy
 from coopt.numerics import DenseSymmetric, Diagonal, jacobi_eigen
+
+
+def same_sign_pairwise(seed):
+    """Random pairwise model with every table near 3, so an agent's effective
+    energies come close to the sum of its tables' largest entries."""
+    model = helpers.random_pairwise_model(seed)
+    agents = tuple(
+        Agent(a.name, a.acts_on,
+              PairwiseEnergy(tuple((v, 3.0 + 0.1 * t) for v, t in a.objective.terms)))
+        for a in model.agents
+    )
+    return GameModel(model.variables, agents, hbar=model.hbar, mode="energy")
 
 
 def agreement_energy_pair():
@@ -182,10 +196,33 @@ class TestEvolveLinear:
         with pytest.raises(ValueError, match="deflated"):
             evolve_linear(op, e0, deflate=(e0,))
 
-    def test_default_step_is_one_percent_of_characteristic_time(self):
+    def test_default_step_is_nine_tenths_of_characteristic_time(self):
         op = Diagonal(np.array([2.0, -5.0]))
-        assert default_step(op, hbar=1.0) == pytest.approx(0.01 / 5.0)
-        assert default_step(op, hbar=2.0) == pytest.approx(0.02 / 5.0)
+        assert default_step(op, hbar=1.0) == pytest.approx(0.9 / 5.0)
+        assert default_step(op, hbar=2.0) == pytest.approx(1.8 / 5.0)
+
+    def test_stability_limit_is_where_the_rk4_factor_stops_increasing(self):
+        def R(z):  # the RK4 amplification of y' = -rate*y at rate*dt = -z
+            return helpers.scalar_rk4(-z, 1.0, 1.0)
+
+        z_star = -RK4_MONOTONE_LIMIT
+        # R' = R - z^4/24 for the fourth-order Taylor polynomial of exp
+        assert abs(R(z_star) - z_star**4 / 24.0) <= 1e-14
+        h = 1e-4
+        assert R(z_star - h) > R(z_star) < R(z_star + h)
+        z = np.linspace(z_star, RK4_MONOTONE_LIMIT, 2001)
+        values = np.array([R(x) for x in z])
+        assert (values > 0).all() and (np.diff(values) > 0).all()
+
+    def test_steps_just_inside_the_stability_limit_converge(self):
+        op = Diagonal(np.array([-1.0, 0.5, 1.0]))
+        psi0 = np.full(3, 1.0 / math.sqrt(3.0))
+        dt = 0.99 * RK4_MONOTONE_LIMIT / op.scale()
+        _, report = evolve_linear(op, psi0, dt=dt, tol=1e-10)
+        assert report.converged
+        assert report.states[0].rayleigh == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="stability limit"):
+            evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / op.scale())
 
 
 class TestEvolveCoupled:
@@ -242,6 +279,34 @@ class TestEvolveCoupled:
         model = helpers.prisoners_dilemma()
         with pytest.raises(ValueError, match="energy"):
             evolve_coupled(model)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            helpers.random_pairwise_model(77),
+            helpers.random_pairwise_model(78),
+            same_sign_pairwise(79),
+            helpers.random_dense_model(79, n_agents=3, card=3, mode="energy"),
+        ],
+        ids=["pairwise77", "pairwise78", "same_sign79", "dense79"],
+    )
+    def test_scale_bound_holds_along_the_trajectory(self, model):
+        dists = helpers.random_profile_arrays(80, model.agent_cardinalities())
+        state0 = WaveState(tuple(np.sqrt(d) for d in dists))
+        points, _ = evolve_coupled(model, state0, t_max=20.0, record_every=1)
+        bound = coupled_scale(model)
+        assert len(points) > 2
+        for point in points:
+            state = WaveState(point.amplitudes)
+            for i in range(len(model.agents)):
+                assert effective_hamiltonian(model, state, i).scale() <= bound
+
+    def test_default_coupled_step_comes_from_the_scale_bound(self):
+        model = agreement_energy_pair()
+        assert coupled_scale(model) == 1.0
+        lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
+        points, _ = evolve_coupled(model, WaveState((lean, lean)), t_max=5.0, record_every=1)
+        assert points[1].time == pytest.approx(0.9 * model.hbar)
 
 
 class TestGridHamiltonian:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from coopt import bundled_path
+from coopt.fileio import load_hamiltonian
 from coopt.numerics import (
     DenseSymmetric,
     Diagonal,
@@ -15,6 +17,7 @@ from coopt.numerics import (
     log_sum_exp_along,
     rk4_step,
 )
+from coopt.rng import SplitMix64
 
 
 class TestLogSumExp:
@@ -90,6 +93,32 @@ class TestJacobi:
         assert eig.eigenvalues.sum() == pytest.approx(
             np.trace(h), abs=1e-9 * (1.0 + abs(np.trace(h)))
         )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["n1", "n2", "n3", "n31", "n64", "repeated", "oscillator"],
+    )
+    def test_agrees_with_lapack(self, name):
+        if name == "oscillator":
+            h = load_hamiltonian(bundled_path("harmonic_oscillator")).matrix
+        elif name == "repeated":
+            # Householder reflection of a diagonal with multiplicities 3, 2 and 1
+            s = SplitMix64(41)
+            u = np.array([s.uniform_signed() for _ in range(6)])
+            u /= np.linalg.norm(u)
+            q = np.eye(6) - 2.0 * np.outer(u, u)
+            h = q @ np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0]) @ q.T
+            h = 0.5 * (h + h.T)
+        else:
+            n = int(name[1:])
+            h = helpers.random_symmetric_matrix(40 + n, n, span=2.0)
+        n = h.shape[0]
+        eig = jacobi_eigen(DenseSymmetric(h))
+        tol = 1e-9 * np.linalg.norm(h)
+        np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+        v = eig.eigenvectors
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-9)
+        assert np.abs(h @ v - v * eig.eigenvalues).max() <= tol
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
