@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DenseEnergy, GameModel, PairwiseEnergy
+from .model import GameModel, PairwiseEnergy, stack
 from .numerics import DenseSymmetric, Diagonal, EigenDecomposition, HermitianOperator, rk4_step
 from .rng import random_unit_vector
 
@@ -137,30 +137,17 @@ def _orthonormalize(vectors) -> np.ndarray | None:
     return np.column_stack(basis) if basis else None
 
 
+def _require_energy(model: GameModel) -> None:
+    if model.mode != "energy":
+        raise ValueError("effective Hamiltonians are defined for energy-mode models")
+
+
 def effective_hamiltonian(model: GameModel, state: WaveState, index: int) -> Diagonal:
     """Diagonal operator of per-action energy expectations for one agent,
     taken over the other agents' squared amplitudes."""
-    if model.mode != "energy":
-        raise ValueError("effective Hamiltonians are defined for energy-mode models")
-    agent = model.agents[index]
-    obj = agent.objective
-    by_variable = {a.acts_on: i for i, a in enumerate(model.agents)}
-    weights = [np.abs(a) ** 2 for a in state.amplitudes]
-
-    if isinstance(obj, PairwiseEnergy):
-        entries = np.zeros(model.cardinality(agent.acts_on))
-        for other, table in obj.terms:
-            entries = entries + table @ weights[by_variable[other]]
-        return Diagonal(entries)
-
-    assert isinstance(obj, DenseEnergy)
-    arr = obj.values.reshape(model.shape_of(obj.order))
-    own_axis = obj.order.index(agent.acts_on)
-    arr = np.moveaxis(arr, own_axis, 0)
-    others = [v for a, v in enumerate(obj.order) if a != own_axis]
-    for other in reversed(others):
-        arr = arr @ weights[by_variable[other]]
-    return Diagonal(arr)
+    _require_energy(model)
+    amplitudes = stack(state.amplitudes, 0.0)
+    return Diagonal(model.plan.rows(model.plan.expectations(amplitudes * amplitudes))[index])
 
 
 def coupled_scale(model: GameModel) -> float:
@@ -330,10 +317,13 @@ def evolve_coupled(
     """
     if not (tol > 0 and t_max > 0):
         raise ValueError("tol and t_max must be positive")
+    _require_energy(model)
     hbar = model.hbar
+    plan = model.plan
     state = WaveState.uniform(model) if state0 is None else state0
-    amplitudes = [_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)]
-    n = len(model.agents)
+    if [a.size for a in state.amplitudes] != plan.cards:
+        raise ValueError("initial state does not match the agents' cardinalities")
+    amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)], 0.0)
 
     scale = coupled_scale(model)
     if dt is None:
@@ -348,41 +338,35 @@ def evolve_coupled(
     converged = False
     while True:
         t = step * dt
-        snapshot = WaveState(tuple(amplitudes))
-        operators = [effective_hamiltonian(model, snapshot, i) for i in range(n)]
-        rayleighs = []
-        residuals = []
-        for op, psi in zip(operators, amplitudes):
-            h_psi = op.matvec(psi)
-            rayleigh = float(psi @ h_psi)
-            rayleighs.append(rayleigh)
-            residuals.append(float(np.linalg.norm(h_psi - rayleigh * psi)))
+        energies = plan.expectations(amplitudes * amplitudes)
+        h_psi = energies * amplitudes
+        rayleighs = (amplitudes * h_psi).sum(axis=1)
+        residuals = np.linalg.norm(h_psi - rayleighs[:, np.newaxis] * amplitudes, axis=1)
         recorded = step % record_every == 0
         if recorded:
-            points.append(
-                TrajectoryPoint(
-                    t, tuple(a.copy() for a in amplitudes), tuple(rayleighs), tuple(residuals)
-                )
-            )
-        if max(residuals) <= tol:
+            points.append(TrajectoryPoint(
+                t, plan.rows(amplitudes), tuple(rayleighs.tolist()), tuple(residuals.tolist())
+            ))
+        if residuals.max() <= tol:
             converged = True
             break
         if step >= max_steps:
             break
-        amplitudes = [
-            _renormalized(rk4_step(_decay(op, hbar), psi, dt), step + 1)
-            for op, psi in zip(operators, amplitudes)
-        ]
+        stepped = np.zeros_like(amplitudes)
+        for i, (h, psi) in enumerate(zip(plan.rows(energies), plan.rows(amplitudes))):
+            stepped[i, : psi.size] = _renormalized(
+                rk4_step(_decay(Diagonal(h), hbar), psi, dt), step + 1
+            )
+        amplitudes = stepped
         step += 1
     if not recorded:
-        points.append(
-            TrajectoryPoint(
-                t, tuple(a.copy() for a in amplitudes), tuple(rayleighs), tuple(residuals)
-            )
-        )
+        points.append(TrajectoryPoint(
+            t, plan.rows(amplitudes), tuple(rayleighs.tolist()), tuple(residuals.tolist())
+        ))
 
+    states = zip(rayleighs.tolist(), residuals.tolist())
     report = StationaryReport(
-        states=tuple(StationaryState(l, r) for l, r in zip(rayleighs, residuals)),
+        states=tuple(StationaryState(l, r) for l, r in states),
         time=t,
         converged=converged,
     )

@@ -9,20 +9,12 @@ runs in the log domain so small hbar and large alpha stay finite.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DenseEnergy,
-    DenseUtility,
-    GameModel,
-    PairwiseEnergy,
-    StrategyProfile,
-    validate_profile,
-)
-from .numerics import log_sum_exp, log_sum_exp_along
+from .model import GameModel, PairwiseEnergy, StrategyProfile, stack, validate_profile
 from .rng import SplitMix64, random_simplex
 
 ALPHA_CAP = 1e6
@@ -102,50 +94,10 @@ def random_profile(model: GameModel, seed: int) -> StrategyProfile:
     )
 
 
-def _log_probability(dist: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(dist)
-
-
-def _agent_of_variable(model: GameModel) -> dict[str, int]:
-    return {agent.acts_on: i for i, agent in enumerate(model.agents)}
-
-
-def _log_returns_dense(model: GameModel, profile: StrategyProfile, index: int) -> np.ndarray:
-    agent = model.agents[index]
-    obj = agent.objective
-    shape = model.shape_of(obj.order)
-    if isinstance(obj, DenseEnergy):
-        log_weight = (-obj.values / model.hbar).reshape(shape)
-    else:
-        with np.errstate(divide="ignore"):
-            log_weight = np.log(obj.values).reshape(shape)
-    own_axis = obj.order.index(agent.acts_on)
-    log_weight = np.moveaxis(log_weight, own_axis, 0)
-    others = [v for a, v in enumerate(obj.order) if a != own_axis]
-    if not others:
-        return log_weight  # single agent: the weight itself
-    by_variable = _agent_of_variable(model)
-    log_ps = [_log_probability(profile.dists[by_variable[v]]) for v in others]
-    joint_log_p = functools.reduce(np.add.outer, log_ps) if len(log_ps) > 1 else log_ps[0]
-    combined = log_weight + joint_log_p[np.newaxis, ...]
-    return log_sum_exp_along(combined.reshape(combined.shape[0], -1), axis=1)
-
-
-def _log_returns_pairwise(model: GameModel, profile: StrategyProfile, index: int) -> np.ndarray:
-    agent = model.agents[index]
-    by_variable = _agent_of_variable(model)
-    total = np.zeros(model.cardinality(agent.acts_on))
-    for other, table in agent.objective.terms:
-        log_p = _log_probability(profile.dists[by_variable[other]])
-        total = total + log_sum_exp_along(-table / model.hbar + log_p[np.newaxis, :], axis=1)
-    return total
-
-
-def _log_returns(model: GameModel, profile: StrategyProfile, index: int) -> np.ndarray:
-    if isinstance(model.agents[index].objective, PairwiseEnergy):
-        return _log_returns_pairwise(model, profile, index)
-    return _log_returns_dense(model, profile, index)
+def _field(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
+    validate_profile(model, profile)
+    plan = model.plan
+    return ExpectedReturnField(plan.rows(plan.log_returns(stack(profile.dists, 0.0))))
 
 
 def expected_return_update(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
@@ -155,10 +107,7 @@ def expected_return_update(model: GameModel, profile: StrategyProfile) -> Expect
             raise ValueError(
                 f"agent {agent.name!r} has a pairwise objective; use the factorized update"
             )
-    validate_profile(model, profile)
-    return ExpectedReturnField(
-        tuple(_log_returns_dense(model, profile, i) for i in range(len(model.agents)))
-    )
+    return _field(model, profile)
 
 
 def expected_return_update_factorized(
@@ -173,32 +122,39 @@ def expected_return_update_factorized(
     for agent in model.agents:
         if not isinstance(agent.objective, PairwiseEnergy):
             raise ValueError(f"agent {agent.name!r} does not have a pairwise objective")
-    validate_profile(model, profile)
-    return ExpectedReturnField(
-        tuple(_log_returns_pairwise(model, profile, i) for i in range(len(model.agents)))
-    )
+    return _field(model, profile)
 
 
-def normalize_policy(field: ExpectedReturnField, alpha: float) -> StrategyProfile:
+def normalize_policy(field, alpha: float):
     """Profile with p proportional to (expected return)**alpha, per agent.
 
-    Computed as exp(alpha * log psi - log Z) so large alpha cannot
-    overflow; alpha is capped at 1e6 (the practical best-response limit).
+    Maps an ExpectedReturnField to a StrategyProfile, or log returns
+    stacked one agent per row (padded with -inf) to probabilities stacked
+    the same way (padded with 0).  Computed as exp(alpha * log psi - log Z)
+    so large alpha cannot overflow; alpha is capped at 1e6 (the practical
+    best-response limit).
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    alpha = min(alpha, ALPHA_CAP)
-    dists = []
-    for i, log_v in enumerate(field.log_values):
-        scaled = alpha * log_v
-        z = log_sum_exp(scaled)
-        if z == -np.inf:
-            raise AllZeroReturnsError(
-                f"agent index {i}: all expected returns are zero, distribution undefined"
-            )
-        p = np.exp(scaled - z)
-        dists.append(p / p.sum())
-    return StrategyProfile(tuple(dists))
+    stacked = isinstance(field, np.ndarray)
+    log_values = field if stacked else stack(field.log_values, -np.inf)
+    scaled = min(alpha, ALPHA_CAP) * log_values
+    top = scaled.max(axis=1)
+    if (top == -np.inf).any():
+        raise AllZeroReturnsError(
+            f"agent index {int(np.argmax(top == -np.inf))}: all expected returns are zero, "
+            "distribution undefined"
+        )
+    sums = np.exp(scaled - top[:, np.newaxis]).sum(axis=1)
+    # math.log, as in numerics.log_sum_exp: numpy's vectorized log rounds
+    # differently in about 0.1% of inputs, which would make the stacked and
+    # per-agent normalizations disagree in the last bit.
+    z = top + np.array(list(map(math.log, sums.tolist())))
+    p = np.exp(scaled - z[:, np.newaxis])
+    p /= p.sum(axis=1, keepdims=True)
+    if stacked:
+        return p
+    return StrategyProfile(tuple(row[: lv.size] for row, lv in zip(p, field.log_values)))
 
 
 def iterate_to_fixed_point(
@@ -222,32 +178,29 @@ def iterate_to_fixed_point(
     profile = StrategyProfile.uniform(model) if init is None else init
     validate_profile(model, profile)
 
-    n = len(model.agents)
+    plan = model.plan
+    p = stack(profile.dists, 0.0)
     steps: list[TraceStep] = []
     converged = False
-    change = np.inf
-    field = ExpectedReturnField(tuple(np.zeros(c) for c in model.agent_cardinalities()))
-    iterations = 0
     for t in range(1, max_iter + 1):
-        field = ExpectedReturnField(tuple(_log_returns(model, profile, i) for i in range(n)))
-        for lv in field.log_values:
-            if np.isnan(lv).any() or (lv == np.inf).any():
-                raise DivergenceError(t, "non-finite expected return")
-        new_profile = normalize_policy(field, alpha)
-        change = new_profile.max_change(profile)
-        profile = new_profile
-        iterations = t
+        log_returns = plan.log_returns(p)
+        if not (log_returns < np.inf).all():
+            raise DivergenceError(t, "non-finite expected return")
+        new_p = normalize_policy(log_returns, alpha)
+        change = float(np.abs(new_p - p).max())
+        p = new_p
         if keep_trace:
-            steps.append(TraceStep(t, change, profile, field))
+            field = ExpectedReturnField(plan.rows(log_returns))
+            steps.append(TraceStep(t, change, StrategyProfile(plan.rows(p)), field))
         if change <= tol:
             converged = True
             break
 
     return FixedPointResult(
-        profile=profile,
+        profile=StrategyProfile(plan.rows(p)),
         converged=converged,
-        iterations=iterations,
-        max_change=float(change),
-        field=field,
+        iterations=t,
+        max_change=change,
+        field=ExpectedReturnField(plan.rows(log_returns)),
         trace=IterationTrace(tuple(steps)) if keep_trace else None,
     )

@@ -25,6 +25,7 @@ from .model import (
     PairwiseEnergy,
     StrategyProfile,
     densify,
+    stack,
     to_utility_model,
     validate,
     validate_profile,
@@ -97,36 +98,25 @@ def _require_utility(model: GameModel, what: str) -> None:
         raise ValueError(f"{what} needs a utility-mode model; convert energies first")
 
 
-def _payoff_vector(model: GameModel, profile: StrategyProfile, index: int) -> np.ndarray:
-    """Expected utility of each own pure action against the others' marginals."""
-    agent = model.agents[index]
-    obj = agent.objective
-    arr = obj.values.reshape(model.shape_of(obj.order))
-    own_axis = obj.order.index(agent.acts_on)
-    arr = np.moveaxis(arr, own_axis, 0)
-    by_variable = {a.acts_on: i for i, a in enumerate(model.agents)}
-    others = [v for a, v in enumerate(obj.order) if a != own_axis]
-    for other in reversed(others):
-        arr = arr @ profile.dists[by_variable[other]]
-    return arr
+def _payoff_vectors(model: GameModel, profile: StrategyProfile, what: str):
+    """Expected utility of each own pure action against the others'
+    marginals, per agent."""
+    _require_utility(model, what)
+    validate_profile(model, profile)
+    plan = model.plan
+    return plan.rows(plan.expectations(stack(profile.dists, 0.0)))
 
 
 def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
     """Exact expected utility of one agent under the profile."""
-    _require_utility(model, "expected_payoff")
-    validate_profile(model, profile)
-    return float(profile.dists[index] @ _payoff_vector(model, profile, index))
+    vectors = _payoff_vectors(model, profile, "expected_payoff")
+    return float(profile.dists[index] @ vectors[index])
 
 
 def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
     """Unweighted mean of the agents' expected payoffs."""
-    _require_utility(model, "social_welfare")
-    validate_profile(model, profile)
-    payoffs = [
-        float(profile.dists[i] @ _payoff_vector(model, profile, i))
-        for i in range(len(model.agents))
-    ]
-    return float(np.mean(payoffs))
+    vectors = _payoff_vectors(model, profile, "social_welfare")
+    return float(np.mean([float(d @ v) for d, v in zip(profile.dists, vectors)]))
 
 
 def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCertificate:
@@ -135,14 +125,11 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     Pure deviations suffice: against fixed opponents the best response is
     attained at a pure action.  Tiny negative gains are clamped to zero.
     """
-    _require_utility(model, "epsilon_of_profile")
-    validate_profile(model, profile)
     gains = []
     deviations = []
     payoffs = []
-    for i in range(len(model.agents)):
-        vec = _payoff_vector(model, profile, i)
-        current = float(profile.dists[i] @ vec)
+    for dist, vec in zip(profile.dists, _payoff_vectors(model, profile, "epsilon_of_profile")):
+        current = float(dist @ vec)
         gain = float(vec.max()) - current
         gains.append(max(gain, 0.0))
         deviations.append(int(np.argmax(vec)))

@@ -10,6 +10,7 @@ newline so identical runs emit identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,15 +48,19 @@ def _read_json(path):
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(data: dict, field: str, kind, where: str):
     if field not in data:
         raise FileFormatError(f"{where}: missing required field {field!r}")
     value = data[field]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise FileFormatError(f"{where}: field {field!r} must be a number")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FileFormatError(f"{where}: field {field!r} has the wrong type")
     return value
 
@@ -71,7 +76,7 @@ def _parse_objective(raw, mode: str, where: str):
         values = _require(dense, "values", list, f"{where}.dense")
         if not all(isinstance(v, str) for v in order):
             raise FileFormatError(f"{where}.dense.order: entries must be variable names")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        if not all(_is_number(v) for v in values):
             raise FileFormatError(f"{where}.dense.values: entries must be numbers")
         cls = DenseUtility if mode == "utility" else DenseEnergy
         return cls(tuple(order), np.array(values, dtype=float))
@@ -105,9 +110,7 @@ def load_problem(path) -> GameModel:
     mode = _require(data, "mode", str, str(path))
     if mode not in ("energy", "utility"):
         raise FileFormatError(f"{path}: mode must be 'energy' or 'utility', got {mode!r}")
-    hbar = float(data.get("hbar", 1.0))
-    if "hbar" in data and (isinstance(data["hbar"], bool) or not isinstance(data["hbar"], (int, float))):
-        raise FileFormatError(f"{path}: field 'hbar' must be a number")
+    hbar = _require(data, "hbar", float, str(path)) if "hbar" in data else 1.0
 
     variables_raw = _require(data, "variables", list, str(path))
     variables = []
@@ -145,6 +148,8 @@ def load_hamiltonian(path) -> HermitianOperator:
         )
     if "diagonal" in data:
         entries = _require(data, "diagonal", list, str(path))
+        if not all(_is_number(x) and math.isfinite(x) for x in entries):
+            raise FileFormatError(f"{path}: 'diagonal' entries must be finite numbers")
         return Diagonal(np.array(entries, dtype=float))
     if "dense" in data:
         rows = _require(data, "dense", list, str(path))

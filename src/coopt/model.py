@@ -10,11 +10,14 @@ for the sum of those tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+
+from .numerics import log_sum_exp_along
 
 PROBABILITY_TOL = 1e-12
 
@@ -85,11 +88,20 @@ class GameModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "agents", tuple(self.agents))
 
+    @functools.cached_property
+    def _cardinality_of(self) -> dict[str, int]:
+        return {spec.name: spec.cardinality for spec in reversed(self.variables)}
+
+    @functools.cached_property
+    def plan(self) -> "ContractionPlan":
+        """The objectives compiled for contraction, built on first use from
+        the objective tables, which must not change in place afterwards."""
+        return ContractionPlan(self)
+
     def cardinality(self, variable: str) -> int:
-        for spec in self.variables:
-            if spec.name == variable:
-                return spec.cardinality
-        raise KeyError(f"unknown variable {variable!r}")
+        if variable not in self._cardinality_of:
+            raise KeyError(f"unknown variable {variable!r}")
+        return self._cardinality_of[variable]
 
     def variable_names(self) -> list[str]:
         return [spec.name for spec in self.variables]
@@ -125,11 +137,6 @@ class StrategyProfile:
             dists.append(d)
         return cls(tuple(dists))
 
-    def max_change(self, other: "StrategyProfile") -> float:
-        return max(
-            float(np.abs(a - b).max()) for a, b in zip(self.dists, other.dists)
-        )
-
 
 def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProfile:
     problems = []
@@ -155,7 +162,7 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProf
 
 
 def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str]) -> None:
-    names = set(model.variable_names())
+    names = model._cardinality_of
     if agent.acts_on not in obj.order:
         problems.append(f"agent {agent.name!r}: variable order omits its own variable")
     if len(set(obj.order)) != len(obj.order):
@@ -174,7 +181,7 @@ def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str]) -> No
 
 
 def _check_pairwise(agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str]) -> None:
-    names = set(model.variable_names())
+    names = model._cardinality_of
     seen = set()
     own_card = None
     if agent.acts_on in names:
@@ -289,3 +296,91 @@ def to_utility_model(model: GameModel) -> GameModel:
             obj = densify(obj, model, agent.acts_on)
         agents.append(replace(agent, objective=energy_to_utility(obj, model.hbar)))
     return replace(model, agents=tuple(agents), mode="utility")
+
+
+def stack(rows, fill: float) -> np.ndarray:
+    """Vectors as the rows of one array, padded with fill to the longest."""
+    out = np.full((len(rows), max(row.size for row in rows)), fill)
+    for i, row in enumerate(rows):
+        out[i, : row.size] = row
+    return out
+
+
+class ContractionPlan:
+    """A model's objectives compiled for contraction against marginals.
+
+    Each agent's table is contracted against the other agents' marginals,
+    in the log domain (expected Boltzmann weight or utility, as a log: the
+    discrete map's returns) or in the linear domain (expected energy or
+    utility: payoffs and effective Hamiltonians).  Marginals and results
+    are stacked one agent per row, padded to the widest agent with zero
+    probability and -inf log return.  Dense tables are kept own axis
+    first; every pairwise table sits in one (edges, width, width) array,
+    padded with -inf in the log domain and 0 in the linear domain, so
+    mixed cardinalities take the same path.
+    """
+
+    def __init__(self, model: GameModel):
+        agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
+        self.cards = model.agent_cardinalities()
+        width = max(self.cards)
+        # log 1 for every action, -inf for padding: where edge sums start
+        self.log_one = np.where(np.arange(width) < np.array(self.cards)[:, None], 0.0, -np.inf)
+        self.dense = []  # (agent, log table, table, neighbour agents)
+        edges = []  # (owner, neighbour, table)
+        for i, agent in enumerate(model.agents):
+            obj = agent.objective
+            if isinstance(obj, PairwiseEnergy):
+                edges += [(i, agent_of[other], table) for other, table in obj.terms]
+                continue
+            own_axis = obj.order.index(agent.acts_on)
+            table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
+            if isinstance(obj, DenseEnergy):
+                log_table = -table / model.hbar
+            else:
+                with np.errstate(divide="ignore"):
+                    log_table = np.log(table)
+            others = [agent_of[v] for v in obj.order if v != agent.acts_on]
+            self.dense.append((i, log_table, table, others))
+        self.owner = np.array([e[0] for e in edges], dtype=np.intp)
+        self.neighbour = np.array([e[1] for e in edges], dtype=np.intp)
+        self.edges = np.zeros((len(edges), width, width))
+        self.log_edges = np.full((len(edges), width, width), -np.inf)
+        for e, (_, _, table) in enumerate(edges):
+            rows, cols = table.shape
+            self.edges[e, :rows, :cols] = table
+            self.log_edges[e, :rows, :cols] = -table / model.hbar
+
+    def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-agent vectors of a stacked array, padding dropped."""
+        return tuple(row[:card] for row, card in zip(stacked, self.cards))
+
+    def log_returns(self, p: np.ndarray) -> np.ndarray:
+        """Log expected weight of each own action, from stacked marginals."""
+        with np.errstate(divide="ignore"):
+            log_p = np.log(p)
+        out = self.log_one.copy()
+        if self.owner.size:
+            combined = self.log_edges + log_p[self.neighbour][:, np.newaxis, :]
+            np.add.at(out, self.owner, log_sum_exp_along(combined, axis=2))
+        for i, log_table, _, others in self.dense:
+            if others:
+                joint = functools.reduce(
+                    np.add.outer, [log_p[j, : self.cards[j]] for j in others]
+                )
+                combined = log_table + joint[np.newaxis, ...]
+                log_table = log_sum_exp_along(combined.reshape(combined.shape[0], -1), axis=1)
+            out[i, : self.cards[i]] = log_table
+        return out
+
+    def expectations(self, p: np.ndarray) -> np.ndarray:
+        """Expected objective value of each own action, from stacked marginals."""
+        out = np.zeros(p.shape)
+        if self.owner.size:
+            per_edge = np.matmul(self.edges, p[self.neighbour][..., np.newaxis])
+            np.add.at(out, self.owner, per_edge[..., 0])
+        for i, _, table, others in self.dense:
+            for j in reversed(others):
+                table = table @ p[j, : self.cards[j]]
+            out[i, : self.cards[i]] = table
+        return out

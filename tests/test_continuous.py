@@ -280,6 +280,11 @@ class TestEvolveCoupled:
         with pytest.raises(ValueError, match="energy"):
             evolve_coupled(model)
 
+    def test_state_of_the_wrong_length_rejected(self):
+        state0 = WaveState((np.array([1.0]), np.array([1.0, 0.0])))
+        with pytest.raises(ValueError, match="cardinalities"):
+            evolve_coupled(agreement_energy_pair(), state0)
+
     @pytest.mark.parametrize(
         "model",
         [

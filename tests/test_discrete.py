@@ -7,6 +7,7 @@ import helpers
 from coopt.discrete import (
     ALPHA_CAP,
     AllZeroReturnsError,
+    DivergenceError,
     ExpectedReturnField,
     expected_return_update,
     expected_return_update_factorized,
@@ -214,6 +215,13 @@ class TestIteration:
         result = iterate_to_fixed_point(model, 2.0, random_profile(model, 5))
         assert result.converged
 
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_return_is_a_divergence(self):
+        # -E / hbar overflows to +inf, so the expected return is infinite
+        model = helpers.single_agent_energy([-1e308, 0.0], hbar=1e-10)
+        with pytest.raises(DivergenceError, match="step 1"):
+            iterate_to_fixed_point(model, 1.0)
 
 class TestIterationInvariants:
     def test_normalization_conserved_every_step(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coopt import bundled_path
+from coopt.cli import main
 from coopt.discrete import iterate_to_fixed_point
 from coopt.equilibrium import epsilon_of_profile
 from coopt.fileio import (
@@ -89,6 +90,33 @@ class TestProblemLoading:
         path = write_json(tmp_path, "bad.json", doc)
         with pytest.raises(ValidationError, match="energy mode"):
             load_problem(path)
+
+
+class TestMistypedFieldsExitOne:
+    """The CLI names the mistyped field instead of converting it or crashing."""
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("hbar", {"mode": "energy", "hbar": [1], "variables": [], "agents": []}),
+            ("hbar", {"mode": "energy", "hbar": "abc", "variables": [], "agents": []}),
+            ("hbar", {"mode": "energy", "hbar": True, "variables": [], "agents": []}),
+            ("cardinality", {"mode": "energy", "agents": [],
+                             "variables": [{"name": "x", "cardinality": True}]}),
+        ],
+        ids=["hbar-list", "hbar-string", "hbar-bool", "cardinality-bool"],
+    )
+    def test_problem_field(self, tmp_path, capsys, field, doc):
+        path = write_json(tmp_path, "bad.json", doc)
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert f"field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_diagonal_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "h.json"
+        path.write_text(f'{{"diagonal": [{entry}, 1.0]}}')
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert "diagonal" in capsys.readouterr().err
 
 
 class TestHamiltonianLoading:
