@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 clean non-convergence (results still written),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -153,6 +154,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopt",

@@ -10,7 +10,6 @@ newline so identical runs emit identical bytes.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import numpy as np
@@ -52,6 +51,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _floats(value, where: str, what: str = "numbers") -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:  # overflow: a huge JSON integer
+        raise FileFormatError(f"{where}: must be {what} within the float range") from e
+
+
 def _require(data: dict, field: str, kind, where: str):
     if field not in data:
         raise FileFormatError(f"{where}: missing required field {field!r}")
@@ -59,7 +65,7 @@ def _require(data: dict, field: str, kind, where: str):
     if kind is float:
         if not _is_number(value):
             raise FileFormatError(f"{where}: field {field!r} must be a number")
-        return float(value)
+        return float(_floats(value, f"{where}: field {field!r}", "a number"))
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FileFormatError(f"{where}: field {field!r} has the wrong type")
     return value
@@ -79,7 +85,7 @@ def _parse_objective(raw, mode: str, where: str):
         if not all(_is_number(v) for v in values):
             raise FileFormatError(f"{where}.dense.values: entries must be numbers")
         cls = DenseUtility if mode == "utility" else DenseEnergy
-        return cls(tuple(order), np.array(values, dtype=float))
+        return cls(tuple(order), _floats(values, f"{where}.dense.values"))
     if "pairwise" in raw:
         terms_raw = _require(raw, "pairwise", list, where)
         terms = []
@@ -88,12 +94,7 @@ def _parse_objective(raw, mode: str, where: str):
                 raise FileFormatError(f"{where}.pairwise[{k}]: must be an object")
             other = _require(term, "with", str, f"{where}.pairwise[{k}]")
             table = _require(term, "table", list, f"{where}.pairwise[{k}]")
-            try:
-                arr = np.array(table, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise FileFormatError(
-                    f"{where}.pairwise[{k}].table: must be a rectangular number matrix"
-                ) from e
+            arr = _floats(table, f"{where}.pairwise[{k}].table", "a rectangular number matrix")
             if arr.ndim != 2:
                 raise FileFormatError(f"{where}.pairwise[{k}].table: must be a 2-D matrix")
             terms.append((other, arr))
@@ -148,15 +149,13 @@ def load_hamiltonian(path) -> HermitianOperator:
         )
     if "diagonal" in data:
         entries = _require(data, "diagonal", list, str(path))
-        if not all(_is_number(x) and math.isfinite(x) for x in entries):
+        # false for NaN, infinities and integers past the float range
+        if not all(_is_number(x) and abs(x) <= sys.float_info.max for x in entries):
             raise FileFormatError(f"{path}: 'diagonal' entries must be finite numbers")
         return Diagonal(np.array(entries, dtype=float))
     if "dense" in data:
         rows = _require(data, "dense", list, str(path))
-        try:
-            matrix = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as e:
-            raise FileFormatError(f"{path}: 'dense' must be a rectangular number matrix") from e
+        matrix = _floats(rows, f"{path}: dense", "a rectangular number matrix")
         try:
             return DenseSymmetric(matrix)
         except ValueError as e:
@@ -167,6 +166,7 @@ def load_hamiltonian(path) -> HermitianOperator:
         xmax = _require(grid, "xmax", float, f"{path}: grid")
         n = _require(grid, "n", int, f"{path}: grid")
         potential = _require(grid, "potential", list, f"{path}: grid")
+        potential = _floats(potential, f"{path}: grid.potential")
         try:
             return build_grid_hamiltonian(xmin, xmax, int(n), potential)
         except ValueError as e:
@@ -188,7 +188,7 @@ def load_profile(path, model: GameModel) -> StrategyProfile:
         entry = table[agent.name]
         if not isinstance(entry, list):
             raise FileFormatError(f"{path}: profile[{agent.name!r}] must be a list of numbers")
-        dists.append(np.array(entry, dtype=float))
+        dists.append(_floats(entry, f"{path}: profile[{agent.name!r}]"))
     return validate_profile(model, StrategyProfile(tuple(dists)))
 
 

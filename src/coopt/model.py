@@ -314,10 +314,12 @@ class ContractionPlan:
     discrete map's returns) or in the linear domain (expected energy or
     utility: payoffs and effective Hamiltonians).  Marginals and results
     are stacked one agent per row, padded to the widest agent with zero
-    probability and -inf log return.  Dense tables are kept own axis
-    first; every pairwise table sits in one (edges, width, width) array,
-    padded with -inf in the log domain and 0 in the linear domain, so
-    mixed cardinalities take the same path.
+    probability and -inf log return.  Every table over the own variable
+    and one neighbour (a pairwise term, or a dense table) sits in one
+    (edges, width, width) array, padded with -inf in the log domain and 0
+    in the linear domain, so mixed cardinalities take the same path; log
+    tables are neighbour axis first, as numpy reduces a middle axis faster
+    than a short last one.  Other dense tables are kept own axis first.
     """
 
     def __init__(self, model: GameModel):
@@ -327,11 +329,13 @@ class ContractionPlan:
         # log 1 for every action, -inf for padding: where edge sums start
         self.log_one = np.where(np.arange(width) < np.array(self.cards)[:, None], 0.0, -np.inf)
         self.dense = []  # (agent, log table, table, neighbour agents)
-        edges = []  # (owner, neighbour, table)
+        edges = []  # (owner, neighbour, log table, table), own axis first
         for i, agent in enumerate(model.agents):
             obj = agent.objective
             if isinstance(obj, PairwiseEnergy):
-                edges += [(i, agent_of[other], table) for other, table in obj.terms]
+                edges += [
+                    (i, agent_of[other], -table / model.hbar, table) for other, table in obj.terms
+                ]
                 continue
             own_axis = obj.order.index(agent.acts_on)
             table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
@@ -341,15 +345,18 @@ class ContractionPlan:
                 with np.errstate(divide="ignore"):
                     log_table = np.log(table)
             others = [agent_of[v] for v in obj.order if v != agent.acts_on]
-            self.dense.append((i, log_table, table, others))
+            if len(others) == 1:
+                edges.append((i, others[0], log_table, table))
+            else:
+                self.dense.append((i, log_table, table, others))
         self.owner = np.array([e[0] for e in edges], dtype=np.intp)
         self.neighbour = np.array([e[1] for e in edges], dtype=np.intp)
         self.edges = np.zeros((len(edges), width, width))
         self.log_edges = np.full((len(edges), width, width), -np.inf)
-        for e, (_, _, table) in enumerate(edges):
+        for e, (_, _, log_table, table) in enumerate(edges):
             rows, cols = table.shape
             self.edges[e, :rows, :cols] = table
-            self.log_edges[e, :rows, :cols] = -table / model.hbar
+            self.log_edges[e, :cols, :rows] = log_table.T
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent vectors of a stacked array, padding dropped."""
@@ -361,8 +368,8 @@ class ContractionPlan:
             log_p = np.log(p)
         out = self.log_one.copy()
         if self.owner.size:
-            combined = self.log_edges + log_p[self.neighbour][:, np.newaxis, :]
-            np.add.at(out, self.owner, log_sum_exp_along(combined, axis=2))
+            combined = self.log_edges + log_p[self.neighbour][:, :, np.newaxis]
+            np.add.at(out, self.owner, log_sum_exp_along(combined, axis=1))
         for i, log_table, _, others in self.dense:
             if others:
                 joint = functools.reduce(

@@ -116,13 +116,14 @@ def log_sum_exp(values) -> float:
 
 
 def log_sum_exp_along(values: np.ndarray, axis: int) -> np.ndarray:
-    """Axis-wise log_sum_exp; rows of all -inf map to -inf, never NaN."""
+    """Axis-wise log_sum_exp; rows of all -inf map to -inf, never NaN, a
+    +inf entry gives +inf and a NaN entry NaN."""
     v = np.asarray(values, dtype=float)
     m = v.max(axis=axis, keepdims=True)
+    # Shifted by 0 instead, a row of all -inf sums to 0, whose log is -inf.
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(v - safe).sum(axis=axis)) + np.squeeze(safe, axis=axis)
-    return np.where(np.isfinite(np.squeeze(m, axis=axis)), out, np.squeeze(m, axis=axis))
+        return np.log(np.exp(v - safe).sum(axis=axis)) + safe.squeeze(axis)
 
 
 def _round_robin(n: int):

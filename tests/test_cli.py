@@ -183,3 +183,23 @@ class TestDeterminism:
             )
             assert proc.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_consecutive_main_calls_match_fresh_runs(self, tmp_path):
+        from coopt.cli import build_parser, main
+
+        # The third call leaves --init and --seed at their defaults, which
+        # the first call overrode: a parser reused across calls must not
+        # carry them over.
+        jobs = [
+            ["solve", "--problem", PD, "--alpha", "4", "--init", "random", "--seed", "77"],
+            ["sweep", "--problem", str(bundled_path("matching_pennies")),
+             "--alpha-grid", "0.5:4:log:3", "--restarts", "2", "--seed", "5"],
+            ["solve", "--problem", PD, "--alpha", "0.5", "--tol", "1e-6"],
+        ]
+        for k, argv in enumerate(jobs):
+            code = main([*argv, "--out", str(tmp_path / f"in_process{k}")])
+            assert run_cli(*argv, "--out", str(tmp_path / f"fresh{k}")).returncode == code
+            assert (tmp_path / f"in_process{k}").read_bytes() == (
+                tmp_path / f"fresh{k}"
+            ).read_bytes()
+        assert build_parser() is build_parser()

@@ -1,0 +1,36 @@
+"""scripts/compare_outputs.py, the output-identity check between two trees."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checkout_matches_itself_on_one_small_game(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.game_jobs(inputs, {"prisoners_dilemma": ("0.25:0.5:log:2", 0)}, seeds=(3,))
+    assert script.compare(ROOT, ROOT, jobs, tmp_path) == []
+    # sweep CSV, two solves with their traces, nash and verify
+    assert len(list((tmp_path / "new").iterdir())) == 7
+
+
+def test_differing_and_missing_files_are_listed(tmp_path):
+    script = load_script()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for directory, text in ((old, "1.0\n"), (new, "1.0000000000000002\n")):
+        directory.mkdir()
+        (directory / "same.csv").write_text("step\n")
+        (directory / "moved.json").write_text(text)
+    (old / "gone.json").write_text("{}\n")
+    assert script.differences(old, new) == ["gone.json", "moved.json"]

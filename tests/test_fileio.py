@@ -119,6 +119,63 @@ class TestMistypedFieldsExitOne:
         assert "diagonal" in capsys.readouterr().err
 
 
+BIG = int("9" * 400)  # a valid JSON integer, far past the float range
+
+
+def _two_by_two(mode, objective):
+    return {
+        "mode": mode,
+        "variables": [{"name": "x", "cardinality": 2}, {"name": "y", "cardinality": 2}],
+        "agents": [
+            {"name": "a", "acts_on": "x", "objective": objective},
+            {"name": "b", "acts_on": "y", "objective": {"pairwise": [
+                {"with": "x", "table": [[1, 0], [0, 1]]}]}},
+        ],
+    }
+
+
+class TestHugeIntegersExitOne:
+    """A JSON integer too large for a float is named, not an OverflowError."""
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("'hbar'", {"mode": "energy", "hbar": BIG, "variables": [], "agents": []}),
+            ("dense.values", _two_by_two(
+                "energy", {"dense": {"order": ["x", "y"], "values": [BIG, 0, 0, 1]}})),
+            ("pairwise[0].table", _two_by_two(
+                "energy", {"pairwise": [{"with": "y", "table": [[BIG, 0], [0, 1]]}]})),
+        ],
+        ids=["hbar", "dense-values", "pairwise-table"],
+    )
+    def test_problem_field(self, tmp_path, capsys, field, doc):
+        path = write_json(tmp_path, "bad.json", doc)
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("'diagonal'", {"diagonal": [BIG, 1]}),
+            ("dense", {"dense": [[BIG, 0], [0, 1]]}),
+            ("grid.potential", {"grid": {"xmin": -1, "xmax": 1, "n": 3, "potential": [BIG, 0, 0]}}),
+            ("'xmin'", {"grid": {"xmin": -BIG, "xmax": 1, "n": 3, "potential": [1, 0, 0]}}),
+        ],
+        ids=["diagonal", "dense", "grid-potential", "grid-xmin"],
+    )
+    def test_hamiltonian_field(self, tmp_path, capsys, field, doc):
+        path = write_json(tmp_path, "h.json", doc)
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_profile_entry(self, tmp_path, capsys):
+        problem = write_json(tmp_path, "p.json", _two_by_two(
+            "energy", {"pairwise": [{"with": "y", "table": [[1, 0], [0, 1]]}]}))
+        profile = write_json(tmp_path, "prof.json", {"profile": {"a": [BIG, 0], "b": [1, 0]}})
+        assert main(["verify", "--problem", str(problem), "--profile", str(profile)]) == 1
+        assert "profile['a']" in capsys.readouterr().err
+
+
 class TestHamiltonianLoading:
     def test_diagonal(self, tmp_path):
         path = write_json(tmp_path, "h.json", {"diagonal": [1.0, 2.0, 3.0]})

@@ -63,6 +63,22 @@ class TestLogSumExp:
         assert out[0] == -np.inf
         assert out[1] == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_axis_version_rows(self, axis):
+        # Along the reduced axis: finite rows, rows of all -inf, a +inf
+        # entry and a NaN entry, each row also with and without -inf entries.
+        rows = [
+            [0.5, -1.0, 2.0], [-np.inf, 3.0, 1.0], [-np.inf] * 3,
+            [np.inf, 0.0, -np.inf], [np.nan, 0.0, 1.0], [-np.inf, np.nan, -np.inf],
+        ]
+        arr = np.moveaxis(np.array(rows).reshape(2, 3, 3), 2, axis)
+        out = log_sum_exp_along(arr, axis=axis).ravel()
+        assert out[0] == pytest.approx(log_sum_exp([0.5, -1.0, 2.0]), rel=1e-15)
+        assert out[1] == pytest.approx(log_sum_exp([3.0, 1.0]), rel=1e-15)
+        assert out[2] == -np.inf
+        assert out[3] == np.inf
+        assert np.isnan(out[4]) and np.isnan(out[5])
+
 
 class TestJacobi:
     def test_identity_matrix(self):

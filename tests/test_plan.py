@@ -3,6 +3,7 @@ of different cardinalities, whose stacked arrays are padded, checked
 against the brute-force oracles; and the calls per iteration and per step
 that the benchmark's tracer counts."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from coopt.discrete import expected_return_update_factorized, iterate_to_fixed_p
 from coopt.equilibrium import epsilon_of_profile
 from coopt.model import (
     Agent,
+    DenseUtility,
     DomainSpec,
     GameModel,
     PairwiseEnergy,
@@ -79,10 +81,7 @@ def test_log_returns_match_enumeration(seed):
     assert_close(result.profile.dists, [psi / psi.sum() for psi in want])
 
 
-@pytest.mark.parametrize("seed", MIXED_SEEDS)
-def test_epsilon_matches_enumeration(seed):
-    model = to_utility_model(mixed_model(seed))
-    profile = seeded_profile(model, seed + 2)
+def assert_epsilon_matches_enumeration(model, profile):
     certificate = epsilon_of_profile(model, profile)
     for i, card in enumerate(model.agent_cardinalities()):
         payoff = helpers.payoff_by_enumeration(model, profile, i)
@@ -95,6 +94,51 @@ def test_epsilon_matches_enumeration(seed):
         assert certificate.payoffs[i] == pytest.approx(payoff, rel=1e-12)
         best = certificate.payoffs[i] + certificate.gains[i]
         assert best == pytest.approx(max(deviations), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", MIXED_SEEDS)
+def test_epsilon_matches_enumeration(seed):
+    model = to_utility_model(mixed_model(seed))
+    assert_epsilon_matches_enumeration(model, seeded_profile(model, seed + 2))
+
+
+def one_neighbour_model(seed, cards=(2, 3, 2, 3)):
+    """Utility model over x0..x3 with the given cardinalities.
+
+    Agents 0, 1 and 3 hold dense tables over their own variable and one
+    neighbour (agent 0's and agent 3's with the neighbour first), agent 2
+    one over its own variable and two neighbours.  About a third of the
+    utilities are zero, and so are all of agent 1's for its last action,
+    whose return is then zero (a log of -inf).
+    """
+    stream = SplitMix64(seed)
+    orders = [("x1", "x0"), ("x1", "x2"), ("x0", "x2", "x3"), ("x3", "x0")]
+    agents = []
+    for i, order in enumerate(orders):
+        shape = [cards[int(v[1:])] for v in order]
+        values = np.array([stream.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+        values[values < 0.3] = 0.0
+        if i == 1:
+            values[-1] = 0.0
+        agents.append(Agent(f"agent{i}", f"x{i}", DenseUtility(order, values.ravel())))
+    variables = tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards))
+    return GameModel(variables, tuple(agents), mode="utility")
+
+
+@pytest.mark.parametrize("cards", [(2, 3, 2, 3), (9, 10, 2, 8)], ids=["narrow", "wide"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_neighbour_dense_agents_match_enumeration(seed, cards):
+    # Dense tables over one neighbour join the pairwise terms on the edge
+    # path; the wide case sums more than 8 terms, where numpy's summation
+    # order depends on the layout.
+    model = one_neighbour_model(seed, cards)
+    assert [entry[0] for entry in model.plan.dense] == [2]
+    assert sorted(model.plan.owner.tolist()) == [0, 1, 3]
+    profile = seeded_profile(model, seed + 4)
+    result = iterate_to_fixed_point(model, 1.0, profile, max_iter=1)
+    assert_close(result.field.values, helpers.returns_by_enumeration(model, profile))
+    assert result.field.log_values[1][-1] == -np.inf
+    assert_epsilon_matches_enumeration(model, profile)
 
 
 @pytest.mark.parametrize("seed", MIXED_SEEDS)
