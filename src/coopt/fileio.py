@@ -40,11 +40,42 @@ class FileFormatError(ValueError):
 def _read_json(path):
     try:
         with open(path) as f:
-            return json.load(f)
+            text = f.read()
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
+    # No list in an input file may hold true or false, which numpy would read
+    # as 1 and 0.  The text test spares the walk for files without either.
+    if "true" in text or "false" in text:
+        keys = _keys_to_bool_list(data)
+        if keys is not None:
+            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+            raise FileFormatError(f"{path}: {where.lstrip('.') or 'top level'}: "
+                                  "lists may not hold true or false")
+    return data
+
+
+def _keys_to_bool_list(value):
+    # keys down to the first list holding true or false, depth first, or None
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        kinds = set(map(type, value))
+        if bool in kinds:
+            return []
+        if list not in kinds and dict not in kinds:
+            return None
+        children = enumerate(value)
+    else:
+        return None
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            keys = _keys_to_bool_list(child)
+            if keys is not None:
+                return [key, *keys]
+    return None
 
 
 def _is_number(value) -> bool:

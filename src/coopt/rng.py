@@ -40,6 +40,24 @@ class SplitMix64:
         """Uniform float in (-1, 1)."""
         return 2.0 * self.uniform() - 1.0
 
+    def uniform_signed_block(self, count: int) -> np.ndarray:
+        """The next count uniform_signed() values, computed as one array."""
+        # The k-th output mixes state + k * golden; uint64 arithmetic wraps.
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(factor)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u = z.astype(float)
+        u += 0.5
+        u *= 2.0**-52  # 2 * uniform()
+        u -= 1.0
+        return u
+
 
 def derive_seed(base_seed: int, *path: int) -> int:
     """Child seed for an index path, e.g. (grid position, restart number).

@@ -176,6 +176,37 @@ class TestHugeIntegersExitOne:
         assert "profile['a']" in capsys.readouterr().err
 
 
+class TestBooleansInListsExitOne:
+    """true and false inside lists are named, not read as 1 and 0."""
+
+    def test_pairwise_table(self, tmp_path, capsys):
+        path = write_json(tmp_path, "bad.json", _two_by_two(
+            "energy", {"pairwise": [{"with": "y", "table": [[1, 0], [0, False]]}]}))
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert "pairwise[0].table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("dense", {"dense": [[True, False], [False, True]]}),
+            ("grid.potential", {"grid": {"xmin": -1, "xmax": 1, "n": 3,
+                                         "potential": [True, False, True]}}),
+        ],
+        ids=["dense", "grid-potential"],
+    )
+    def test_hamiltonian_field(self, tmp_path, capsys, field, doc):
+        path = write_json(tmp_path, "h.json", doc)
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_profile_entry(self, tmp_path, capsys):
+        problem = write_json(tmp_path, "p.json", _two_by_two(
+            "energy", {"pairwise": [{"with": "y", "table": [[1, 0], [0, 1]]}]}))
+        profile = write_json(tmp_path, "prof.json", {"profile": {"a": [1, 0], "b": [True, False]}})
+        assert main(["verify", "--problem", str(problem), "--profile", str(profile)]) == 1
+        assert "profile.b" in capsys.readouterr().err
+
+
 class TestHamiltonianLoading:
     def test_diagonal(self, tmp_path):
         path = write_json(tmp_path, "h.json", {"diagonal": [1.0, 2.0, 3.0]})

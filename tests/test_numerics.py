@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from coopt import bundled_path
+from coopt import bundled_path, numerics, tridiagonal
 from coopt.fileio import load_hamiltonian
 from coopt.numerics import (
     DenseSymmetric,
@@ -18,6 +18,17 @@ from coopt.numerics import (
     rk4_step,
 )
 from coopt.rng import SplitMix64
+
+
+def tridiagonal_matrix(d, e):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def wilkinson_plus(n=21):
+    # W_n^+: diagonal |k - (n - 1)/2|, unit off-diagonal; its top
+    # eigenvalues come in pairs that agree to many digits
+    return tridiagonal_matrix(np.abs(np.arange(n) - (n - 1) / 2), np.ones(n - 1))
 
 
 class TestLogSumExp:
@@ -136,6 +147,91 @@ class TestJacobi:
         np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-9)
         assert np.abs(h @ v - v * eig.eigenvalues).max() <= tol
 
+    @pytest.mark.parametrize(
+        "name", ["wilkinson21", "reducible", "negative", "scaled-up", "scaled-down"]
+    )
+    def test_tridiagonal_agrees_with_lapack(self, name):
+        if name == "wilkinson21":
+            h = wilkinson_plus()
+        elif name == "reducible":
+            # a zero off-diagonal splits it into a block and its mirror image,
+            # so every eigenvalue is double
+            h = tridiagonal_matrix([1.0, 2.0, 3.0, 3.0, 2.0, 1.0], [0.5, -0.7, 0.0, -0.7, 0.5])
+            w = np.linalg.eigvalsh(h)
+            np.testing.assert_allclose(w[::2], w[1::2], rtol=0, atol=1e-14)
+        elif name == "negative":
+            h = tridiagonal_matrix(np.linspace(-1.0, 2.0, 9), -np.linspace(0.3, 1.1, 8))
+        else:
+            h = wilkinson_plus() * (1e150 if name == "scaled-up" else 1e-150)
+        n = h.shape[0]
+        eig = jacobi_eigen(DenseSymmetric(h))
+        tol = 1e-9 * np.linalg.norm(h)
+        assert (np.diff(eig.eigenvalues) >= 0).all()
+        np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+        v = eig.eigenvectors
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-9)
+        assert np.abs(h @ v - v * eig.eigenvalues).max() <= tol
+
+    def test_tridiagonal_input_skips_jacobi_rotations(self, monkeypatch):
+        rounds = []
+
+        def spy(n):
+            rounds.append(n)
+            return real(n)
+
+        real = numerics._round_robin
+        monkeypatch.setattr(numerics, "_round_robin", spy)
+        jacobi_eigen(load_hamiltonian(bundled_path("harmonic_oscillator")))
+        jacobi_eigen(DenseSymmetric(wilkinson_plus()))
+        assert rounds == []
+        dense = helpers.random_symmetric_matrix(5, 5, span=2.0)
+        assert np.count_nonzero(np.triu(dense, 2)) > 0
+        jacobi_eigen(DenseSymmetric(dense))
+        assert set(rounds) == {5}
+
+    def test_tridiagonal_eigenvectors_are_reproducible(self):
+        op = load_hamiltonian(bundled_path("harmonic_oscillator"))
+        first, second = jacobi_eigen(op), jacobi_eigen(op)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    def test_sturm_counts_through_zero_pivots(self):
+        # Each count is the number of eigenvalues strictly below the shift,
+        # also where a pivot is exactly +0 or -0 or a coupling is exactly 0.
+        # [[0, 1], [1, 0]] at 0: the first pivot is +0 and the second -inf.
+        d, e = np.array([0.0, 0.0]), np.array([1.0])
+        assert tridiagonal._sturm_counts(d, e, np.array([-1.5, 0.0, 1.5])).tolist() == [0, 1, 2]
+        # a -0 first pivot counts as negative, so the +inf after it does not
+        d = np.array([-0.0, 0.0])
+        assert tridiagonal._sturm_counts(d, e, np.array([0.0])).tolist() == [1]
+        # A zero coupling after a zero pivot would be 0/0.  It is raised to
+        # the smallest normal number, which splits the double eigenvalue 1 by
+        # about 3e-154: exactly one of the two lies below 1.
+        d, e = np.array([1.0, 1.0, 4.0]), np.array([0.0, 0.0])
+        x = np.array([1.0 - 1e-15, 1.0, 1.0 + 1e-15, 4.0, 5.0])
+        pivots = np.empty((3, x.size))
+        assert tridiagonal._sturm_counts(d, e, x, pivots).tolist() == [0, 1, 2, 2, 3]
+        assert not np.isnan(pivots).any()
+
+    def test_shifted_solves_are_backward_stable(self):
+        # (T - sI) x = b through the factors, for shifts away from, near and
+        # at eigenvalues: the residual is at rounding level relative to
+        # |T - sI| |x|.  Without row exchanges the first shift's 1e-12 pivot
+        # would grow it by about 1e12.
+        d, e = np.array([1e-12, 1.0, -2.0, 0.5, 3.0]), np.array([1.0, -0.7, 0.0, 2.0])
+        h = tridiagonal_matrix(d, e)
+        w = np.linalg.eigvalsh(h)
+        shifts = np.array([0.0, -5.0, w[2] + 1e-6, w[4] - 1e-9, w[1]])
+        u, keep, mult = tridiagonal._factor_shifted(d, e, shifts, 1e-16)
+        b = SplitMix64(7).uniform_signed_block(25).reshape(5, 5)
+        x = b.copy()
+        tridiagonal._eliminate(keep, mult, x)
+        tridiagonal._back_substitute(u, x)
+        for k, s in enumerate(shifts):
+            a = h - s * np.eye(5)
+            scale = np.abs(a).sum(axis=1).max() * np.abs(x[:, k]).max()
+            assert np.abs(a @ x[:, k] - b[:, k]).max() <= 1e-14 * scale
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             jacobi_eigen(Diagonal(np.zeros(2049)))
@@ -179,6 +275,11 @@ class TestRk4:
 
 
 class TestOperators:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_diagonal_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Diagonal(np.array([1.0, bad]))
+
     def test_diagonal_matvec_and_scale(self):
         op = Diagonal(np.array([1.0, -4.0, 2.0]))
         np.testing.assert_array_equal(op.matvec(np.ones(3)), [1.0, -4.0, 2.0])
@@ -190,3 +291,11 @@ class TestOperators:
         op = DenseSymmetric(h)
         top = np.abs(jacobi_eigen(op).eigenvalues).max()
         assert op.scale() >= top
+
+
+def test_uniform_signed_block_continues_the_scalar_stream():
+    block, scalar = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    for count in (5, 1, 12):
+        expected = [scalar.uniform_signed() for _ in range(count)]
+        assert block.uniform_signed_block(count).tolist() == expected
+    assert block.uniform_signed() == scalar.uniform_signed()
