@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Find the harmonic-oscillator ground state by dissipative evolution and
-cross-check it against the eigensolver oracle (`jacobi_eigen`, which takes
-its tridiagonal path of Sturm bisection and inverse iteration on the grid
-Hamiltonian) and the analytic value 0.5.
+cross-check it against the eigensolver oracle (`jacobi_eigen`: the grid
+Hamiltonian is tridiagonal, so it takes no Householder reflector and goes
+straight to Sturm bisection and inverse iteration) and the analytic value 0.5.
 
 Usage: python scripts/harmonic_ground_state.py [--points N] [--states K] [--dt F]
 """

@@ -37,7 +37,9 @@ class DomainSpec:
 
 
 @dataclass(frozen=True)
-class DenseEnergy:
+class DenseTable:
+    """A flat row-major table over the variables of `order`."""
+
     order: tuple[str, ...]
     values: np.ndarray
 
@@ -47,13 +49,13 @@ class DenseEnergy:
 
 
 @dataclass(frozen=True)
-class DenseUtility:
-    order: tuple[str, ...]
-    values: np.ndarray
+class DenseEnergy(DenseTable):
+    """Energies to minimize."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
+
+@dataclass(frozen=True)
+class DenseUtility(DenseTable):
+    """Nonnegative utilities to maximize."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class PairwiseEnergy:
         object.__setattr__(self, "terms", terms)
 
 
-Objective = DenseEnergy | DenseUtility | PairwiseEnergy
+Objective = DenseTable | PairwiseEnergy
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,8 @@ def validate(model: GameModel) -> GameModel:
     problems: list[str] = []
 
     names = [spec.name for spec in model.variables]
+    if not names:
+        problems.append("variables: at least one variable is required")
     if len(set(names)) != len(names):
         problems.append("duplicate variable names")
     for spec in model.variables:

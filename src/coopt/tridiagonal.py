@@ -1,13 +1,18 @@
-"""Eigendecomposition of a symmetric tridiagonal matrix, without LAPACK.
+"""Eigendecomposition of a real symmetric matrix, without LAPACK.
 
-This is the tridiagonal path of `numerics.jacobi_eigen`, taken by every grid
-Hamiltonian.  The matrix is scaled by its largest entry.  All eigenvalues come
-from Sturm-count bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
-386), vectorized across eigenvalues, to a width of 2 eps ||T||.  The
-eigenvectors come from inverse iteration (Peters & Wilkinson, Handbook for
-Automatic Computation II, 1971) on LU factors with partial pivoting,
-vectorized across blocks of shifts, with modified Gram-Schmidt inside clusters
-of close eigenvalues.  The work is O(n^2), plus O(k^2 n) for a cluster of k.
+This is the solver behind `numerics.jacobi_eigen`.  A dense matrix is first
+reduced to tridiagonal form by Householder reflectors (Golub & Van Loan,
+Matrix Computations, 4th ed., 8.3.1); a column that is already zero below its
+subdiagonal takes none, so grid Hamiltonians enter the tridiagonal solver
+unchanged.  That solver scales the matrix by its largest entry.  All
+eigenvalues come from Sturm-count bisection (Barth, Martin & Wilkinson,
+Numer. Math. 9 (1967) 386), vectorized across eigenvalues, to a width of
+2 eps ||T||.  The eigenvectors come from inverse iteration (Peters &
+Wilkinson, Handbook for Automatic Computation II, 1971) on LU factors with
+partial pivoting, vectorized across blocks of shifts, with modified
+Gram-Schmidt inside clusters of close eigenvalues, and are carried back
+through the reflectors.  The work is O(n^3) for the reduction and the back
+transform, O(n^2) for the tridiagonal solve, plus O(k^2 n) for a cluster of k.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .rng import SplitMix64
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _CLUSTER_GAP = 1e-3  # relative to ||T||, as in LAPACK dstein
-_INVERSE_BLOCK = 64  # shifts per inverse-iteration block: keeps the working set below Jacobi's
+_INVERSE_BLOCK = 64  # shifts per inverse-iteration block: bounds the (n, 3, block) factors
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x: np.ndarray, pivots=None) -> np.ndarray:
@@ -42,7 +47,7 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x: np.ndarray, pivots=None) -> n
         for c, prev, row in zip(e2, q[:-1], q[1:]):
             np.divide(c, prev, out=t)
             np.subtract(row, t, out=row)
-    return np.count_nonzero(np.signbit(q), axis=0)
+    return np.signbit(q).sum(axis=0)
 
 
 def _bisect_eigenvalues(d: np.ndarray, e: np.ndarray, radius: np.ndarray, norm: float):
@@ -191,3 +196,42 @@ def tridiagonal_eigen(d: np.ndarray, e: np.ndarray):
     values = _bisect_eigenvalues(d, e, radius, norm)
     vt = _inverse_iteration(d, e, values, norm)
     return values * scale, vt.T
+
+
+def _tridiagonalize(a: np.ndarray):
+    # Householder reduction Q^T a Q = T in place (Golub & Van Loan 8.3.1).
+    # Column k takes the reflector I - tau v v^T, v = (1, a[k+2:, k] / (alpha
+    # - beta)), that maps a[k+1:, k] to (beta, 0, ...), as LAPACK dlarfg
+    # builds it; beta goes to a[k+1, k] and v's tail below it.  A column
+    # already zero below its subdiagonal takes none (tau = 0), so tridiagonal
+    # input passes through bitwise.  Returns T's diagonal, its off-diagonal
+    # and the taus.
+    n = a.shape[0]
+    tau = np.zeros(max(n - 2, 0))
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        if not x[1:].any():
+            continue
+        alpha = float(x[0])
+        beta = -math.copysign(math.hypot(*x.tolist()), alpha)  # hypot cannot overflow
+        v = np.concatenate(([1.0], x[1:] / (alpha - beta)))
+        tau[k] = (beta - alpha) / beta
+        # the trailing block becomes H A H = A - v w^T - w v^T
+        trail = a[k + 1 :, k + 1 :]
+        p = tau[k] * (trail @ v)
+        w = p - (0.5 * tau[k] * (p @ v)) * v
+        trail -= np.stack((v, w), axis=1) @ np.stack((w, v))
+        x[0], x[1:] = beta, v[1:]
+    return np.diag(a).copy(), np.diag(a, -1).copy(), tau
+
+
+def symmetric_eigen(a: np.ndarray):
+    """Eigenvalues ascending and the matching orthonormal eigenvectors (as
+    columns) of the symmetric matrix a, which is overwritten."""
+    d, e, tau = _tridiagonalize(a)
+    values, z = tridiagonal_eigen(d, e)
+    z = np.ascontiguousarray(z)  # a transposed view: its rows are updated below
+    for k in np.flatnonzero(tau)[::-1]:  # z <- H_0 ... H_{n-3} z
+        v = np.concatenate(([1.0], a[k + 2 :, k]))
+        z[k + 1 :] -= np.outer(tau[k] * v, v @ z[k + 1 :])
+    return values, z

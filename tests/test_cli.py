@@ -69,6 +69,24 @@ class TestSolve:
         assert doc["mode"] == "energy"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--alpha", "1"], ["sweep", "--alpha-grid", "1:2:lin:2"], ["nash"],
+     ["verify", "--profile", "profile.json"]],
+    ids=["solve", "sweep", "nash", "verify"],
+)
+def test_problem_without_variables_exits_one(tmp_path, monkeypatch, capsys, argv):
+    from coopt.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text(
+        json.dumps({"mode": "energy", "variables": [], "agents": []})
+    )
+    (tmp_path / "profile.json").write_text(json.dumps({"profile": {}}))
+    assert main([*argv, "--problem", "empty.json"]) == 1
+    assert "variables: at least one variable is required" in capsys.readouterr().err
+
+
 class TestNash:
     def test_prisoners_dilemma(self):
         proc = run_cli("nash", "--problem", PD)

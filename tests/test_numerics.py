@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from coopt import bundled_path, numerics, tridiagonal
+from coopt import bundled_path, tridiagonal
 from coopt.fileio import load_hamiltonian
 from coopt.numerics import (
     DenseSymmetric,
     Diagonal,
-    JacobiConvergenceError,
     jacobi_eigen,
     log_sum_exp,
     log_sum_exp_along,
@@ -123,11 +122,23 @@ class TestJacobi:
 
     @pytest.mark.parametrize(
         "name",
-        ["n1", "n2", "n3", "n31", "n64", "repeated", "oscillator"],
+        [
+            "n1", "n2", "n3", "n31", "n64", "n201", "repeated", "oscillator",
+            "tridiagonal-and-dense-blocks", "zero-subdiagonal",
+        ],
     )
     def test_agrees_with_lapack(self, name):
         if name == "oscillator":
             h = load_hamiltonian(bundled_path("harmonic_oscillator")).matrix
+        elif name == "tridiagonal-and-dense-blocks":
+            # W21+ (+) a dense 5x5: the first 21 columns take no reflector
+            h = np.zeros((26, 26))
+            h[:21, :21] = wilkinson_plus()
+            h[21:, 21:] = helpers.random_symmetric_matrix(5, 5, span=2.0)
+        elif name == "zero-subdiagonal":
+            # a[1, 0] = 0 above a nonzero tail: the first reflector has alpha = 0
+            h = helpers.random_symmetric_matrix(43, 7, span=2.0)
+            h[1, 0] = h[0, 1] = 0.0
         elif name == "repeated":
             # Householder reflection of a diagonal with multiplicities 3, 2 and 1
             s = SplitMix64(41)
@@ -172,22 +183,22 @@ class TestJacobi:
         np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-9)
         assert np.abs(h @ v - v * eig.eigenvalues).max() <= tol
 
-    def test_tridiagonal_input_skips_jacobi_rotations(self, monkeypatch):
-        rounds = []
-
-        def spy(n):
-            rounds.append(n)
-            return real(n)
-
-        real = numerics._round_robin
-        monkeypatch.setattr(numerics, "_round_robin", spy)
-        jacobi_eigen(load_hamiltonian(bundled_path("harmonic_oscillator")))
-        jacobi_eigen(DenseSymmetric(wilkinson_plus()))
-        assert rounds == []
+    def test_reduction_reflects_only_columns_off_the_bands(self):
+        # A tridiagonal matrix takes no reflector and reaches the tridiagonal
+        # solver bitwise unchanged; a dense n x n takes one per column but
+        # the last two.
+        h = wilkinson_plus()
+        d, e, tau = tridiagonal._tridiagonalize(h.copy())
+        assert np.count_nonzero(tau) == 0
+        assert d.tobytes() == np.diag(h).tobytes()
+        assert e.tobytes() == np.diag(h, 1).tobytes()
         dense = helpers.random_symmetric_matrix(5, 5, span=2.0)
-        assert np.count_nonzero(np.triu(dense, 2)) > 0
-        jacobi_eigen(DenseSymmetric(dense))
-        assert set(rounds) == {5}
+        d, e, tau = tridiagonal._tridiagonalize(dense.copy())
+        assert np.count_nonzero(tau) == 3
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(tridiagonal_matrix(d, e)),
+            np.linalg.eigvalsh(dense), rtol=0, atol=1e-14 * np.linalg.norm(dense),
+        )
 
     def test_tridiagonal_eigenvectors_are_reproducible(self):
         op = load_hamiltonian(bundled_path("harmonic_oscillator"))
