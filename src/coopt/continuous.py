@@ -90,9 +90,14 @@ def _decay(operator: HermitianOperator, hbar: float):
     return lambda y: operator.matvec(y) * factor
 
 
+def _norm(v: np.ndarray) -> float:
+    # the same dot product and square root numpy's norm takes on a 1-D vector
+    return math.sqrt(float(v @ v))
+
+
 def _renormalized(v: np.ndarray, step: int) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm) or norm == 0.0 or not np.isfinite(v).all():
+    norm = _norm(v)  # non-finite when any entry is
+    if not math.isfinite(norm) or norm == 0.0:
         raise EvolutionError(f"non-finite state after step {step}")
     return v / norm
 
@@ -232,7 +237,7 @@ def evolve_linear(
         r = h_psi - rayleigh * psi
         if basis is not None:
             r = r - basis @ (basis.T @ r)
-        residual = float(np.linalg.norm(r))
+        residual = _norm(r)
         recorded = step % record_every == 0
         if recorded:
             points.append(TrajectoryPoint(t, (psi.copy(),), (rayleigh,), (residual,)))
@@ -241,7 +246,7 @@ def evolve_linear(
             break
         if step >= max_steps:
             break
-        psi = rk4_step(derivative, psi, dt)
+        psi = rk4_step(derivative, psi, dt, k1=h_psi * (-1.0 / hbar))
         if basis is not None:
             psi = psi - basis @ (basis.T @ psi)
         psi = _renormalized(psi, step + 1)
@@ -353,9 +358,10 @@ def evolve_coupled(
         if step >= max_steps:
             break
         stepped = np.zeros_like(amplitudes)
+        slopes = plan.rows(h_psi * (-1.0 / hbar))
         for i, (h, psi) in enumerate(zip(plan.rows(energies), plan.rows(amplitudes))):
             stepped[i, : psi.size] = _renormalized(
-                rk4_step(_decay(Diagonal(h), hbar), psi, dt), step + 1
+                rk4_step(_decay(Diagonal(h), hbar), psi, dt, k1=slopes[i]), step + 1
             )
         amplitudes = stepped
         step += 1

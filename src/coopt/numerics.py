@@ -2,7 +2,9 @@
 
 Log-domain accumulation keeps the dynamics stable when the temperature
 constant is small, and the fixed-step RK4 update drives both continuous-time
-evolutions.  The eigensolver `jacobi_eigen` is the self-contained oracle used
+evolutions.  A dense operator whose entries off its three central bands are
+all zero, as every grid Hamiltonian's are, is multiplied on those bands in
+O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle used
 to certify stationary states.  It calls no LAPACK (only norms come from
 numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
 Householder reflectors, then solved by Sturm-sequence bisection plus inverse
@@ -53,7 +55,12 @@ class Diagonal:
 
 @dataclass(frozen=True)
 class DenseSymmetric:
-    """Dense real symmetric operator; asymmetry beyond 1e-12 is rejected."""
+    """Dense real symmetric operator; asymmetry beyond 1e-12 is rejected.
+
+    A tridiagonal matrix (every entry off the main, first sub- and first
+    super-diagonal exactly zero) is multiplied on its three bands; any
+    other takes `matrix @ v`.
+    """
 
     matrix: np.ndarray
 
@@ -66,13 +73,23 @@ class DenseSymmetric:
         if np.abs(m - m.T).max() > 1e-12:
             raise ValueError("matrix is not symmetric within 1e-12")
         object.__setattr__(self, "matrix", m)
+        # Both off-diagonals are kept: the matrix may be asymmetric up to 1e-12.
+        bands = tuple(np.diagonal(m, k).copy() for k in (0, 1, -1))
+        tridiagonal = np.count_nonzero(m) == sum(np.count_nonzero(b) for b in bands)
+        object.__setattr__(self, "_bands", bands if tridiagonal else None)
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        if self._bands is None:
+            return self.matrix @ v
+        d, up, lo = self._bands
+        out = d * v
+        out[:-1] += up * v[1:]
+        out[1:] += lo * v[:-1]
+        return out
 
     def diagonal(self) -> np.ndarray:
         return np.diag(self.matrix)
@@ -148,16 +165,22 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
     return EigenDecomposition(*symmetric_eigen(a))
 
 
-def rk4_step(derivative, state: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size dt."""
+def rk4_step(
+    derivative, state: np.ndarray, dt: float, k1: np.ndarray | None = None
+) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of size dt.
+
+    k1, when given, is derivative(state) as the caller already computed it.
+    """
     if dt <= 0.0:
         raise ValueError("rk4_step requires dt > 0")
     y = np.asarray(state, dtype=float)
-    k1 = np.asarray(derivative(y), dtype=float)
+    k1 = np.asarray(derivative(y) if k1 is None else k1, dtype=float)
     k2 = np.asarray(derivative(y + (0.5 * dt) * k1), dtype=float)
     k3 = np.asarray(derivative(y + (0.5 * dt) * k2), dtype=float)
     k4 = np.asarray(derivative(y + dt * k3), dtype=float)
-    if not (np.isfinite(k1).all() and np.isfinite(k2).all()
-            and np.isfinite(k3).all() and np.isfinite(k4).all()):
+    # Non-finite whenever any stage is: one check covers all four.
+    slope = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    if not np.isfinite(slope).all():
         raise ValueError("derivative returned a non-finite value")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + (dt / 6.0) * slope

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from coopt import continuous
 from coopt.continuous import (
     RK4_MONOTONE_LIMIT,
     WaveState,
@@ -223,6 +224,26 @@ class TestEvolveLinear:
         assert report.states[0].rayleigh == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ValueError, match="stability limit"):
             evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / op.scale())
+
+    def test_each_step_takes_four_products(self, monkeypatch):
+        # The invariants perfbench's traced oscillator run checks against the
+        # output: one residual product per pass of the loop, reused as RK4's
+        # first stage, three more per step, and time = steps * dt.
+        x = np.linspace(-3.0, 3.0, 11)
+        op = build_grid_hamiltonian(-3.0, 3.0, 11, 0.5 * x * x)
+        products, steps = [], []
+        matvec, rk4_step = DenseSymmetric.matvec, continuous.rk4_step
+        monkeypatch.setattr(DenseSymmetric, "matvec",
+                            lambda self, v: products.append(v) or matvec(self, v))
+        monkeypatch.setattr(continuous, "rk4_step",
+                            lambda *args, **kw: steps.append(args) or rk4_step(*args, **kw))
+        dt, k = 2.0**-5, 16
+        _, report = evolve_linear(op, np.full(11, 1.0 / math.sqrt(11.0)), dt=dt,
+                                  t_max=k * dt, tol=1e-15)
+        assert not report.converged
+        assert len(steps) == k
+        assert len(products) == 4 * k + 1
+        assert report.time / dt == k
 
 
 class TestEvolveCoupled:

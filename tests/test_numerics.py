@@ -284,6 +284,20 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(lambda s: -s, np.array([1.0]), 0.0)
 
+    def test_given_first_stage_gives_the_same_step_bitwise(self):
+        h = helpers.random_symmetric_matrix(11, 9, span=2.0)
+        derivative = lambda s: (h @ s) * -0.7  # noqa: E731
+        y = np.sqrt(helpers.random_profile_arrays(12, [9])[0])
+        expected = rk4_step(derivative, y, 0.05)
+        got = rk4_step(derivative, y, 0.05, k1=derivative(y))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_given_first_stage_rejected(self, bad):
+        # the later stages stay finite, so only k1 can trip the check
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_step(np.zeros_like, np.array([1.0, 2.0]), 0.1, k1=np.array([-1.0, bad]))
+
 
 class TestOperators:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -296,6 +310,40 @@ class TestOperators:
         np.testing.assert_array_equal(op.matvec(np.ones(3)), [1.0, -4.0, 2.0])
         assert op.scale() == 4.0
         assert op.dimension == 3
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_tridiagonal_product_matches_the_dense_product(self, data):
+        n = data.draw(st.integers(1, 40))
+        entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+        d, up, v = (np.array(data.draw(st.lists(entries, min_size=size, max_size=size)))
+                    for size in (n, n - 1, n))
+        # the stored matrix may be asymmetric within the 1e-12 tolerance
+        skew = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13]),
+                                           min_size=n - 1, max_size=n - 1)))
+        m = np.diag(d) + np.diag(up, 1) + np.diag(up + skew, -1)
+        op = DenseSymmetric(m)
+        # rounding of at most three products and two sums per entry
+        bound = 4 * np.finfo(float).eps * (np.abs(m) @ np.abs(v))
+        assert (np.abs(op.matvec(v) - m @ v) <= bound).all()
+
+    def test_grid_hamiltonian_takes_the_band_product(self):
+        op = load_hamiltonian(bundled_path("harmonic_oscillator"))
+        assert op._bands is not None
+        v = np.sin(np.arange(op.dimension) * 0.37)
+        bound = 4 * np.finfo(float).eps * (np.abs(op.matrix) @ np.abs(v))
+        assert (np.abs(op.matvec(v) - op.matrix @ v) <= bound).all()
+
+    @pytest.mark.parametrize("corner", [(0, 2), (2, 0)])
+    def test_one_entry_off_the_bands_takes_the_dense_product(self, corner):
+        bands = wilkinson_plus(6)
+        m = bands.copy()
+        m[corner] = 1e-13  # within the symmetry tolerance of its zero mirror
+        op = DenseSymmetric(m)
+        v = np.linspace(-1.0, 2.0, 6)
+        assert op.matvec(v).tobytes() == (m @ v).tobytes()
+        # the entry shows in the product, so the bands alone would miss it
+        assert (m @ v)[corner[0]] != (bands @ v)[corner[0]]
 
     def test_dense_scale_bounds_spectral_radius(self):
         h = helpers.random_symmetric_matrix(7, 6, span=2.0)
