@@ -5,9 +5,12 @@ Runs the CLI jobs of perfbench's games-sweep workload (each bundled game's
 alpha grid with 2 restarts at seeds 3 and 7, the soft and hard solves with
 their traces, nash and verify) and the solves of two seeded 200-agent
 pairwise rings at alpha 0.5 and 8 (with a trace, and verify), once per tree
-in a fresh interpreter with that tree's src/ on the path.  Both trees read
-the same input files.  Exits 1 listing every output file whose bytes
-differ, or every job whose exit code differs; 0 when all match.
+in a fresh interpreter with that tree's src/ on the path.  It also runs
+`continuous.evolve_coupled` on `pairwise_chain` to convergence and on the
+seed-1 ring to t = 5, recording every step, and writes a sha256 over every
+trajectory point's time, amplitudes, Rayleigh values and residuals.  Both
+trees read the same input files.  Exits 1 listing every output file whose
+bytes differ, or every job whose exit code differs; 0 when all match.
 
 Usage: python scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import textwrap
 import os
 import shutil
 import subprocess
@@ -31,13 +35,29 @@ from workloads import GAMES, HARD_ALPHA, RESTARTS, RING, SOFT_ALPHA, write_ring 
 
 SEEDS = (3, 7)
 RING_SEEDS = (1, 2)
+RING_T_MAX = 5.0
 
-# Runs every job in one interpreter; exit codes go to stdout as JSON.
-RUNNER = (
-    "import json, sys\n"
-    "from coopt.cli import main\n"
-    "print(json.dumps([main(argv) for argv in json.load(sys.stdin)]))\n"
-)
+# Runs every CLI job and then every trajectory job in one interpreter; the
+# CLI jobs' exit codes go to stdout as JSON.
+RUNNER = textwrap.dedent("""\
+    import hashlib, json, sys
+    import numpy as np
+    from coopt import fileio
+    from coopt.cli import main
+    from coopt.continuous import evolve_coupled
+
+    jobs, trajectories = json.load(sys.stdin)
+    codes = [main(argv) for argv in jobs]
+    for problem, t_max, out in trajectories:
+        points, _ = evolve_coupled(fileio.load_problem(problem), t_max=t_max, record_every=1)
+        digest = hashlib.sha256()
+        for point in points:
+            for values in (point.time, *point.amplitudes, point.rayleigh, point.residual):
+                digest.update(np.asarray(values, dtype=float).tobytes())
+        with open(out, "w") as f:
+            f.write(digest.hexdigest() + "\\n")
+    print(json.dumps(codes))
+""")
 
 
 def game_jobs(inputs: Path, games=GAMES, seeds=SEEDS) -> list[list[str]]:
@@ -77,13 +97,28 @@ def ring_jobs(inputs: Path, seeds=RING_SEEDS) -> list[list[str]]:
     return jobs
 
 
-def run_tree(root: Path, jobs: list[list[str]], outdir: Path) -> list[int]:
-    """Run the jobs with root's coopt, in outdir; returns their exit codes."""
+def trajectory_jobs(inputs: Path) -> list[list]:
+    """(problem, t_max, digest file) for evolve_coupled on pairwise_chain
+    and on the first ring; writes their problem files to inputs."""
+    seed = RING_SEEDS[0]
+    chain = inputs / "pairwise_chain.json"
+    shutil.copyfile(bundled_path("pairwise_chain"), chain)
+    ring = inputs / f"ring{seed}.json"
+    write_ring(ring, seed, RING["agents"], RING["actions"])
+    return [
+        [str(chain), 1000.0, "pairwise_chain.coupled.sha256"],
+        [str(ring), RING_T_MAX, f"ring{seed}.coupled.sha256"],
+    ]
+
+
+def run_tree(root: Path, jobs: list[list[str]], outdir: Path, trajectories=()) -> list[int]:
+    """Run the jobs and trajectory jobs with root's coopt, in outdir;
+    returns the jobs' exit codes."""
     outdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", RUNNER], input=json.dumps(jobs), cwd=outdir, env=env,
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", RUNNER], input=json.dumps([jobs, list(trajectories)]),
+        cwd=outdir, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
@@ -98,10 +133,12 @@ def differences(old: Path, new: Path) -> list[str]:
     ]
 
 
-def compare(old_root: Path, new_root: Path, jobs: list[list[str]], workdir: Path) -> list[str]:
-    """Every way in which the two trees' runs of jobs differ."""
-    old_codes = run_tree(old_root, jobs, workdir / "old")
-    new_codes = run_tree(new_root, jobs, workdir / "new")
+def compare(
+    old_root: Path, new_root: Path, jobs: list[list[str]], workdir: Path, trajectories=()
+) -> list[str]:
+    """Every way in which the two trees' runs of jobs and trajectories differ."""
+    old_codes = run_tree(old_root, jobs, workdir / "old", trajectories)
+    new_codes = run_tree(new_root, jobs, workdir / "new", trajectories)
     found = [
         f"exit code {a} -> {b}: coopt {' '.join(argv)}"
         for argv, a, b in zip(jobs, old_codes, new_codes) if a != b
@@ -119,7 +156,7 @@ def main(argv=None) -> int:
         inputs = workdir / "inputs"
         inputs.mkdir()
         jobs = game_jobs(inputs) + ring_jobs(inputs)
-        found = compare(args.old_root, args.new_root, jobs, workdir)
+        found = compare(args.old_root, args.new_root, jobs, workdir, trajectory_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))
     for line in found:
         print(f"differs: {line}")

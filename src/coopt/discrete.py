@@ -9,12 +9,20 @@ runs in the log domain so small hbar and large alpha stay finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameModel, PairwiseEnergy, StrategyProfile, stack, validate_profile
+from .model import (
+    ContractionPlan,
+    GameModel,
+    PairwiseEnergy,
+    StrategyProfile,
+    stack,
+    validate_profile,
+)
 from .rng import SplitMix64, random_simplex
 
 ALPHA_CAP = 1e6
@@ -47,10 +55,22 @@ class ExpectedReturnField:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One iteration, holding its stacked profile and log returns; the
+    per-agent profile and field are built from them on first read."""
+
     step: int
     max_change: float
-    profile: StrategyProfile
-    field: ExpectedReturnField
+    p: np.ndarray
+    log_returns: np.ndarray
+    plan: ContractionPlan
+
+    @functools.cached_property
+    def profile(self) -> StrategyProfile:
+        return StrategyProfile(self.plan.rows(self.p))
+
+    @functools.cached_property
+    def field(self) -> ExpectedReturnField:
+        return ExpectedReturnField(self.plan.rows(self.log_returns))
 
 
 @dataclass(frozen=True)
@@ -132,7 +152,9 @@ def normalize_policy(field, alpha: float):
     stacked one agent per row (padded with -inf) to probabilities stacked
     the same way (padded with 0).  Computed as exp(alpha * log psi - log Z)
     so large alpha cannot overflow; alpha is capped at 1e6 (the practical
-    best-response limit).
+    best-response limit).  The stacked output keeps the input's memory
+    order; on a column-major stack, as `stack` and the contraction plan
+    lay them out, every per-agent reduction adds whole columns.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -154,7 +176,8 @@ def normalize_policy(field, alpha: float):
     p /= p.sum(axis=1, keepdims=True)
     if stacked:
         return p
-    return StrategyProfile(tuple(row[: lv.size] for row, lv in zip(p, field.log_values)))
+    rows = np.ascontiguousarray(p)
+    return StrategyProfile(tuple(row[: lv.size] for row, lv in zip(rows, field.log_values)))
 
 
 def iterate_to_fixed_point(
@@ -190,8 +213,7 @@ def iterate_to_fixed_point(
         change = float(np.abs(new_p - p).max())
         p = new_p
         if keep_trace:
-            field = ExpectedReturnField(plan.rows(log_returns))
-            steps.append(TraceStep(t, change, StrategyProfile(plan.rows(p)), field))
+            steps.append(TraceStep(t, change, p, log_returns, plan))
         if change <= tol:
             converged = True
             break

@@ -95,6 +95,10 @@ class GameModel:
         return {spec.name: spec.cardinality for spec in reversed(self.variables)}
 
     @functools.cached_property
+    def _position_of(self) -> dict[str, int]:
+        return {spec.name: i for i, spec in reversed(list(enumerate(self.variables)))}
+
+    @functools.cached_property
     def plan(self) -> "ContractionPlan":
         """The objectives compiled for contraction, built on first use from
         the objective tables, which must not change in place afterwards."""
@@ -275,7 +279,7 @@ def densify(objective: PairwiseEnergy, model: GameModel, own: str) -> DenseEnerg
     referenced = {other for other, _ in objective.terms}
     for other in referenced:
         model.cardinality(other)  # raises KeyError for unknown references
-    order = [v for v in model.variable_names() if v == own or v in referenced]
+    order = sorted(referenced | {own}, key=model._position_of.__getitem__)
     shape = model.shape_of(order)
     total = np.zeros(shape)
     own_axis = order.index(own)
@@ -303,8 +307,10 @@ def to_utility_model(model: GameModel) -> GameModel:
 
 
 def stack(rows, fill: float) -> np.ndarray:
-    """Vectors as the rows of one array, padded with fill to the longest."""
-    out = np.full((len(rows), max(row.size for row in rows)), fill)
+    """Vectors as the rows of one column-major array, padded with fill to
+    the longest: each action's column is contiguous, so reductions over a
+    row add whole columns."""
+    out = np.full((len(rows), max(row.size for row in rows)), fill, order="F")
     for i, row in enumerate(rows):
         out[i, : row.size] = row
     return out
@@ -317,13 +323,20 @@ class ContractionPlan:
     in the log domain (expected Boltzmann weight or utility, as a log: the
     discrete map's returns) or in the linear domain (expected energy or
     utility: payoffs and effective Hamiltonians).  Marginals and results
-    are stacked one agent per row, padded to the widest agent with zero
-    probability and -inf log return.  Every table over the own variable
-    and one neighbour (a pairwise term, or a dense table) sits in one
-    (edges, width, width) array, padded with -inf in the log domain and 0
-    in the linear domain, so mixed cardinalities take the same path; log
-    tables are neighbour axis first, as numpy reduces a middle axis faster
-    than a short last one.  Other dense tables are kept own axis first.
+    are stacked one agent per row, column-major as `stack` lays them out,
+    padded to the widest agent with zero probability and -inf log return.
+    Every table over the own variable and one neighbour (a pairwise term,
+    or a dense table) is an edge, so mixed cardinalities take the same
+    path.  Linear tables sit in one (edges, own, neighbour) array padded
+    with 0; log tables in one (neighbour, edges, own) array padded with
+    -inf, so the log-sum-exp over the neighbour's actions reduces over
+    contiguous (edges, own) slabs.  `slots[k]` gives each agent its k-th
+    edge in edge order, or the row appended after the last edge, which
+    holds zeros; summing per-edge results slot by slot adds each agent's
+    edges in edge order.  Those sums run row-major, as the rows gathered
+    for a slot are, and results are returned column-major: numpy adds a
+    row-major array into a column-major one on a slower path.  Other
+    dense tables are kept own axis first.
     """
 
     def __init__(self, model: GameModel):
@@ -356,24 +369,47 @@ class ContractionPlan:
         self.owner = np.array([e[0] for e in edges], dtype=np.intp)
         self.neighbour = np.array([e[1] for e in edges], dtype=np.intp)
         self.edges = np.zeros((len(edges), width, width))
-        self.log_edges = np.full((len(edges), width, width), -np.inf)
+        self.log_edges = np.full((width, len(edges), width), -np.inf)
         for e, (_, _, log_table, table) in enumerate(edges):
             rows, cols = table.shape
             self.edges[e, :rows, :cols] = table
-            self.log_edges[e, :cols, :rows] = log_table.T
+            self.log_edges[:cols, e, :rows] = log_table.T
+        self.slots = []
+        seen = [0] * len(self.cards)  # edges placed so far, per agent
+        for e, i in enumerate(self.owner.tolist()):
+            if seen[i] == len(self.slots):
+                self.slots.append(np.full(len(self.cards), len(edges), dtype=np.intp))
+            self.slots[seen[i]][i] = e
+            seen[i] += 1
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-agent vectors of a stacked array, padding dropped."""
-        return tuple(row[:card] for row, card in zip(stacked, self.cards))
+        """Per-agent vectors of a stacked array, padding dropped.
+
+        The vectors are contiguous and do not alias the stacked array.  A
+        strided row of a column-major stack would round differently in
+        later products such as `dist @ vec`.
+        """
+        copied = np.array(stacked, order="C")
+        return tuple(row[:card] for row, card in zip(copied, self.cards))
 
     def log_returns(self, p: np.ndarray) -> np.ndarray:
         """Log expected weight of each own action, from stacked marginals."""
+        out = self.log_one.copy()
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
-        out = self.log_one.copy()
-        if self.owner.size:
-            combined = self.log_edges + log_p[self.neighbour][:, :, np.newaxis]
-            np.add.at(out, self.owner, log_sum_exp_along(combined, axis=1))
+            if self.owner.size:
+                # log_sum_exp_along over the neighbour axis, in place
+                combined = self.log_edges + log_p[self.neighbour].T[:, :, np.newaxis]
+                top = combined.max(axis=0)
+                # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
+                top[~np.isfinite(top)] = 0.0
+                combined -= top
+                padded = np.zeros((self.owner.size + 1, combined.shape[2]))
+                per_edge = padded[:-1]
+                np.log(np.exp(combined, out=combined).sum(axis=0, out=per_edge), out=per_edge)
+                per_edge += top
+                for slot in self.slots:
+                    out += padded[slot]
         for i, log_table, _, others in self.dense:
             if others:
                 joint = functools.reduce(
@@ -382,16 +418,19 @@ class ContractionPlan:
                 combined = log_table + joint[np.newaxis, ...]
                 log_table = log_sum_exp_along(combined.reshape(combined.shape[0], -1), axis=1)
             out[i, : self.cards[i]] = log_table
-        return out
+        return np.asfortranarray(out)
 
     def expectations(self, p: np.ndarray) -> np.ndarray:
         """Expected objective value of each own action, from stacked marginals."""
         out = np.zeros(p.shape)
         if self.owner.size:
-            per_edge = np.matmul(self.edges, p[self.neighbour][..., np.newaxis])
-            np.add.at(out, self.owner, per_edge[..., 0])
+            padded = np.zeros((self.owner.size + 1, p.shape[1]))
+            per_edge = padded[:-1, :, np.newaxis]
+            np.matmul(self.edges, p[self.neighbour][..., np.newaxis], out=per_edge)
+            for slot in self.slots:
+                out += padded[slot]
         for i, _, table, others in self.dense:
             for j in reversed(others):
                 table = table @ p[j, : self.cards[j]]
             out[i, : self.cards[i]] = table
-        return out
+        return np.asfortranarray(out)

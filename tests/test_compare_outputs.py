@@ -1,6 +1,7 @@
 """scripts/compare_outputs.py, the output-identity check between two trees."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +35,26 @@ def test_differing_and_missing_files_are_listed(tmp_path):
         (directory / "moved.json").write_text(text)
     (old / "gone.json").write_text("{}\n")
     assert script.differences(old, new) == ["gone.json", "moved.json"]
+
+
+def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    trajectories = script.trajectory_jobs(inputs)
+    assert script.compare(ROOT, ROOT, [], tmp_path / "same", trajectories) == []
+    digests = sorted((tmp_path / "same" / "new").iterdir())
+    assert [p.name for p in digests] == ["pairwise_chain.coupled.sha256", "ring1.coupled.sha256"]
+    assert all(len(p.read_text().strip()) == 64 for p in digests)
+
+    # A tree whose renormalized amplitudes move by one ulp after each step.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    continuous = tree / "src" / "coopt" / "continuous.py"
+    source = continuous.read_text()
+    assert source.count("        amplitudes = stepped\n") == 1
+    continuous.write_text(source.replace(
+        "        amplitudes = stepped\n", "        amplitudes = np.nextafter(stepped, 2.0)\n"
+    ))
+    found = script.compare(ROOT, tree, [], tmp_path / "moved", trajectories)
+    assert found == ["pairwise_chain.coupled.sha256", "ring1.coupled.sha256"]

@@ -1,29 +1,41 @@
 """The compiled contraction plan: models that mix dense and pairwise agents
 of different cardinalities, whose stacked arrays are padded, checked
-against the brute-force oracles; and the calls per iteration and per step
-that the benchmark's tracer counts."""
+against the brute-force oracles; the stacks' memory layout and the
+bitwise order of the per-agent edge sums; and the calls per iteration and
+per step that the benchmark's tracer counts."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from coopt import continuous, discrete
+from coopt import bundled_path, continuous, discrete, fileio
 from coopt.continuous import WaveState, effective_hamiltonian, evolve_coupled
-from coopt.discrete import expected_return_update_factorized, iterate_to_fixed_point
+from coopt.discrete import (
+    ExpectedReturnField,
+    expected_return_update_factorized,
+    iterate_to_fixed_point,
+    normalize_policy,
+    random_profile,
+)
 from coopt.equilibrium import epsilon_of_profile
 from coopt.model import (
     Agent,
+    DenseEnergy,
     DenseUtility,
     DomainSpec,
     GameModel,
     PairwiseEnergy,
     StrategyProfile,
     densify,
+    stack,
     to_utility_model,
 )
+from coopt.numerics import log_sum_exp_along
 from coopt.rng import SplitMix64
 
 # Seeds whose random pairwise models have agents of different cardinalities.
@@ -141,6 +153,125 @@ def test_one_neighbour_dense_agents_match_enumeration(seed, cards):
     assert_epsilon_matches_enumeration(model, profile)
 
 
+@st.composite
+def edge_models(draw):
+    """A model whose agents own 0-3 edges each, over cardinalities 2-5.
+
+    In energy mode an agent holds 0-3 pairwise terms or a dense table over
+    its own variable and one neighbour; in utility mode a dense table over
+    its own variable and at most one neighbour, with about a third of the
+    utilities zero (one entry is kept positive, so no agent's returns are
+    all zero).  Tables come from a drawn seed.
+    """
+    n = draw(st.integers(2, 5))
+    cards = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["energy", "utility"]))
+    stream = SplitMix64(draw(st.integers(0, 2**32)))
+
+    def table(*shape):
+        return np.array([stream.uniform() for _ in range(math.prod(shape))]).reshape(shape)
+
+    agents = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        if mode == "energy" and draw(st.booleans()):
+            terms = draw(st.permutations(others))[: draw(st.integers(0, 3))]
+            obj = PairwiseEnergy(tuple(
+                (f"x{j}", 4.0 * table(cards[i], cards[j]) - 2.0) for j in terms
+            ))
+        else:
+            minimum = 1 if mode == "energy" else 0
+            order = [i] + draw(st.lists(st.sampled_from(others), min_size=minimum, max_size=1))
+            if draw(st.booleans()):
+                order.reverse()
+            values = table(*[cards[j] for j in order]).ravel()
+            names = tuple(f"x{j}" for j in order)
+            if mode == "energy":
+                obj = DenseEnergy(names, 4.0 * values - 2.0)
+            else:
+                values[values < 0.3] = 0.0
+                values[-1] = 1.0
+                obj = DenseUtility(names, values)
+        agents.append(Agent(f"agent{i}", f"x{i}", obj))
+    variables = tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards))
+    return GameModel(variables, tuple(agents), hbar=0.5 + stream.uniform(), mode=mode)
+
+
+def edge_sums_by_add_at(plan, p):
+    """Edge rows of log_returns and expectations, taken row-major with the
+    log tables (edges, neighbour, own) and np.add.at: the reference the
+    plan's slot sums must equal bit for bit."""
+    p = np.array(p, order="C")
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)
+    log_edges = plan.log_edges.transpose(1, 0, 2)
+    log_returns = np.array(plan.log_one, order="C")
+    combined = log_edges + log_p[plan.neighbour][:, :, np.newaxis]
+    np.add.at(log_returns, plan.owner, log_sum_exp_along(combined, axis=1))
+    expectations = np.zeros(p.shape)
+    per_edge = np.matmul(plan.edges, p[plan.neighbour][..., np.newaxis])
+    np.add.at(expectations, plan.owner, per_edge[..., 0])
+    owners = np.unique(plan.owner)
+    return log_returns[owners], expectations[owners]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_models(), st.integers(0, 2**32))
+def test_edge_models_match_enumeration_in_column_major_stacks(model, seed):
+    profile = seeded_profile(model, seed)
+    plan = model.plan
+    p = stack(profile.dists, 0.0)
+    log_returns = plan.log_returns(p)
+    assert p.flags.f_contiguous and log_returns.flags.f_contiguous
+    want = helpers.returns_by_enumeration(model, profile)
+    with np.errstate(divide="ignore"):
+        assert_close([np.exp(row) for row in plan.rows(log_returns)], want)
+    stacked = normalize_policy(log_returns, 2.0)
+    assert stacked.flags.f_contiguous
+    assert all(row.flags.c_contiguous for row in plan.rows(log_returns))
+    per_agent = normalize_policy(ExpectedReturnField(plan.rows(log_returns)), 2.0)
+    for dist, row in zip(per_agent.dists, plan.rows(stacked)):
+        assert dist.flags.c_contiguous
+        np.testing.assert_array_equal(dist, row)
+
+    owners = np.unique(plan.owner)
+    want_log, want_linear = edge_sums_by_add_at(plan, p)
+    np.testing.assert_array_equal(log_returns[owners], want_log)
+    np.testing.assert_array_equal(plan.expectations(p)[owners], want_linear)
+
+
+def test_epsilon_of_a_solved_profile_matches_contiguous_copies_bitwise():
+    # The solved profile's rows, and the marginals the dense tables are
+    # contracted with, come out of column-major stacks; products with them
+    # must round as products with lone contiguous vectors do.
+    model = ring_model(agents=20, actions=5, seed=9)
+    result = iterate_to_fixed_point(model, 8.0, max_iter=50)
+    um = to_utility_model(model)
+    dists = [np.array(d) for d in result.profile.dists]
+    certificate = epsilon_of_profile(um, result.profile)
+    assert certificate == epsilon_of_profile(um, StrategyProfile(tuple(dists)))
+    agent_of = {agent.acts_on: i for i, agent in enumerate(um.agents)}
+    for i, agent in enumerate(um.agents):
+        obj = agent.objective
+        table = obj.values.reshape(um.shape_of(obj.order))
+        table = np.moveaxis(table, obj.order.index(agent.acts_on), 0)
+        for name in reversed([v for v in obj.order if v != agent.acts_on]):
+            table = table @ dists[agent_of[name]]
+        assert certificate.payoffs[i] == float(dists[i] @ table)
+
+
+def test_trace_steps_build_profile_and_field_when_read():
+    model = ring_model()
+    result = iterate_to_fixed_point(model, 0.5, keep_trace=True)
+    last = result.trace.steps[-1]
+    assert "profile" not in vars(last) and "field" not in vars(last)
+    for got, want in zip(last.profile.dists, result.profile.dists):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(last.field.log_values, result.field.log_values):
+        np.testing.assert_array_equal(got, want)
+    assert last.profile is last.profile
+
+
 @pytest.mark.parametrize("seed", MIXED_SEEDS)
 def test_effective_hamiltonian_matches_densified_model(seed):
     mixed = mixed_model(seed)
@@ -187,10 +318,27 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("alpha, max_iter", [(0.5, 10000), (8.0, 20)])
-def test_one_normalize_policy_call_per_iteration(monkeypatch, alpha, max_iter):
+@pytest.mark.parametrize(
+    "game, alpha, restart, max_iter, converged",
+    [
+        pytest.param(None, 0.5, False, 10000, True, id="0.5-10000"),
+        pytest.param(None, 8.0, False, 20, True, id="8.0-20"),
+        pytest.param(None, 8.0, False, 5, False, id="8.0-5"),
+        pytest.param("prisoners_dilemma", 8.0, False, 10000, True, id="prisoners_dilemma"),
+        pytest.param("coordination", 0.25, True, 10000, True, id="coordination-restart"),
+        # restarted cells that cycle until max_iter in the benchmark's sweep
+        pytest.param("matching_pennies", 4.0, True, 500, False, id="matching_pennies-cycle"),
+        pytest.param("coordination", 1.0, True, 500, False, id="coordination-cycle"),
+    ],
+)
+def test_one_normalize_policy_call_per_iteration(
+    monkeypatch, game, alpha, restart, max_iter, converged
+):
+    model = ring_model() if game is None else fileio.load_problem(bundled_path(game))
+    init = random_profile(model, 7) if restart else None
     calls = count_calls(monkeypatch, discrete, "normalize_policy")
-    result = iterate_to_fixed_point(ring_model(), alpha, max_iter=max_iter)
+    result = iterate_to_fixed_point(model, alpha, init, max_iter=max_iter)
+    assert result.converged == converged
     assert result.iterations > 1
     assert len(calls) == result.iterations
 
