@@ -3,9 +3,11 @@
 
 Runs the CLI jobs of perfbench's games-sweep workload (each bundled game's
 alpha grid with 2 restarts at seeds 3 and 7, the soft and hard solves with
-their traces, nash and verify) and the solves of two seeded 200-agent
-pairwise rings at alpha 0.5 and 8 (with a trace, and verify), once per tree
-in a fresh interpreter with that tree's src/ on the path.  It also runs
+their traces, nash and verify), the solves of two seeded 200-agent
+pairwise rings at alpha 0.5 and 8 (with a trace, and verify), and
+`coopt quantum` on the bundled oscillator at the default step (with a
+trace) and for its three lowest states from a seeded random start, once
+per tree in a fresh interpreter with that tree's src/ on the path.  It also runs
 `continuous.evolve_coupled` on `pairwise_chain` to convergence and on the
 seed-1 ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals.  Both
@@ -97,6 +99,18 @@ def ring_jobs(inputs: Path, seeds=RING_SEEDS) -> list[list[str]]:
     return jobs
 
 
+def quantum_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for the oscillator; writes its Hamiltonian file to inputs."""
+    hamiltonian = str(inputs / "harmonic_oscillator.json")
+    shutil.copyfile(bundled_path("harmonic_oscillator"), hamiltonian)
+    base = ["quantum", "--hamiltonian", hamiltonian]
+    return [
+        [*base, "--trace", "oscillator.trace.csv", "--out", "oscillator.json"],
+        [*base, "--states", "3", "--init", "random", "--seed", "1",
+         "--out", "oscillator.states3.json"],
+    ]
+
+
 def trajectory_jobs(inputs: Path) -> list[list]:
     """(problem, t_max, digest file) for evolve_coupled on pairwise_chain
     and on the first ring; writes their problem files to inputs."""
@@ -155,7 +169,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
         inputs.mkdir()
-        jobs = game_jobs(inputs) + ring_jobs(inputs)
+        jobs = game_jobs(inputs) + ring_jobs(inputs) + quantum_jobs(inputs)
         found = compare(args.old_root, args.new_root, jobs, workdir, trajectory_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))
     for line in found:

@@ -188,7 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum", help="stationary states of a Hamiltonian file")
     p.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON file")
-    p.add_argument("--dt", type=float, default=None, help="integrator step")
+    p.add_argument(
+        "--dt", type=float, default=None,
+        help=f"integrator step; must satisfy dt*scale/hbar < "
+        f"{continuous.RK4_MONOTONE_LIMIT:.4f} (the RK4 monotone limit); default 0.99 "
+        "times that limit, a smaller step tracks the exact flow more closely",
+    )
     p.add_argument("--t-max", type=float, default=continuous.DEFAULT_T_MAX)
     p.add_argument("--tol", type=float, default=continuous.DEFAULT_STATIONARY_TOL)
     p.add_argument("--hbar", type=float, default=1.0)

@@ -29,8 +29,18 @@ DEFAULT_STATIONARY_TOL = 1e-8
 # eigenvalues are amplified more and the flow converges to the lowest
 # eigenvector.  With z = y - 1, 6 R'(z) = 0 becomes y^3 + 3y + 2 = 0, whose
 # real root by Cardano's formula gives the limit 1.5961 in closed form.
+# RK4's stability boundary, where R returns to 1, lies further out near
+# -2.785, but past the monotone limit R decreases and higher eigenvalues can
+# outgrow lower ones, so stability alone would not select the lowest state.
 RK4_MONOTONE_LIMIT = 1.0 + (math.sqrt(2.0) + 1.0) ** (1 / 3) - (math.sqrt(2.0) - 1.0) ** (1 / 3)
-_DT_SAFETY = 0.9  # default step in characteristic times hbar / scale(H)
+# The default step, in characteristic times hbar / scale(H), sits 1% inside
+# the monotone limit.  scale(H) is a max-abs-row-sum bound on |lambda|, so
+# every mode has dt * |lambda| / hbar < 0.99 * 1.5961, and the 1% covers the
+# rounding of scale and of dt * scale many orders of magnitude over.  The
+# coupled flow freezes each agent's diagonal operator within a step and
+# coupled_scale bounds them all, so the same holds step by step there.
+# Any dt with dt * scale / hbar < RK4_MONOTONE_LIMIT is accepted.
+DEFAULT_STEP_TIMES = 0.99 * RK4_MONOTONE_LIMIT
 _TRAJECTORY_POINTS = 1000
 
 
@@ -103,23 +113,45 @@ def _renormalized(v: np.ndarray, step: int) -> np.ndarray:
 
 
 def _default_dt(scale: float, hbar: float) -> float:
-    return _DT_SAFETY * hbar / scale if scale > 0 else _DT_SAFETY * hbar
+    return DEFAULT_STEP_TIMES * hbar / (scale if scale > 0 else 1.0)
 
 
 def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
-    """Default integrator step: 0.9 * hbar / scale(H), nine tenths of the
-    characteristic time and well inside the RK4 monotone limit."""
+    """Default integrator step: 0.99 * RK4_MONOTONE_LIMIT * hbar / scale(H).
+
+    Below RK4_MONOTONE_LIMIT * hbar / scale(H) every eigencomponent's RK4
+    factor is positive and decreasing in its eigenvalue, so the flow still
+    converges to the lowest eigenvector; a smaller step tracks the exact
+    flow exp(-tH/hbar) psi0 more closely along the way.
+    """
     return _default_dt(operator.scale(), hbar)
+
+
+def _accepted(dt: float, scale: float, hbar: float) -> bool:
+    return dt * scale / hbar < RK4_MONOTONE_LIMIT
+
+
+def largest_step(scale: float, hbar: float = 1.0) -> float:
+    """The largest float dt that evolve_linear and evolve_coupled accept
+    for an operator of the given scale (inf when scale is 0)."""
+    if not scale > 0:
+        return math.inf
+    dt = RK4_MONOTONE_LIMIT * hbar / scale
+    while dt > 0 and not _accepted(dt, scale, hbar):
+        dt = math.nextafter(dt, 0.0)
+    while _accepted(math.nextafter(dt, math.inf), scale, hbar):
+        dt = math.nextafter(dt, math.inf)
+    return dt
 
 
 def _check_dt(dt: float, scale: float, hbar: float) -> None:
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if not dt * scale / hbar < RK4_MONOTONE_LIMIT:
-        characteristic = hbar / scale if scale else math.inf
+    if not _accepted(dt, scale, hbar):
         raise ValueError(
-            f"dt={dt} is not below the RK4 stability limit {RK4_MONOTONE_LIMIT:.4f} "
-            f"times the characteristic time {characteristic}"
+            f"dt={dt} is not below the RK4 monotone limit {RK4_MONOTONE_LIMIT:.4f} "
+            f"times the characteristic time {hbar / scale if scale else math.inf}; "
+            f"the largest accepted step is {largest_step(scale, hbar)!r}"
         )
 
 
@@ -200,8 +232,9 @@ def evolve_linear(
 
     Stops when ||H psi - lambda psi|| <= tol (projected out of the deflated
     subspace when `deflate` vectors are given) or when t_max is reached.
-    The default step is 0.9 * hbar / scale(H); steps at or past
-    RK4_MONOTONE_LIMIT * hbar / scale(H) are rejected.
+    The default step is 0.99 * RK4_MONOTONE_LIMIT * hbar / scale(H) (see
+    default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
+    1.5961 is accepted, and steps at or past it are rejected.
     """
     if not (hbar > 0 and tol > 0 and t_max > 0):
         raise ValueError("hbar, tol and t_max must be positive")

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from coopt import bundled_path
+from coopt import bundled_path, fileio
+from coopt.continuous import RK4_MONOTONE_LIMIT, default_step
+from coopt.numerics import jacobi_eigen
 
 PD = str(bundled_path("prisoners_dilemma"))
 HARMONIC = str(bundled_path("harmonic_oscillator"))
@@ -176,6 +178,26 @@ class TestQuantum:
         assert lines[0] == "t,agent,action,psi,lambda,residual"
         labels = {row.split(",")[1] for row in lines[1:]}
         assert labels == {"0", "1"}
+
+    def test_default_step_reaches_the_oracle_ground_state(self, tmp_path):
+        operator = fileio.load_hamiltonian(HARMONIC)
+        out = tmp_path / "q.json"
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["dt"] == default_step(operator)
+        state = doc["states"][0]
+        steps = state["time"] / doc["dt"]
+        assert steps == round(steps) > 0
+        assert state["converged"] is True
+        assert abs(state["rayleigh"] - jacobi_eigen(operator).eigenvalues[0]) <= 1e-12
+
+    def test_step_at_the_monotone_limit_exits_one(self):
+        operator = fileio.load_hamiltonian(HARMONIC)
+        dt = RK4_MONOTONE_LIMIT / operator.scale()
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--dt", repr(dt))
+        assert proc.returncode == 1
+        assert "monotone limit" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_oversized_dt_exits_one(self):
         proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--dt", "1.0")

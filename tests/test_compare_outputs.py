@@ -26,6 +26,29 @@ def test_checkout_matches_itself_on_one_small_game(tmp_path):
     assert len(list((tmp_path / "new").iterdir())) == 7
 
 
+def test_quantum_outputs_are_compared(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.quantum_jobs(inputs)
+    assert [job[0] for job in jobs] == ["quantum", "quantum"]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
+    assert written == ["oscillator.json", "oscillator.states3.json", "oscillator.trace.csv"]
+
+    # A tree whose default step is one ulp shorter.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    continuous = tree / "src" / "coopt" / "continuous.py"
+    source = continuous.read_text()
+    line = "DEFAULT_STEP_TIMES = 0.99 * RK4_MONOTONE_LIMIT\n"
+    assert source.count(line) == 1
+    continuous.write_text(source.replace(
+        line, "DEFAULT_STEP_TIMES = math.nextafter(0.99 * RK4_MONOTONE_LIMIT, 0.0)\n"
+    ))
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == written
+
+
 def test_differing_and_missing_files_are_listed(tmp_path):
     script = load_script()
     old, new = tmp_path / "old", tmp_path / "new"

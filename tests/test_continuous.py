@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from coopt import continuous
+from coopt import bundled_path, continuous, fileio
 from coopt.continuous import (
     RK4_MONOTONE_LIMIT,
     WaveState,
@@ -14,6 +16,7 @@ from coopt.continuous import (
     effective_hamiltonian,
     evolve_coupled,
     evolve_linear,
+    largest_step,
     lowest_states,
     match_eigenvalue,
     stationarity_check,
@@ -21,6 +24,7 @@ from coopt.continuous import (
 )
 from coopt.model import Agent, DenseEnergy, DomainSpec, GameModel, PairwiseEnergy
 from coopt.numerics import DenseSymmetric, Diagonal, jacobi_eigen
+from coopt.rng import random_unit_vector
 
 
 def same_sign_pairwise(seed):
@@ -197,10 +201,10 @@ class TestEvolveLinear:
         with pytest.raises(ValueError, match="deflated"):
             evolve_linear(op, e0, deflate=(e0,))
 
-    def test_default_step_is_nine_tenths_of_characteristic_time(self):
+    def test_default_step_is_just_inside_the_monotone_limit(self):
         op = Diagonal(np.array([2.0, -5.0]))
-        assert default_step(op, hbar=1.0) == pytest.approx(0.9 / 5.0)
-        assert default_step(op, hbar=2.0) == pytest.approx(1.8 / 5.0)
+        assert default_step(op, hbar=1.0) == 0.99 * RK4_MONOTONE_LIMIT * 1.0 / 5.0
+        assert default_step(op, hbar=2.0) == 0.99 * RK4_MONOTONE_LIMIT * 2.0 / 5.0
 
     def test_stability_limit_is_where_the_rk4_factor_stops_increasing(self):
         def R(z):  # the RK4 amplification of y' = -rate*y at rate*dt = -z
@@ -222,7 +226,7 @@ class TestEvolveLinear:
         _, report = evolve_linear(op, psi0, dt=dt, tol=1e-10)
         assert report.converged
         assert report.states[0].rayleigh == pytest.approx(-1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="stability limit"):
+        with pytest.raises(ValueError, match="monotone limit"):
             evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / op.scale())
 
     def test_each_step_takes_four_products(self, monkeypatch):
@@ -332,7 +336,72 @@ class TestEvolveCoupled:
         assert coupled_scale(model) == 1.0
         lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
         points, _ = evolve_coupled(model, WaveState((lean, lean)), t_max=5.0, record_every=1)
-        assert points[1].time == pytest.approx(0.9 * model.hbar)
+        assert points[1].time == 0.99 * RK4_MONOTONE_LIMIT * model.hbar / 1.0
+
+
+@st.composite
+def operators(draw):
+    """Diagonal, grid and dense symmetric operators whose eigenvalues may be
+    negative or repeated.  Distinct eigenvalues keep a gap of at least 1.6%
+    of scale(H) (exhaustively so for the grids' potentials), so the flow
+    converges in a few hundred steps."""
+    kind = draw(st.sampled_from(["diagonal", "grid", "dense"]))
+    if kind == "grid":
+        n = draw(st.integers(3, 8))
+        h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        levels = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        # potential wells at most a quarter of the hopping energy 1/(2h^2) deep
+        potential = np.array(levels, dtype=float) / (8.0 * h * h)
+        xmin = draw(st.integers(-3, 0))
+        return build_grid_hamiltonian(xmin, xmin + h * (n - 1), n, potential)
+    n = draw(st.integers(2, 8))
+    unit = draw(st.sampled_from([1.0, 3.0]))
+    spectrum = unit * np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)),
+                               dtype=float)
+    if kind == "diagonal":
+        return Diagonal(spectrum)
+    seed = draw(st.integers(0, 2**32 - 1))
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    matrix = (q * spectrum) @ q.T
+    return DenseSymmetric(0.5 * (matrix + matrix.T))
+
+
+class TestDefaultStepIsProvablyRight:
+    @given(operators(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_default_step_converges_to_the_lowest_eigenvalue(self, op, hbar, seed):
+        dt, scale = default_step(op, hbar), op.scale()
+        assert dt * scale / hbar < RK4_MONOTONE_LIMIT
+        eigenvalues = np.linalg.eigvalsh(op.to_dense())
+        factors = np.array([helpers.scalar_rk4(lam / hbar, 1.0, dt) for lam in eigenvalues])
+        assert (factors > 0).all()
+        # eigvalsh may split a repeated eigenvalue by a few ulps
+        distinct = np.diff(eigenvalues) > 1e-9 * max(1.0, scale)
+        assert (np.diff(factors)[distinct] < 0).all()
+
+        psi0 = random_unit_vector(op.dimension, seed)
+        _, report = evolve_linear(op, psi0, hbar=hbar, t_max=1e5)
+        assert report.converged
+        lowest = eigenvalues[0]
+        assert abs(report.states[0].rayleigh - lowest) <= 1e-8 * max(1.0, abs(lowest))
+
+    def test_lowest_states_of_the_bundled_oscillator_match_the_oracle(self):
+        op = fileio.load_hamiltonian(bundled_path("harmonic_oscillator"))
+        results = lowest_states(op, 3, random_unit_vector(op.dimension, 1))
+        assert all(report.converged for _, report, _ in results)
+        found = [report.states[0].rayleigh for _, report, _ in results]
+        expected = jacobi_eigen(op).eigenvalues[:3]
+        np.testing.assert_allclose(found, expected, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("scale,hbar", [(1.0, 1.0), (7.3, 0.5), (4.0e4, 2.0), (3.0, 1e-5)])
+    def test_largest_step_is_the_last_one_accepted(self, scale, hbar):
+        dt = largest_step(scale, hbar)
+        op = Diagonal(np.array([scale, 0.0]))
+        assert op.scale() == scale
+        evolve_linear(op, np.array([0.6, 0.8]), dt=dt, hbar=hbar, t_max=dt)
+        with pytest.raises(ValueError, match=f"largest accepted step is {dt!r}"):
+            evolve_linear(op, np.array([0.6, 0.8]), dt=math.nextafter(dt, math.inf),
+                          hbar=hbar, t_max=dt)
 
 
 class TestGridHamiltonian:
