@@ -22,7 +22,8 @@ import numpy as np
 from . import continuous, discrete, equilibrium, fileio
 from .continuous import EvolutionError, lowest_states
 from .discrete import AllZeroReturnsError, DivergenceError
-from .model import ValidationError, to_utility_model, validate
+from .model import ValidationError, validate
+from .model import to_utility_model  # noqa: F401  perfbench/tracing.py patches this name here
 from .rng import random_unit_vector
 
 EXIT_OK = 0
@@ -140,14 +141,14 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_nash(args) -> int:
-    model = to_utility_model(_load_model(args))
+    model = _load_model(args)
     equilibria = equilibrium.enumerate_pure_nash(model)
     fileio.write_document(fileio.nash_document(model, equilibria), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    model = to_utility_model(_load_model(args))
+    model = _load_model(args)
     profile = fileio.load_profile(args.profile, model)
     certificate = equilibrium.epsilon_of_profile(model, profile)
     fileio.write_document(fileio.verify_document(model, certificate), args.out)
@@ -206,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nash", help="enumerate pure equilibria exhaustively")
     p.add_argument("--problem", required=True)
-    p.add_argument("--hbar", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_nash)
 

@@ -10,6 +10,7 @@ decoded assignment attains the global energy minimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .model import (
     StrategyProfile,
     densify,
     stack,
-    to_utility_model,
+    to_utility_model,  # noqa: F401  perfbench/tracing.py patches this name here
     validate,
     validate_profile,
 )
@@ -93,29 +94,27 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_utility(model: GameModel, what: str) -> None:
-    if model.mode != "utility":
-        raise ValueError(f"{what} needs a utility-mode model; convert energies first")
-
-
-def _payoff_vectors(model: GameModel, profile: StrategyProfile, what: str):
+def _payoff_vectors(model: GameModel, profile: StrategyProfile):
     """Expected utility of each own pure action against the others'
-    marginals, per agent."""
-    _require_utility(model, what)
+    marginals, per agent; for energies the Boltzmann weight exp(-E/hbar),
+    which the plan's log returns give exactly."""
     validate_profile(model, profile)
     plan = model.plan
-    return plan.rows(plan.expectations(stack(profile.dists, 0.0)))
+    p = stack(profile.dists, 0.0)
+    if model.mode == "energy":
+        return plan.rows(np.exp(plan.log_returns(p)))
+    return plan.rows(plan.expectations(p))
 
 
 def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
     """Exact expected utility of one agent under the profile."""
-    vectors = _payoff_vectors(model, profile, "expected_payoff")
+    vectors = _payoff_vectors(model, profile)
     return float(profile.dists[index] @ vectors[index])
 
 
 def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
     """Unweighted mean of the agents' expected payoffs."""
-    vectors = _payoff_vectors(model, profile, "social_welfare")
+    vectors = _payoff_vectors(model, profile)
     return float(np.mean([float(d @ v) for d, v in zip(profile.dists, vectors)]))
 
 
@@ -128,7 +127,7 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     gains = []
     deviations = []
     payoffs = []
-    for dist, vec in zip(profile.dists, _payoff_vectors(model, profile, "epsilon_of_profile")):
+    for dist, vec in zip(profile.dists, _payoff_vectors(model, profile)):
         current = float(dist @ vec)
         gain = float(vec.max()) - current
         gains.append(max(gain, 0.0))
@@ -142,40 +141,42 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     )
 
 
-def _tensor_on_full_domain(model: GameModel, order, values) -> np.ndarray:
-    """Reshape a dense table onto the full variable domain, broadcast shape."""
-    names = model.variable_names()
-    arr = np.asarray(values, dtype=float).reshape(model.shape_of(order))
-    targets = [names.index(v) for v in order]
-    arr = np.transpose(arr, np.argsort(targets))
-    shape = [1] * len(names)
-    for axis in targets:
-        shape[axis] = model.cardinality(names[axis])
-    return arr.reshape(shape)
+def _full_domain_tensor(model: GameModel, agent) -> np.ndarray:
+    """An agent's objective as a dense table over the full variable domain,
+    in broadcast shape (length 1 along the variables it does not read)."""
+    obj = agent.objective
+    if isinstance(obj, PairwiseEnergy):
+        obj = densify(obj, model, agent.acts_on)
+    shape = model.shape_of(obj.order)
+    axes = [model._position_of[v] for v in obj.order]
+    full = [1] * len(model.variables)
+    for axis, size in zip(axes, shape):
+        full[axis] = size
+    return np.transpose(obj.values.reshape(shape), np.argsort(axes)).reshape(full)
 
 
 def enumerate_pure_nash(model: GameModel) -> list[tuple[int, ...]]:
     """All pure profiles with no strictly improving unilateral deviation.
 
-    Exhaustive over the joint domain; ties count as equilibria.  Profiles
-    come back as per-agent action tuples in the model's agent order.
+    Exhaustive over the joint domain; ties count as equilibria.  Energies
+    are compared directly (lower is better), so the result does not depend
+    on hbar.  Profiles come back as per-agent action tuples in the model's
+    agent order.
     """
-    _require_utility(model, "enumerate_pure_nash")
-    names = model.variable_names()
-    full_shape = model.shape_of(names)
-    if int(np.prod(full_shape)) > MAX_ENUMERATION_SIZE:
+    full_shape = model.shape_of(model.variable_names())
+    if math.prod(full_shape) > MAX_ENUMERATION_SIZE:
         raise EnumerationTooLargeError(
-            f"joint domain of size {int(np.prod(full_shape))} exceeds "
-            f"{MAX_ENUMERATION_SIZE}"
+            f"joint domain of {len(full_shape)} variables has more than "
+            f"{MAX_ENUMERATION_SIZE} assignments"
         )
+    agent_axes = [model._position_of[a.acts_on] for a in model.agents]
     mask = np.ones(full_shape, dtype=bool)
-    for agent in model.agents:
-        obj = agent.objective
-        tensor = _tensor_on_full_domain(model, obj.order, obj.values)
-        own_axis = names.index(agent.acts_on)
+    for agent, own_axis in zip(model.agents, agent_axes):
+        tensor = _full_domain_tensor(model, agent)
+        if model.mode == "energy":
+            tensor = -tensor  # exact, so the max test orders energies
         best = tensor.max(axis=own_axis, keepdims=True)
         mask &= np.broadcast_to(tensor >= best, full_shape)
-    agent_axes = [names.index(a.acts_on) for a in model.agents]
     return [
         tuple(int(joint[axis]) for axis in agent_axes) for joint in np.argwhere(mask)
     ]
@@ -191,16 +192,6 @@ def decode_assignment(profile: StrategyProfile) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _total_energy_tensor(model: GameModel) -> np.ndarray:
-    total = np.zeros(model.shape_of(model.variable_names()))
-    for agent in model.agents:
-        obj = agent.objective
-        if isinstance(obj, PairwiseEnergy):
-            obj = densify(obj, model, agent.acts_on)
-        total = total + _tensor_on_full_domain(model, obj.order, obj.values)
-    return total
-
-
 def alpha_sweep(
     model: GameModel,
     alpha_grid,
@@ -214,8 +205,9 @@ def alpha_sweep(
     The first restart of each alpha starts uniform; later restarts start
     from seeded random profiles.  Epsilon is recorded for utility models,
     the global-minimum hit flag for energy models (against the exhaustive
-    minimum of the summed energies); welfare always, using the Boltzmann
-    utilities for energy models.  Cell failures are recorded, not raised.
+    minimum of the summed energies; left empty when the joint domain
+    exceeds MAX_ENUMERATION_SIZE); welfare always, using the Boltzmann
+    weights for energy models.  Cell failures are recorded, not raised.
     """
     validate(model)
     alphas = [float(a) for a in alpha_grid]
@@ -224,12 +216,11 @@ def alpha_sweep(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
 
-    utility_model = to_utility_model(model)
-    energy_mode = model.mode == "energy"
-    if energy_mode:
-        total = _total_energy_tensor(model)
+    total = None
+    if model.mode == "energy" and math.prod(model.agent_cardinalities()) <= MAX_ENUMERATION_SIZE:
+        total = sum(_full_domain_tensor(model, agent) for agent in model.agents)
         global_min = float(total.min())
-        variable_axis = [model.variable_names().index(a.acts_on) for a in model.agents]
+        variable_axis = [model._position_of[a.acts_on] for a in model.agents]
 
     rows = []
     for ai, alpha in enumerate(alphas):
@@ -242,13 +233,13 @@ def alpha_sweep(
                 rows.append(SweepRow(alpha, seed, False, 0, None, None, None))
                 continue
             epsilon = (
-                epsilon_of_profile(utility_model, result.profile).epsilon
+                epsilon_of_profile(model, result.profile).epsilon
                 if model.mode == "utility"
                 else None
             )
-            welfare = social_welfare(utility_model, result.profile)
+            welfare = social_welfare(model, result.profile)
             hit = None
-            if energy_mode:
+            if total is not None:
                 decoded = decode_assignment(result.profile)
                 joint = [0] * len(model.variables)
                 for axis, action in zip(variable_axis, decoded):

@@ -294,7 +294,8 @@ def densify(objective: PairwiseEnergy, model: GameModel, own: str) -> DenseEnerg
 
 
 def to_utility_model(model: GameModel) -> GameModel:
-    """Equivalent utility-maximizing model, u_i = exp(-E_i / hbar)."""
+    """Equivalent utility-maximizing model, u_i = exp(-E_i / hbar).  The
+    library certifies energy models directly; this is a reference."""
     if model.mode == "utility":
         return model
     agents = []
@@ -321,8 +322,9 @@ class ContractionPlan:
 
     Each agent's table is contracted against the other agents' marginals,
     in the log domain (expected Boltzmann weight or utility, as a log: the
-    discrete map's returns) or in the linear domain (expected energy or
-    utility: payoffs and effective Hamiltonians).  Marginals and results
+    discrete map's returns and energy models' payoffs) or in the linear
+    domain (expected energy or utility: utility payoffs and effective
+    Hamiltonians).  Marginals and results
     are stacked one agent per row, column-major as `stack` lays them out,
     padded to the widest agent with zero probability and -inf log return.
     Every table over the own variable and one neighbour (a pairwise term,

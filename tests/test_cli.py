@@ -108,6 +108,48 @@ class TestNash:
         doc = json.loads(proc.stdout)
         assert {"A": 0, "B": 0, "C": 0} in doc["equilibria"]
 
+    def test_energy_game_at_small_hbar(self, tmp_path):
+        # exp(-E/hbar) underflows to 0 for every entry here; energies do not.
+        table = [[1.0, 2.0], [2.0, 1.0]]
+        problem = tmp_path / "game.json"
+        problem.write_text(json.dumps({
+            "mode": "energy",
+            "hbar": 0.001,
+            "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+            "agents": [
+                {"name": "A", "acts_on": "a",
+                 "objective": {"pairwise": [{"with": "b", "table": table}]}},
+                {"name": "B", "acts_on": "b",
+                 "objective": {"pairwise": [{"with": "a", "table": table}]}},
+            ],
+        }))
+        proc = run_cli("nash", "--problem", str(problem))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["equilibria"] == [{"A": 0, "B": 0}, {"A": 1, "B": 1}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nash"], ["verify", "--profile", "profile.json"],
+     ["sweep", "--alpha-grid", "0.25:2:log:4", "--restarts", "2"]],
+    ids=["nash", "verify", "sweep"],
+)
+def test_energy_commands_use_no_utility_copy(tmp_path, monkeypatch, argv):
+    import coopt
+    from coopt.cli import main
+
+    def refuse(model):
+        raise AssertionError("energy model converted to utilities")
+
+    for ns in (coopt.model, coopt.cli, coopt.equilibrium):
+        monkeypatch.setattr(ns, "to_utility_model", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.json").write_text(json.dumps(
+        {"profile": {"A": [0.5, 0.5, 0.0], "B": [0.2, 0.3, 0.5], "C": [0.9, 0.1, 0.0]}}
+    ))
+    chain = str(bundled_path("pairwise_chain"))
+    assert main([*argv, "--problem", chain, "--out", "out"]) == 0
+
 
 class TestVerify:
     def test_certificate_for_uniform_profile(self, tmp_path):

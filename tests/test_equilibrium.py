@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from coopt.model import (
     DenseUtility,
     DomainSpec,
     GameModel,
+    PairwiseEnergy,
     StrategyProfile,
+    to_utility_model,
 )
 
 
@@ -44,6 +47,16 @@ def matching_pennies():
         ),
         mode="utility",
     )
+
+
+def binary_chain(n):
+    """n agents in a line, each with a pairwise energy to its neighbours."""
+    table = np.array([[0.0, 1.0], [1.0, 0.5]])
+    agents = []
+    for i in range(n):
+        terms = tuple((f"v{j}", table) for j in (i - 1, i + 1) if 0 <= j < n)
+        agents.append(Agent(f"agent{i}", f"v{i}", PairwiseEnergy(terms)))
+    return GameModel(tuple(DomainSpec(f"v{i}", 2) for i in range(n)), tuple(agents))
 
 
 class TestExpectedPayoff:
@@ -74,10 +87,28 @@ class TestExpectedPayoff:
             want = helpers.payoff_by_enumeration(model, profile, i)
             assert expected_payoff(model, profile, i) == pytest.approx(want, rel=1e-12)
 
-    def test_energy_mode_rejected(self):
-        model = helpers.single_agent_energy([0.0, 1.0])
-        with pytest.raises(ValueError, match="utility"):
-            expected_payoff(model, StrategyProfile.uniform(model), 0)
+    @pytest.mark.parametrize(
+        "model",
+        [helpers.random_pairwise_model(seed) for seed in range(270, 276)]
+        + [helpers.random_dense_model(seed, n_agents=2 + seed % 2, card=3, mode="energy")
+           for seed in range(276, 280)],
+    )
+    def test_energy_models_score_their_boltzmann_utilities(self, model):
+        utility = to_utility_model(model)
+        profile = StrategyProfile(
+            tuple(helpers.random_profile_arrays(281, model.agent_cardinalities()))
+        )
+        got, want = epsilon_of_profile(model, profile), epsilon_of_profile(utility, profile)
+        assert got.epsilon == pytest.approx(want.epsilon, rel=1e-12)
+        assert got.gains == pytest.approx(want.gains, rel=1e-12)
+        assert got.payoffs == pytest.approx(want.payoffs, rel=1e-12)
+        assert social_welfare(model, profile) == pytest.approx(
+            social_welfare(utility, profile), rel=1e-12
+        )
+        for i in range(len(model.agents)):
+            assert expected_payoff(model, profile, i) == pytest.approx(
+                expected_payoff(utility, profile, i), rel=1e-12
+            )
 
 
 class TestEpsilonCertificate:
@@ -128,6 +159,14 @@ class TestPureNashEnumeration:
         )
         with pytest.raises(EnumerationTooLargeError):
             enumerate_pure_nash(big)
+
+    @pytest.mark.parametrize("seed", range(260, 270))
+    def test_energy_models_compare_energies_at_any_hbar(self, seed):
+        model = replace(helpers.random_pairwise_model(seed), hbar=1.0)
+        listed = enumerate_pure_nash(model)
+        assert listed == enumerate_pure_nash(to_utility_model(model))
+        for hbar in (1e-3, 1e3):
+            assert enumerate_pure_nash(replace(model, hbar=hbar)) == listed
 
     @pytest.mark.parametrize("seed", range(230, 260))
     def test_soundness_and_completeness_on_random_games(self, seed):
@@ -231,6 +270,11 @@ class TestAlphaSweep:
             assert row.epsilon is None
             assert row.welfare is not None
             assert row.global_hit in (True, False)
+
+    def test_energy_model_beyond_the_enumeration_cap_leaves_global_hit_empty(self):
+        report = alpha_sweep(binary_chain(21), [1.0, 8.0], restarts=2)  # 2**21 assignments
+        assert all(row.welfare is not None for row in report.rows)
+        assert all(row.global_hit is None for row in report.rows)
 
 
 def test_social_welfare_is_mean_payoff():
