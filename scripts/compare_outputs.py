@@ -10,9 +10,12 @@ trace) and for its three lowest states from a seeded random start, once
 per tree in a fresh interpreter with that tree's src/ on the path.  It also runs
 `continuous.evolve_coupled` on `pairwise_chain` to convergence and on the
 seed-1 ring to t = 5, recording every step, and writes a sha256 over every
-trajectory point's time, amplitudes, Rayleigh values and residuals.  Both
-trees read the same input files.  Exits 1 listing every output file whose
-bytes differ, or every job whose exit code differs; 0 when all match.
+trajectory point's time, amplitudes, Rayleigh values and residuals, and a
+sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
+(its eigenvectors are not compared: they depend on the oracle's start
+vectors, not only on the matrix).  Both trees read the same input files.
+Exits 1 listing every output file whose bytes differ, or every job whose
+exit code differs; 0 when all match.
 
 Usage: python scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -39,16 +42,17 @@ SEEDS = (3, 7)
 RING_SEEDS = (1, 2)
 RING_T_MAX = 5.0
 
-# Runs every CLI job and then every trajectory job in one interpreter; the
-# CLI jobs' exit codes go to stdout as JSON.
+# Runs every CLI job, then every trajectory job and every spectrum job in
+# one interpreter; the CLI jobs' exit codes go to stdout as JSON.
 RUNNER = textwrap.dedent("""\
     import hashlib, json, sys
     import numpy as np
     from coopt import fileio
     from coopt.cli import main
     from coopt.continuous import evolve_coupled
+    from coopt.numerics import jacobi_eigen
 
-    jobs, trajectories = json.load(sys.stdin)
+    jobs, trajectories, spectra = json.load(sys.stdin)
     codes = [main(argv) for argv in jobs]
     for problem, t_max, out in trajectories:
         points, _ = evolve_coupled(fileio.load_problem(problem), t_max=t_max, record_every=1)
@@ -58,6 +62,10 @@ RUNNER = textwrap.dedent("""\
                 digest.update(np.asarray(values, dtype=float).tobytes())
         with open(out, "w") as f:
             f.write(digest.hexdigest() + "\\n")
+    for hamiltonian, out in spectra:
+        values = jacobi_eigen(fileio.load_hamiltonian(hamiltonian)).eigenvalues
+        with open(out, "w") as f:
+            f.write(hashlib.sha256(values.tobytes()).hexdigest() + "\\n")
     print(json.dumps(codes))
 """)
 
@@ -125,13 +133,24 @@ def trajectory_jobs(inputs: Path) -> list[list]:
     ]
 
 
-def run_tree(root: Path, jobs: list[list[str]], outdir: Path, trajectories=()) -> list[int]:
-    """Run the jobs and trajectory jobs with root's coopt, in outdir;
-    returns the jobs' exit codes."""
+def spectrum_jobs(inputs: Path) -> list[list[str]]:
+    """(Hamiltonian, digest file) for the Jacobi oracle on the bundled
+    oscillator; writes its Hamiltonian file to inputs."""
+    hamiltonian = inputs / "harmonic_oscillator.json"
+    shutil.copyfile(bundled_path("harmonic_oscillator"), hamiltonian)
+    return [[str(hamiltonian), "oscillator.eigenvalues.sha256"]]
+
+
+def run_tree(
+    root: Path, jobs: list[list[str]], outdir: Path, trajectories=(), spectra=()
+) -> list[int]:
+    """Run the jobs, trajectory jobs and spectrum jobs with root's coopt,
+    in outdir; returns the jobs' exit codes."""
     outdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", RUNNER], input=json.dumps([jobs, list(trajectories)]),
+        [sys.executable, "-c", RUNNER],
+        input=json.dumps([jobs, list(trajectories), list(spectra)]),
         cwd=outdir, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -148,11 +167,13 @@ def differences(old: Path, new: Path) -> list[str]:
 
 
 def compare(
-    old_root: Path, new_root: Path, jobs: list[list[str]], workdir: Path, trajectories=()
+    old_root: Path, new_root: Path, jobs: list[list[str]], workdir: Path,
+    trajectories=(), spectra=(),
 ) -> list[str]:
-    """Every way in which the two trees' runs of jobs and trajectories differ."""
-    old_codes = run_tree(old_root, jobs, workdir / "old", trajectories)
-    new_codes = run_tree(new_root, jobs, workdir / "new", trajectories)
+    """Every way in which the two trees' runs of jobs, trajectories and
+    spectra differ."""
+    old_codes = run_tree(old_root, jobs, workdir / "old", trajectories, spectra)
+    new_codes = run_tree(new_root, jobs, workdir / "new", trajectories, spectra)
     found = [
         f"exit code {a} -> {b}: coopt {' '.join(argv)}"
         for argv, a, b in zip(jobs, old_codes, new_codes) if a != b
@@ -170,7 +191,8 @@ def main(argv=None) -> int:
         inputs = workdir / "inputs"
         inputs.mkdir()
         jobs = game_jobs(inputs) + ring_jobs(inputs) + quantum_jobs(inputs)
-        found = compare(args.old_root, args.new_root, jobs, workdir, trajectory_jobs(inputs))
+        found = compare(args.old_root, args.new_root, jobs, workdir,
+                        trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))
     for line in found:
         print(f"differs: {line}")

@@ -446,23 +446,18 @@ def match_eigenvalue(
 TRAJECTORY_HEADER = "t,agent,action,psi,lambda,residual"
 
 
-def trajectory_rows(points: list[TrajectoryPoint], labels: list[str]):
-    for point in points:
-        for label, psi, lam, resid in zip(
-            labels, point.amplitudes, point.rayleigh, point.residual
-        ):
-            for action in range(psi.size):
-                yield (
-                    f"{float(point.time)!r},{label},{action},"
-                    f"{float(psi[action])!r},{float(lam)!r},{float(resid)!r}"
-                )
-
-
 def write_trajectory_csv(path, sections) -> None:
     """Long-format trajectory CSV; sections is an iterable of
     (points, labels) pairs written under one header."""
     with open(path, "w") as f:
         f.write(TRAJECTORY_HEADER + "\n")
         for points, labels in sections:
-            for row in trajectory_rows(points, labels):
-                f.write(row + "\n")
+            for point in points:
+                time = repr(float(point.time))
+                for label, psi, lam, resid in zip(
+                    labels, point.amplitudes, point.rayleigh, point.residual
+                ):
+                    head, tail = f"{time},{label},", f",{float(lam)!r},{float(resid)!r}\n"
+                    # tolist() gives Python floats: the same repr as float(psi[a])
+                    rows = [f"{head}{a},{x!r}{tail}" for a, x in enumerate(psi.tolist())]
+                    f.write("".join(rows))

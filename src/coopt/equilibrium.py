@@ -94,16 +94,22 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _stacked_returns(model: GameModel, profile: StrategyProfile) -> np.ndarray:
+    """Stacked per-action returns against the others' marginals: expected
+    utilities, or for energies the log Boltzmann weights log E[exp(-E/hbar)]."""
+    validate_profile(model, profile)
+    p = stack(profile.dists, 0.0)
+    if model.mode == "energy":
+        return model.plan.log_returns(p)
+    return model.plan.expectations(p)
+
+
 def _payoff_vectors(model: GameModel, profile: StrategyProfile):
     """Expected utility of each own pure action against the others'
     marginals, per agent; for energies the Boltzmann weight exp(-E/hbar),
     which the plan's log returns give exactly."""
-    validate_profile(model, profile)
-    plan = model.plan
-    p = stack(profile.dists, 0.0)
-    if model.mode == "energy":
-        return plan.rows(np.exp(plan.log_returns(p)))
-    return plan.rows(plan.expectations(p))
+    stacked = _stacked_returns(model, profile)
+    return model.plan.rows(np.exp(stacked) if model.mode == "energy" else stacked)
 
 
 def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
@@ -123,15 +129,29 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
 
     Pure deviations suffice: against fixed opponents the best response is
     attained at a pure action.  Tiny negative gains are clamped to zero.
+    Energy models rank deviations by their log Boltzmann weights, and raise
+    ValueError when the best one's weight underflows to 0 at the model's
+    hbar, where every gain would read 0.
     """
+    stacked = _stacked_returns(model, profile)
+    ranking = vectors = model.plan.rows(stacked)
+    energy = model.mode == "energy"
+    if energy:
+        vectors = model.plan.rows(np.exp(stacked))
     gains = []
     deviations = []
     payoffs = []
-    for dist, vec in zip(profile.dists, _payoff_vectors(model, profile)):
+    for agent, dist, vec, rank in zip(model.agents, profile.dists, vectors, ranking):
+        best = int(np.argmax(rank))
+        if energy and vec[best] == 0.0 and math.isfinite(rank[best]):
+            raise ValueError(
+                f"agent {agent.name!r}: the Boltzmann weight exp({float(rank[best])!r}) of "
+                f"its best deviation underflows to 0 at hbar={model.hbar!r}; use a larger hbar"
+            )
         current = float(dist @ vec)
-        gain = float(vec.max()) - current
+        gain = float(vec[best]) - current
         gains.append(max(gain, 0.0))
-        deviations.append(int(np.argmax(vec)))
+        deviations.append(best)
         payoffs.append(current)
     return EpsilonCertificate(
         epsilon=max(gains),

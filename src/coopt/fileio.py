@@ -237,10 +237,8 @@ def write_document(doc: dict, path=None) -> None:
 
 
 def _named(model: GameModel, vectors) -> dict:
-    return {
-        agent.name: [float(x) for x in vec]
-        for agent, vec in zip(model.agents, vectors)
-    }
+    # tolist() gives the same Python floats, and so bytes, as float(x) per element
+    return {agent.name: vec.tolist() for agent, vec in zip(model.agents, vectors)}
 
 
 def certificate_document(model: GameModel, certificate: EpsilonCertificate) -> dict:
@@ -319,5 +317,5 @@ def quantum_state_entry(
         "matched_eigenvalue_index": state.matched_index,
         "time": float(report.time),
         "converged": bool(report.converged),
-        "amplitudes": [float(x) for x in psi],
+        "amplitudes": psi.tolist(),
     }

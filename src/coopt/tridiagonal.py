@@ -9,10 +9,12 @@ eigenvalues come from Sturm-count bisection (Barth, Martin & Wilkinson,
 Numer. Math. 9 (1967) 386), vectorized across eigenvalues, to a width of
 2 eps ||T||.  The eigenvectors come from inverse iteration (Peters &
 Wilkinson, Handbook for Automatic Computation II, 1971) on LU factors with
-partial pivoting, vectorized across blocks of shifts, with modified
-Gram-Schmidt inside clusters of close eigenvalues, and are carried back
-through the reflectors.  The work is O(n^3) for the reduction and the back
-transform, O(n^2) for the tridiagonal solve, plus O(k^2 n) for a cluster of k.
+partial pivoting, vectorized across blocks of shifts whose LU factors take
+at most 8 MiB (all shifts in one block up to n = 591, 170 per block at
+n = 2048), with modified Gram-Schmidt inside clusters of close eigenvalues,
+and are carried back through the reflectors.  The work is O(n^3) for the
+reduction and the back transform, O(n^2) for the tridiagonal solve, plus
+O(k^2 n) for a cluster of k.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .rng import SplitMix64
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _CLUSTER_GAP = 1e-3  # relative to ||T||, as in LAPACK dstein
-_INVERSE_BLOCK = 64  # shifts per inverse-iteration block: bounds the (n, 3, block) factors
+_INVERSE_BYTES = 8 << 20  # bounds an inverse-iteration block's (n, 3, block) factors
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x: np.ndarray, pivots=None) -> np.ndarray:
@@ -168,8 +170,9 @@ def _inverse_iteration(d, e, values, norm) -> np.ndarray:
     stop = np.minimum.accumulate(np.where(split[1:], index + 1, n)[::-1])[::-1]
     vt = np.empty((n, n))
     starts = SplitMix64(0)  # a fixed seed: results reproduce bitwise
-    for j0 in range(0, n, _INVERSE_BLOCK):
-        shifts = values[j0 : j0 + _INVERSE_BLOCK]
+    block = max(1, _INVERSE_BYTES // (24 * n))  # 3 floats per row and shift
+    for j0 in range(0, n, block):
+        shifts = values[j0 : j0 + block]
         u, keep, mult = _factor_shifted(d, e, shifts, _EPS * norm)
         x = starts.uniform_signed_block(n * shifts.size).reshape(n, shifts.size)
         _back_substitute(u, x)

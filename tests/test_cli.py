@@ -171,6 +171,32 @@ class TestVerify:
         doc = json.loads(proc.stdout)
         assert doc["epsilon"] <= 1e-9
 
+    def test_underflowed_energy_profile_exits_one(self, tmp_path):
+        # Every weight exp(-E/hbar) underflows to 0 at hbar = 0.001, so a
+        # certificate would read epsilon 0 although B gains by switching.
+        table = [[1.0, 2.0], [2.0, 1.0]]
+        problem, profile = tmp_path / "game.json", tmp_path / "profile.json"
+        problem.write_text(json.dumps({
+            "mode": "energy",
+            "hbar": 0.001,
+            "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+            "agents": [
+                {"name": "A", "acts_on": "a",
+                 "objective": {"pairwise": [{"with": "b", "table": table}]}},
+                {"name": "B", "acts_on": "b",
+                 "objective": {"pairwise": [{"with": "a", "table": table}]}},
+            ],
+        }))
+        profile.write_text(json.dumps({"profile": {"A": [1.0, 0.0], "B": [0.0, 1.0]}}))
+        proc = run_cli("verify", "--problem", str(problem), "--profile", str(profile))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "hbar=0.001" in proc.stderr
+        proc = run_cli("verify", "--problem", str(problem), "--profile", str(profile),
+                       "--hbar", "0.01")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["best_deviation"] == {"A": 1, "B": 0}
+
 
 class TestSweep:
     def test_csv_report(self, tmp_path):

@@ -81,3 +81,31 @@ def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
     ))
     found = script.compare(ROOT, tree, [], tmp_path / "moved", trajectories)
     assert found == ["pairwise_chain.coupled.sha256", "ring1.coupled.sha256"]
+
+
+def test_eigenvalue_digest_catches_a_last_bit_change_but_not_moved_vectors(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    spectra = script.spectrum_jobs(inputs)
+    assert script.compare(ROOT, ROOT, [], tmp_path / "same", [], spectra) == []
+    (digest,) = (tmp_path / "same" / "new").iterdir()
+    assert digest.name == "oscillator.eigenvalues.sha256"
+    assert len(digest.read_text().strip()) == 64
+
+    def tree_with(name, old, new):
+        tree = tmp_path / name
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        module = tree / "src" / "coopt" / "tridiagonal.py"
+        source = module.read_text()
+        assert source.count(old) == 1
+        module.write_text(source.replace(old, new))
+        return tree
+
+    # Eigenvalues one ulp up.
+    tree = tree_with("up", "    return values * scale, vt.T\n",
+                     "    return np.nextafter(values * scale, np.inf), vt.T\n")
+    assert script.compare(ROOT, tree, [], tmp_path / "moved", [], spectra) == [digest.name]
+    # Inverse iteration one shift at a time: other start vectors, the same eigenvalues.
+    tree = tree_with("blocks", "_INVERSE_BYTES = 8 << 20", "_INVERSE_BYTES = 1")
+    assert script.compare(ROOT, tree, [], tmp_path / "blocks", [], spectra) == []

@@ -448,3 +448,31 @@ class TestTrajectoryOutput:
         assert len(lines) == 1 + len(points) * 4  # 2 agents x 2 actions
         first = lines[1].split(",")
         assert first[1] == "a1" and first[2] == "0"
+
+    def test_csv_bytes_match_a_per_element_reference(self, tmp_path):
+        # Two sections under one header; agents of different widths; signed
+        # zeros, a subnormal, 1e300 and values that need all 17 digits.
+        point = continuous.TrajectoryPoint
+        first = [
+            point(0.0, (np.array([-0.0, 5e-324, 1e300]), np.array([0.1, -2.0 / 3.0])),
+                  (1.0, -0.0), (1e-17, 2.5)),
+            point(0.3, (np.array([1.0, 0.0, -1e300]), np.array([1e-310, 0.7])),
+                  (2.0 / 3.0, 4.0), (0.0, 1e300)),
+        ]
+        second = [point(9.4, (np.array([math.pi, -0.0]),), (math.e,), (5e-324,))]
+        sections = [(first, ["a", "b"]), (second, ["0"])]
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, sections)
+
+        lines = ["t,agent,action,psi,lambda,residual"]
+        for points, labels in sections:
+            for p in points:
+                for label, psi, lam, resid in zip(labels, p.amplitudes, p.rayleigh, p.residual):
+                    for action in range(psi.size):
+                        lines.append(
+                            f"{repr(float(p.time))},{label},{action},{repr(float(psi[action]))},"
+                            f"{repr(float(lam))},{repr(float(resid))}"
+                        )
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert b"-0.0,1.0,1e-17\n" in path.read_bytes()
+        assert b",5e-324," in path.read_bytes() and b",1e+300," in path.read_bytes()

@@ -49,6 +49,19 @@ def matching_pennies():
     )
 
 
+def agreement_energy():
+    """Two binary agents, each with energy 1 where they agree and 2 where
+    they differ."""
+    table = np.array([[1.0, 2.0], [2.0, 1.0]])
+    return GameModel(
+        (DomainSpec("a", 2), DomainSpec("b", 2)),
+        (
+            Agent("A", "a", PairwiseEnergy((("b", table),))),
+            Agent("B", "b", PairwiseEnergy((("a", table),))),
+        ),
+    )
+
+
 def binary_chain(n):
     """n agents in a line, each with a pairwise energy to its neighbours."""
     table = np.array([[0.0, 1.0], [1.0, 0.5]])
@@ -138,6 +151,30 @@ class TestEpsilonCertificate:
         cert = epsilon_of_profile(model, profile)
         assert all(g >= 0.0 for g in cert.gains)
         assert cert.epsilon == max(cert.gains)
+
+    def test_utilities_of_zero_certify(self):
+        # A best payoff of exactly 0 is a utility, not an underflowed weight.
+        model = helpers.prisoners_dilemma(t=0.0, r=0.0, p=0.0, s=0.0)
+        cert = epsilon_of_profile(model, StrategyProfile.point_mass(model, (1, 0)))
+        assert cert.epsilon == 0.0
+        assert cert.payoffs == (0.0, 0.0)
+
+    def test_underflowed_boltzmann_weights_are_rejected_naming_hbar(self):
+        # At hbar = 0.001 every weight exp(-E/hbar) of this game is 0, so
+        # every gain would read 0, while B gains by switching to 0.
+        model = replace(agreement_energy(), hbar=0.001)
+        with pytest.raises(ValueError, match="hbar=0.001"):
+            epsilon_of_profile(model, StrategyProfile.point_mass(model, (0, 1)))
+
+    @pytest.mark.parametrize("hbar", [0.01, 1.0 / 720.0])  # weights ~1e-44, subnormal ~1e-313
+    def test_tiny_representable_boltzmann_weights_still_certify(self, hbar):
+        model = replace(agreement_energy(), hbar=hbar)
+        cert = epsilon_of_profile(model, StrategyProfile.point_mass(model, (0, 1)))
+        gain = np.exp(-1.0 / hbar) - np.exp(-2.0 / hbar)
+        assert 0.0 < gain
+        assert cert.best_deviation == (1, 0)
+        assert cert.gains == (gain, gain)
+        assert cert.epsilon == gain
 
 
 class TestPureNashEnumeration:

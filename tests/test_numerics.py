@@ -90,6 +90,20 @@ class TestLogSumExp:
         assert np.isnan(out[4]) and np.isnan(out[5])
 
 
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """Shift counts of the inverse-iteration blocks factored during the test."""
+    sizes = []
+    factor = tridiagonal._factor_shifted
+
+    def recording(d, e, shifts, floor):
+        sizes.append(shifts.size)
+        return factor(d, e, shifts, floor)
+
+    monkeypatch.setattr(tridiagonal, "_factor_shifted", recording)
+    return sizes
+
+
 class TestJacobi:
     def test_identity_matrix(self):
         eig = jacobi_eigen(DenseSymmetric(np.eye(3)))
@@ -205,6 +219,33 @@ class TestJacobi:
         first, second = jacobi_eigen(op), jacobi_eigen(op)
         assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
         assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("name,block", [("wilkinson21", 10), ("oscillator", 14)])
+    def test_inverse_iteration_across_blocks(self, monkeypatch, block_sizes, name, block):
+        # A byte cap of `block` shifts splits the solve into several blocks,
+        # and each boundary below cuts a cluster of close eigenvalues (a gap
+        # within _CLUSTER_GAP ||T||), so the cluster's later vectors are
+        # orthogonalized against vectors of the previous block.
+        if name == "wilkinson21":
+            h, boundaries = wilkinson_plus(), [10, 20]
+        else:
+            h = load_hamiltonian(bundled_path("harmonic_oscillator")).matrix
+            boundaries = [182, 196]
+        n = h.shape[0]
+        w = np.linalg.eigvalsh(h)
+        close = 0.9 * tridiagonal._CLUSTER_GAP * np.abs(h).sum(axis=1).max()
+        for j in boundaries:
+            assert j % block == 0 and w[j] - w[j - 1] < close
+        monkeypatch.setattr(tridiagonal, "_INVERSE_BYTES", 24 * n * block)
+        eig = jacobi_eigen(DenseSymmetric(h))
+        assert block_sizes == [block] * (n // block) + ([n % block] if n % block else [])
+        v = eig.eigenvectors
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-9)
+        assert np.abs(h @ v - v * eig.eigenvalues).max() <= 1e-9 * np.linalg.norm(h)
+
+    def test_bundled_grid_takes_one_inverse_iteration_block(self, block_sizes):
+        jacobi_eigen(load_hamiltonian(bundled_path("harmonic_oscillator")))
+        assert block_sizes == [201]
 
     def test_sturm_counts_through_zero_pivots(self):
         # Each count is the number of eigenvalues strictly below the shift,
