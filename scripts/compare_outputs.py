@@ -15,7 +15,10 @@ sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
 (its eigenvectors are not compared: they depend on the oracle's start
 vectors, not only on the matrix).  Both trees read the same input files.
 Exits 1 listing every output file whose bytes differ, or every job whose
-exit code differs; 0 when all match.
+exit code differs; 0 when all match.  A differing .json or .csv file is
+listed with the largest absolute difference between its corresponding
+numbers, or with "structure differs" when anything else in it differs, so
+that a change at rounding level reads as one.
 
 Usage: python scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import textwrap
 import os
 import shutil
@@ -166,6 +170,65 @@ def differences(old: Path, new: Path) -> list[str]:
     ]
 
 
+def _cell(text: str):
+    """A CSV cell as a float when it reads as one."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _largest(old, new) -> float:
+    """Largest absolute difference between the numbers of two parsed
+    documents; raises ValueError where they differ in anything else."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            raise ValueError("keys differ")
+        return max((_largest(old[k], new[k]) for k in old), default=0.0)
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            raise ValueError("lengths differ")
+        return max((_largest(a, b) for a, b in zip(old, new)), default=0.0)
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
+    if not all(numbers):
+        if old != new:
+            raise ValueError("values differ")
+        return 0.0
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    difference = abs(old - new)
+    return math.inf if math.isnan(difference) else float(difference)
+
+
+def largest_difference(old: Path, new: Path) -> float | None:
+    """Largest absolute difference between corresponding numbers of two .json
+    files, or of two .csv files cell by cell; None when they differ in
+    anything but numbers."""
+    def parse(path: Path):
+        text = path.read_text()
+        if path.suffix == ".json":
+            return json.loads(text)
+        return [[_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
+
+    try:
+        return _largest(parse(old), parse(new))
+    except ValueError:
+        return None
+
+
+def describe(name: str, old: Path, new: Path) -> str:
+    """name, with the size of its difference when it is a .json or .csv file
+    present in both directories."""
+    if Path(name).suffix not in (".json", ".csv") or not (
+        (old / name).is_file() and (new / name).is_file()
+    ):
+        return name
+    largest = largest_difference(old / name, new / name)
+    if largest is None:
+        return f"{name} (structure differs)"
+    return f"{name} (largest absolute difference {largest:.3g})"
+
+
 def compare(
     old_root: Path, new_root: Path, jobs: list[list[str]], workdir: Path,
     trajectories=(), spectra=(),
@@ -194,8 +257,8 @@ def main(argv=None) -> int:
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))
-    for line in found:
-        print(f"differs: {line}")
+        for line in found:
+            print(f"differs: {describe(line, workdir / 'old', workdir / 'new')}")
     print(f"{len(jobs)} jobs, {compared} output files, {len(found)} differences")
     return 1 if found else 0
 

@@ -95,11 +95,6 @@ def _unit(v: np.ndarray, what: str) -> np.ndarray:
     return v / norm
 
 
-def _decay(operator: HermitianOperator, hbar: float):
-    factor = -1.0 / hbar
-    return lambda y: operator.matvec(y) * factor
-
-
 def _norm(v: np.ndarray) -> float:
     # the same dot product and square root numpy's norm takes on a 1-D vector
     return math.sqrt(float(v @ v))
@@ -153,6 +148,14 @@ def _check_dt(dt: float, scale: float, hbar: float) -> None:
             f"times the characteristic time {hbar / scale if scale else math.inf}; "
             f"the largest accepted step is {largest_step(scale, hbar)!r}"
         )
+
+
+def _record_every(record_every: int | None, max_steps: int) -> int:
+    if record_every is None:
+        return max(1, max_steps // _TRAJECTORY_POINTS)
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1 (got {record_every})")
+    return record_every
 
 
 def _step_count(t_max: float, dt: float) -> int:
@@ -256,10 +259,10 @@ def evolve_linear(
         dt = _default_dt(scale, hbar)
     _check_dt(dt, scale, hbar)
     max_steps = _step_count(t_max, dt)
-    if record_every is None:
-        record_every = max(1, max_steps // _TRAJECTORY_POINTS)
+    record_every = _record_every(record_every, max_steps)
 
-    derivative = _decay(operator, hbar)
+    # -(H y)/hbar as the product of an operator of H's class, scaled once
+    derivative = operator.scaled(-1.0 / hbar).matvec
     points: list[TrajectoryPoint] = []
     step = 0
     converged = False
@@ -368,8 +371,7 @@ def evolve_coupled(
         dt = _default_dt(scale, hbar)
     _check_dt(dt, scale, hbar)
     max_steps = _step_count(t_max, dt)
-    if record_every is None:
-        record_every = max(1, max_steps // _TRAJECTORY_POINTS)
+    record_every = _record_every(record_every, max_steps)
 
     points: list[TrajectoryPoint] = []
     step = 0
@@ -392,9 +394,11 @@ def evolve_coupled(
             break
         stepped = np.zeros_like(amplitudes)
         slopes = plan.rows(h_psi * (-1.0 / hbar))
-        for i, (h, psi) in enumerate(zip(plan.rows(energies), plan.rows(amplitudes))):
+        rates = plan.rows(energies * (-1.0 / hbar))
+        for i, psi in enumerate(plan.rows(amplitudes)):
+            # the agent's derivative y -> rates[i] * y, its frozen operator prescaled
             stepped[i, : psi.size] = _renormalized(
-                rk4_step(_decay(Diagonal(h), hbar), psi, dt, k1=slopes[i]), step + 1
+                rk4_step(rates[i].__mul__, psi, dt, k1=slopes[i]), step + 1
             )
         amplitudes = stepped
         step += 1

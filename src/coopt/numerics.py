@@ -2,10 +2,14 @@
 
 Log-domain accumulation keeps the dynamics stable when the temperature
 constant is small, and the fixed-step RK4 update drives both continuous-time
-evolutions.  A dense operator whose entries off its three central bands are
-all zero, as every grid Hamiltonian's are, is multiplied on those bands in
-O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle used
-to certify stationary states.  It calls no LAPACK (only norms come from
+evolutions.  Their derivatives are linear within a step, y -> A y with A
+frozen, so `rk4_step` is for linear derivatives: it evaluates classical RK4
+as the polynomial R(dt A) y in Horner form, three stage products on an
+operator prescaled once by -1/hbar (`scaled`) plus the residual product the
+caller already took.  A dense operator whose entries off its three central
+bands are all zero, as every grid Hamiltonian's are, is multiplied on those
+bands in O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle
+used to certify stationary states.  It calls no LAPACK (only norms come from
 numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
 Householder reflectors, then solved by Sturm-sequence bisection plus inverse
 iteration (module `tridiagonal`).
@@ -47,6 +51,10 @@ class Diagonal:
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.entries)
+
+    def scaled(self, factor: float) -> "Diagonal":
+        """factor times this operator, unchecked like DenseSymmetric.scaled."""
+        return _unchecked(Diagonal, entries=self.entries * factor)
 
     def scale(self) -> float:
         """Spectral-radius estimate used for default step sizing (exact here)."""
@@ -97,12 +105,30 @@ class DenseSymmetric:
     def to_dense(self) -> np.ndarray:
         return self.matrix
 
+    def scaled(self, factor: float) -> "DenseSymmetric":
+        """factor times this operator, with the same product.
+
+        Not re-checked: the symmetry tolerance is absolute, so at a large
+        factor a matrix accepted here would fail it.
+        """
+        bands = None if self._bands is None else tuple(b * factor for b in self._bands)
+        return _unchecked(DenseSymmetric, matrix=self.matrix * factor, _bands=bands)
+
     def scale(self) -> float:
         """Max absolute row sum, an upper bound on the spectral radius."""
         return float(np.abs(self.matrix).sum(axis=1).max())
 
 
 HermitianOperator = Diagonal | DenseSymmetric
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen operator class cls with the given fields,
+    skipping __post_init__."""
+    operator = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(operator, name, value)
+    return operator
 
 
 @dataclass(frozen=True)
@@ -169,19 +195,24 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
 def rk4_step(
     derivative, state: np.ndarray, dt: float, k1: np.ndarray | None = None
 ) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size dt.
+    """One classical fourth-order Runge-Kutta step of size dt, for a linear
+    derivative y -> A y that returns an array.
 
-    k1, when given, is derivative(state) as the caller already computed it.
+    For a linear derivative classical RK4 is exactly y -> R(dt A) y with
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, evaluated here in Horner form,
+    y + dt A (y + dt/2 A (y + dt/3 A (y + dt/4 A y))): three derivative
+    calls after the first stage and no slope sum.  A nonlinear derivative
+    gets only a second-order step.  k1, when given, is derivative(state) as
+    the caller already computed it.
     """
     if dt <= 0.0:
         raise ValueError("rk4_step requires dt > 0")
     y = np.asarray(state, dtype=float)
-    k1 = np.asarray(derivative(y) if k1 is None else k1, dtype=float)
-    k2 = np.asarray(derivative(y + (0.5 * dt) * k1), dtype=float)
-    k3 = np.asarray(derivative(y + (0.5 * dt) * k2), dtype=float)
-    k4 = np.asarray(derivative(y + dt * k3), dtype=float)
-    # Non-finite whenever any stage is: one check covers all four.
-    slope = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    if not np.isfinite(slope).all():
+    inner = y + (dt / 4) * np.asarray(derivative(y) if k1 is None else k1, dtype=float)
+    out = y + dt * derivative(y + (dt / 2) * derivative(y + (dt / 3) * derivative(inner)))
+    # A non-finite later stage reaches the output through the products; the
+    # innermost term, of the size of y, is added in for a derivative that
+    # drops its input, and adds no overflow of its own.
+    if not math.isfinite(float(np.add.reduce(inner + out, axis=None))):
         raise ValueError("derivative returned a non-finite value")
-    return y + (dt / 6.0) * slope
+    return out

@@ -60,6 +60,40 @@ def test_differing_and_missing_files_are_listed(tmp_path):
     assert script.differences(old, new) == ["gone.json", "moved.json"]
 
 
+def test_differing_files_are_described_by_their_largest_number_difference(tmp_path):
+    script = load_script()
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    files = {
+        "rounded.json": ('{"a": [1.0, 2.5], "name": "x", "ok": true, "n": 3}',
+                         '{"a": [1.0000000000000002, 2.5], "name": "x", "ok": true, "n": 3}'),
+        "rounded.csv": ("t,agent,psi\n0.5,a,0.25\n", "t,agent,psi\n0.5,a,0.2500001\n"),
+        "renamed.json": ('{"a": 1.0}', '{"b": 1.0}'),
+        "flipped.json": ('{"ok": true}', '{"ok": false}'),
+        "longer.csv": ("t\n1\n", "t\n1\n2\n"),
+        "relabelled.csv": ("t,agent\n1,a\n", "t,agent\n1,b\n"),
+        "digest.sha256": ("aa\n", "ab\n"),
+    }
+    for name, (before, after) in files.items():
+        (old / name).write_text(before)
+        (new / name).write_text(after)
+    (old / "gone.json").write_text("{}\n")
+
+    assert script.largest_difference(old / "rounded.json", new / "rounded.json") == 2.0**-52
+    described = {name: script.describe(name, old, new) for name in [*files, "gone.json"]}
+    assert described == {
+        "rounded.json": "rounded.json (largest absolute difference 2.22e-16)",
+        "rounded.csv": "rounded.csv (largest absolute difference 1e-07)",
+        "renamed.json": "renamed.json (structure differs)",
+        "flipped.json": "flipped.json (structure differs)",
+        "longer.csv": "longer.csv (structure differs)",
+        "relabelled.csv": "relabelled.csv (structure differs)",
+        "digest.sha256": "digest.sha256",
+        "gone.json": "gone.json",
+    }
+
+
 def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
     script = load_script()
     inputs = tmp_path / "inputs"

@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,58 @@ def same_sign_pairwise(seed):
         for a in model.agents
     )
     return GameModel(model.variables, agents, hbar=model.hbar, mode="energy")
+
+
+def classical_rk4(derivative, y, dt):
+    """The textbook four-slope RK4 step, the reference for coopt's
+    Horner-form step."""
+    k1 = derivative(y)
+    k2 = derivative(y + 0.5 * dt * k1)
+    k3 = derivative(y + 0.5 * dt * k2)
+    k4 = derivative(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def linear_replay(matrix, psi, dt, hbar, tol):
+    """Steps and final Rayleigh quotient of evolve_linear's loop, replayed
+    with classical RK4 on the unscaled matrix."""
+    step = 0
+    while True:
+        h_psi = matrix @ psi
+        rayleigh = psi @ h_psi
+        if np.linalg.norm(h_psi - rayleigh * psi) <= tol:
+            return step, rayleigh
+        psi = classical_rk4(lambda y: -(matrix @ y) / hbar, psi, dt)
+        psi = psi / np.linalg.norm(psi)
+        step += 1
+
+
+def coupled_replay(model, steps, dt):
+    """Per-agent amplitudes after each of the given number of coupled steps,
+    each agent's energies summed from its pairwise tables and stepped by
+    classical RK4."""
+    agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
+    psis = [np.full(c, 1.0 / math.sqrt(c)) for c in model.agent_cardinalities()]
+    history = [psis]
+    for _ in range(steps):
+        weights = [psi * psi for psi in psis]
+        stepped = []
+        for agent, psi in zip(model.agents, psis):
+            h = sum(table @ weights[agent_of[v]] for v, table in agent.objective.terms)
+            out = classical_rk4(lambda y: -(h * y) / model.hbar, psi, dt)
+            stepped.append(out / np.linalg.norm(out))
+        psis = stepped
+        history.append(psis)
+    return history
+
+
+def seed_one_ring(tmp_path, monkeypatch):
+    """The 200-agent pairwise ring of the benchmark's ring workload at seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    path = tmp_path / "ring1.json"
+    workloads.write_ring(path, 1, workloads.RING["agents"], workloads.RING["actions"])
+    return fileio.load_problem(path)
 
 
 def agreement_energy_pair():
@@ -249,6 +303,45 @@ class TestEvolveLinear:
         assert len(products) == 4 * k + 1
         assert report.time / dt == k
 
+    @pytest.mark.parametrize("tridiagonal", [True, False])
+    def test_small_hbar_accepts_an_asymmetry_the_loader_accepts(self, tridiagonal):
+        # Prescaled by -1/hbar = -1000, an asymmetry of 5e-13 reads 5e-10:
+        # the operator it steps on must not be re-checked against 1e-12.
+        h = helpers.random_symmetric_matrix(41, 7, span=2.0)
+        if tridiagonal:
+            h = np.triu(np.tril(h, 1), -1)
+        h[1, 0] += 5e-13
+        op = DenseSymmetric(h)
+        assert (op._bands is not None) == tridiagonal
+        psi0 = np.full(7, 1.0 / math.sqrt(7.0))
+        _, small = evolve_linear(op, psi0, hbar=1e-3)
+        _, unit = evolve_linear(op, psi0, hbar=1.0)
+        assert small.converged and unit.converged
+        # dt scales with hbar, so both runs take the same steps of dt * H / hbar
+        assert round(small.time / default_step(op, 1e-3)) == round(unit.time / default_step(op))
+        assert small.states[0].rayleigh == pytest.approx(unit.states[0].rayleigh, abs=1e-12)
+
+    def test_matches_a_classical_rk4_replay(self):
+        x = np.linspace(-4.0, 4.0, 15)
+        op = build_grid_hamiltonian(-4.0, 4.0, 15, 0.5 * x * x)
+        psi0 = np.sqrt(helpers.random_profile_arrays(42, [15])[0])
+        hbar = 0.37
+        _, report = evolve_linear(op, psi0, hbar=hbar)
+        dt = default_step(op, hbar)
+        steps, rayleigh = linear_replay(op.matrix, psi0, dt, hbar, continuous.DEFAULT_STATIONARY_TOL)
+        assert report.converged
+        assert report.time == steps * dt
+        assert report.states[0].rayleigh == pytest.approx(rayleigh, abs=1e-12)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_rejected(self, every):
+        op = Diagonal(np.array([1.0, 2.0]))
+        psi0 = np.array([0.6, 0.8])
+        with pytest.raises(ValueError, match="record_every"):
+            evolve_linear(op, psi0, record_every=every)
+        with pytest.raises(ValueError, match="record_every"):
+            lowest_states(op, 2, psi0, record_every=every)
+
 
 class TestEvolveCoupled:
     def test_single_agent_reduces_to_linear_evolution(self):
@@ -337,6 +430,34 @@ class TestEvolveCoupled:
         lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
         points, _ = evolve_coupled(model, WaveState((lean, lean)), t_max=5.0, record_every=1)
         assert points[1].time == 0.99 * RK4_MONOTONE_LIMIT * model.hbar / 1.0
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="record_every"):
+            evolve_coupled(agreement_energy_pair(), record_every=every)
+
+    @pytest.mark.parametrize("kind", ["seed-1 ring", "mixed widths"])
+    def test_matches_a_per_agent_classical_rk4_replay(self, kind, tmp_path, monkeypatch):
+        if kind == "seed-1 ring":
+            model = seed_one_ring(tmp_path, monkeypatch)
+        else:
+            model = helpers.random_pairwise_model(1)
+            assert len(set(model.agent_cardinalities())) > 1
+        plan = model.plan
+        stacked, rows = [], plan.rows
+        monkeypatch.setattr(plan, "rows", lambda a: stacked.append(a.copy()) or rows(a))
+        points, _ = evolve_coupled(model, t_max=5.0, record_every=1)
+        dt = points[1].time
+        replay = coupled_replay(model, len(points) - 1, dt)
+        assert len(points) > 2
+        for step, (point, psis) in enumerate(zip(points, replay)):
+            assert point.time == step * dt
+            for got, expected in zip(point.amplitudes, psis):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+        # every stacked state, energy and slope keeps its padding exactly 0
+        for a in stacked:
+            for row, card in zip(a, model.agent_cardinalities()):
+                assert (row[card:] == 0.0).all()
 
 
 @st.composite

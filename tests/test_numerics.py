@@ -339,6 +339,30 @@ class TestRk4:
         with pytest.raises(ValueError, match="non-finite"):
             rk4_step(np.zeros_like, np.array([1.0, 2.0]), 0.1, k1=np.array([-1.0, bad]))
 
+    def test_large_finite_first_stage_accepted(self):
+        # finite stages whose sum would overflow do not trip the check
+        y = np.array([1.0, 2.0])
+        out = rk4_step(np.zeros_like, y, 0.1, k1=np.array([1e308, 1e308]))
+        np.testing.assert_array_equal(out, y)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "diagonal"])
+    def test_linear_step_is_the_degree_four_taylor_polynomial(self, kind):
+        # sum over k <= 4 of (dt A)^k / k! y, one power at a time
+        if kind == "symmetric":
+            a = helpers.random_symmetric_matrix(31, 9, span=2.0)
+            derivative = lambda s: a @ s  # noqa: E731
+        else:
+            rates = -np.linspace(0.1, 5.0, 9)
+            a = np.diag(rates)
+            derivative = lambda s: rates * s  # noqa: E731
+        y = helpers.random_profile_arrays(32, [9])[0]
+        dt = 0.1
+        expected, term = y.copy(), y
+        for k in range(1, 5):
+            term = dt * (a @ term) / k
+            expected = expected + term
+        np.testing.assert_allclose(rk4_step(derivative, y, dt), expected, rtol=1e-13)
+
 
 class TestOperators:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
