@@ -6,10 +6,11 @@ alpha grid with 2 restarts at seeds 3 and 7, the soft and hard solves with
 their traces, nash and verify), the solves of two seeded 200-agent
 pairwise rings at alpha 0.5 and 8 (with a trace, and verify), and
 `coopt quantum` on the bundled oscillator at the default step (with a
-trace) and for its three lowest states from a seeded random start, once
-per tree in a fresh interpreter with that tree's src/ on the path.  It also runs
-`continuous.evolve_coupled` on `pairwise_chain` to convergence and on the
-seed-1 ring to t = 5, recording every step, and writes a sha256 over every
+trace), for its three lowest states from a seeded random start and for its
+two lowest at hbar = 0.37, once per tree in a fresh interpreter with that
+tree's src/ on the path.  It also runs `continuous.evolve_coupled` on
+`pairwise_chain` to convergence, at its own hbar = 1 and at hbar = 0.37,
+and on the seed-1 ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals, and a
 sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
 (its eigenvectors are not compared: they depend on the oracle's start
@@ -45,6 +46,8 @@ from workloads import GAMES, HARD_ALPHA, RESTARTS, RING, SOFT_ALPHA, write_ring 
 SEEDS = (3, 7)
 RING_SEEDS = (1, 2)
 RING_T_MAX = 5.0
+# Every other job runs at hbar = 1, where 1/hbar is exact.
+HBAR = 0.37
 
 # Runs every CLI job, then every trajectory job and every spectrum job in
 # one interpreter; the CLI jobs' exit codes go to stdout as JSON.
@@ -120,19 +123,24 @@ def quantum_jobs(inputs: Path) -> list[list[str]]:
         [*base, "--trace", "oscillator.trace.csv", "--out", "oscillator.json"],
         [*base, "--states", "3", "--init", "random", "--seed", "1",
          "--out", "oscillator.states3.json"],
+        [*base, "--hbar", str(HBAR), "--states", "2", "--out", f"oscillator.hbar{HBAR}.json"],
     ]
 
 
 def trajectory_jobs(inputs: Path) -> list[list]:
-    """(problem, t_max, digest file) for evolve_coupled on pairwise_chain
-    and on the first ring; writes their problem files to inputs."""
+    """(problem, t_max, digest file) for evolve_coupled on pairwise_chain,
+    as bundled and at hbar = HBAR, and on the first ring; writes their
+    problem files to inputs."""
     seed = RING_SEEDS[0]
     chain = inputs / "pairwise_chain.json"
     shutil.copyfile(bundled_path("pairwise_chain"), chain)
+    chain_hbar = inputs / f"pairwise_chain.hbar{HBAR}.json"
+    chain_hbar.write_text(json.dumps({**json.loads(chain.read_text()), "hbar": HBAR}))
     ring = inputs / f"ring{seed}.json"
     write_ring(ring, seed, RING["agents"], RING["actions"])
     return [
         [str(chain), 1000.0, "pairwise_chain.coupled.sha256"],
+        [str(chain_hbar), 1000.0, f"pairwise_chain.hbar{HBAR}.coupled.sha256"],
         [str(ring), RING_T_MAX, f"ring{seed}.coupled.sha256"],
     ]
 

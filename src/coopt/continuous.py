@@ -12,6 +12,7 @@ with deflation, climbs the spectrum one state at a time.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,46 +124,57 @@ def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
 
 
 def _accepted(dt: float, scale: float, hbar: float) -> bool:
-    return dt * scale / hbar < RK4_MONOTONE_LIMIT
+    # dt / hbar is the size of the step RK4 takes on H; it is monotone in dt
+    # and overflows only where that step does.
+    return dt / hbar * scale < RK4_MONOTONE_LIMIT
 
 
 def largest_step(scale: float, hbar: float = 1.0) -> float:
     """The largest float dt that evolve_linear and evolve_coupled accept
-    for an operator of the given scale (inf when scale is 0)."""
-    if not scale > 0:
-        return math.inf
-    dt = RK4_MONOTONE_LIMIT * hbar / scale
-    while dt > 0 and not _accepted(dt, scale, hbar):
-        dt = math.nextafter(dt, 0.0)
-    while _accepted(math.nextafter(dt, math.inf), scale, hbar):
-        dt = math.nextafter(dt, math.inf)
-    return dt
+    for an operator of the given scale."""
+    # Non-negative floats are ordered as their bit patterns, so bisecting
+    # those of 0.0 (accepted) and inf (never) takes at most 63 tests.
+    lo, hi = 0, 0x7FF0000000000000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _accepted(_float(mid), scale, hbar) else (lo, mid)
+    return _float(lo)
 
 
-def _check_dt(dt: float, scale: float, hbar: float) -> None:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _schedule(
+    scale: float, hbar: float, dt: float | None, t_max: float, record_every: int | None
+) -> tuple[float, int, int]:
+    """(dt, max_steps, record_every) of a flow whose operators are bounded
+    by scale: dt defaults to 0.99 * RK4_MONOTONE_LIMIT * hbar / scale and
+    must stay below the limit; the default record_every spaces about 1000
+    points over max_steps."""
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite (got {hbar})")
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    if dt is None:
+        dt = _default_dt(scale, hbar)
+    if not dt / hbar > 0:
+        raise ValueError(f"dt must be positive, and dt / hbar nonzero (got dt={dt}, hbar={hbar})")
     if not _accepted(dt, scale, hbar):
         raise ValueError(
             f"dt={dt} is not below the RK4 monotone limit {RK4_MONOTONE_LIMIT:.4f} "
             f"times the characteristic time {hbar / scale if scale else math.inf}; "
             f"the largest accepted step is {largest_step(scale, hbar)!r}"
         )
-
-
-def _record_every(record_every: int | None, max_steps: int) -> int:
-    if record_every is None:
-        return max(1, max_steps // _TRAJECTORY_POINTS)
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1 (got {record_every})")
-    return record_every
-
-
-def _step_count(t_max: float, dt: float) -> int:
     steps = t_max / dt
     if not math.isfinite(steps):
         raise ValueError(f"t_max={t_max} / dt={dt} is not a finite number of steps")
-    return max(1, math.ceil(steps))
+    max_steps = max(1, math.ceil(steps))
+    if record_every is None:
+        return dt, max_steps, max(1, max_steps // _TRAJECTORY_POINTS)
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1 (got {record_every})")
+    return dt, max_steps, record_every
 
 
 def _orthonormalize(vectors) -> np.ndarray | None:
@@ -239,8 +251,9 @@ def evolve_linear(
     default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
     1.5961 is accepted, and steps at or past it are rejected.
     """
-    if not (hbar > 0 and tol > 0 and t_max > 0):
-        raise ValueError("hbar, tol and t_max must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    dt, max_steps, record_every = _schedule(operator.scale(), hbar, dt, t_max, record_every)
     psi = np.asarray(psi0, dtype=float)
     if psi.shape != (operator.dimension,):
         raise ValueError("initial state does not match the operator dimension")
@@ -254,15 +267,8 @@ def evolve_linear(
             raise ValueError("initial state lies in the deflated subspace")
         psi = psi / norm
 
-    scale = operator.scale()
-    if dt is None:
-        dt = _default_dt(scale, hbar)
-    _check_dt(dt, scale, hbar)
-    max_steps = _step_count(t_max, dt)
-    record_every = _record_every(record_every, max_steps)
-
-    # -(H y)/hbar as the product of an operator of H's class, scaled once
-    derivative = operator.scaled(-1.0 / hbar).matvec
+    # d(psi)/dt = -(H psi)/hbar is a step of -dt/hbar on H itself
+    step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0
     converged = False
@@ -282,7 +288,7 @@ def evolve_linear(
             break
         if step >= max_steps:
             break
-        psi = rk4_step(derivative, psi, dt, k1=h_psi * (-1.0 / hbar))
+        psi = rk4_step(operator.matvec, psi, step_size, k1=h_psi)
         if basis is not None:
             psi = psi - basis @ (basis.T @ psi)
         psi = _renormalized(psi, step + 1)
@@ -356,8 +362,8 @@ def evolve_coupled(
     whole run.  Reduces exactly to evolve_linear when the model has a
     single agent.
     """
-    if not (tol > 0 and t_max > 0):
-        raise ValueError("tol and t_max must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     _require_energy(model)
     hbar = model.hbar
     plan = model.plan
@@ -366,13 +372,8 @@ def evolve_coupled(
         raise ValueError("initial state does not match the agents' cardinalities")
     amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)], 0.0)
 
-    scale = coupled_scale(model)
-    if dt is None:
-        dt = _default_dt(scale, hbar)
-    _check_dt(dt, scale, hbar)
-    max_steps = _step_count(t_max, dt)
-    record_every = _record_every(record_every, max_steps)
-
+    dt, max_steps, record_every = _schedule(coupled_scale(model), hbar, dt, t_max, record_every)
+    step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0
     converged = False
@@ -393,12 +394,11 @@ def evolve_coupled(
         if step >= max_steps:
             break
         stepped = np.zeros_like(amplitudes)
-        slopes = plan.rows(h_psi * (-1.0 / hbar))
-        rates = plan.rows(energies * (-1.0 / hbar))
+        slopes, rates = plan.rows(h_psi), plan.rows(energies)
         for i, psi in enumerate(plan.rows(amplitudes)):
-            # the agent's derivative y -> rates[i] * y, its frozen operator prescaled
+            # the agent's frozen diagonal operator y -> rates[i] * y
             stepped[i, : psi.size] = _renormalized(
-                rk4_step(rates[i].__mul__, psi, dt, k1=slopes[i]), step + 1
+                rk4_step(rates[i].__mul__, psi, step_size, k1=slopes[i]), step + 1
             )
         amplitudes = stepped
         step += 1

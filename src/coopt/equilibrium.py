@@ -109,7 +109,8 @@ def _payoff_vectors(model: GameModel, profile: StrategyProfile):
     marginals, per agent; for energies the Boltzmann weight exp(-E/hbar),
     which the plan's log returns give exactly."""
     stacked = _stacked_returns(model, profile)
-    return model.plan.rows(np.exp(stacked) if model.mode == "energy" else stacked)
+    with np.errstate(over="ignore"):  # callers check the weights they use
+        return model.plan.rows(np.exp(stacked) if model.mode == "energy" else stacked)
 
 
 def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
@@ -118,10 +119,22 @@ def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> f
     return float(profile.dists[index] @ vectors[index])
 
 
+def _weight_error(what: str, weight: float, hbar: float) -> ValueError:
+    """The error for a Boltzmann weight, positive in exact arithmetic, that
+    underflowed to 0 or overflowed at hbar."""
+    fate = "underflows to 0" if weight == 0.0 else "overflows"
+    return ValueError(f"{what} {fate} at hbar={hbar!r}; use a larger hbar")
+
+
 def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
-    """Unweighted mean of the agents' expected payoffs."""
+    """Unweighted mean of the agents' expected payoffs.  For energy models
+    it raises ValueError naming hbar when the mean weight underflows to 0 or
+    overflows."""
     vectors = _payoff_vectors(model, profile)
-    return float(np.mean([float(d @ v) for d, v in zip(profile.dists, vectors)]))
+    welfare = float(np.mean([float(d @ v) for d, v in zip(profile.dists, vectors)]))
+    if model.mode == "energy" and not 0.0 < welfare < math.inf:
+        raise _weight_error("the mean expected Boltzmann weight", welfare, model.hbar)
+    return welfare
 
 
 def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCertificate:
@@ -131,22 +144,24 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     attained at a pure action.  Tiny negative gains are clamped to zero.
     Energy models rank deviations by their log Boltzmann weights, and raise
     ValueError when the best one's weight underflows to 0 at the model's
-    hbar, where every gain would read 0.
+    hbar, where every gain would read 0, or overflows, where it would read
+    NaN.
     """
     stacked = _stacked_returns(model, profile)
     ranking = vectors = model.plan.rows(stacked)
     energy = model.mode == "energy"
     if energy:
-        vectors = model.plan.rows(np.exp(stacked))
+        with np.errstate(over="ignore"):  # checked per agent below
+            vectors = model.plan.rows(np.exp(stacked))
     gains = []
     deviations = []
     payoffs = []
     for agent, dist, vec, rank in zip(model.agents, profile.dists, vectors, ranking):
         best = int(np.argmax(rank))
-        if energy and vec[best] == 0.0 and math.isfinite(rank[best]):
-            raise ValueError(
+        if energy and not 0.0 < vec[best] < math.inf:
+            raise _weight_error(
                 f"agent {agent.name!r}: the Boltzmann weight exp({float(rank[best])!r}) of "
-                f"its best deviation underflows to 0 at hbar={model.hbar!r}; use a larger hbar"
+                "its best deviation", float(vec[best]), model.hbar
             )
         current = float(dist @ vec)
         gain = float(vec[best]) - current
@@ -227,7 +242,8 @@ def alpha_sweep(
     the global-minimum hit flag for energy models (against the exhaustive
     minimum of the summed energies; left empty when the joint domain
     exceeds MAX_ENUMERATION_SIZE); welfare always, using the Boltzmann
-    weights for energy models.  Cell failures are recorded, not raised.
+    weights for energy models (left empty when their mean underflows to 0
+    or overflows).  Cell failures are recorded, not raised.
     """
     validate(model)
     alphas = [float(a) for a in alpha_grid]
@@ -257,7 +273,10 @@ def alpha_sweep(
                 if model.mode == "utility"
                 else None
             )
-            welfare = social_welfare(model, result.profile)
+            try:
+                welfare = social_welfare(model, result.profile)
+            except ValueError:  # the weights left the float range at this hbar
+                welfare = None
             hit = None
             if total is not None:
                 decoded = decode_assignment(result.profile)

@@ -224,7 +224,8 @@ def load_profile(path, model: GameModel) -> StrategyProfile:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON (RFC 8259): refuse them, not write them
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_document(doc: dict, path=None) -> None:

@@ -4,11 +4,12 @@ Log-domain accumulation keeps the dynamics stable when the temperature
 constant is small, and the fixed-step RK4 update drives both continuous-time
 evolutions.  Their derivatives are linear within a step, y -> A y with A
 frozen, so `rk4_step` is for linear derivatives: it evaluates classical RK4
-as the polynomial R(dt A) y in Horner form, three stage products on an
-operator prescaled once by -1/hbar (`scaled`) plus the residual product the
-caller already took.  A dense operator whose entries off its three central
-bands are all zero, as every grid Hamiltonian's are, is multiplied on those
-bands in O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle
+as the polynomial R(dt A) y in Horner form, three stage products plus the
+residual product the caller already took.  The step is signed, so the flows
+step on H itself with dt = -(time step)/hbar and no scaled copy of H is
+made.  A dense operator whose entries off its three central bands are all
+zero, as every grid Hamiltonian's are, is multiplied on those bands in
+O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle
 used to certify stationary states.  It calls no LAPACK (only norms come from
 numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
 Householder reflectors, then solved by Sturm-sequence bisection plus inverse
@@ -46,15 +47,8 @@ class Diagonal:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.entries * v
 
-    def diagonal(self) -> np.ndarray:
-        return self.entries
-
     def to_dense(self) -> np.ndarray:
         return np.diag(self.entries)
-
-    def scaled(self, factor: float) -> "Diagonal":
-        """factor times this operator, unchecked like DenseSymmetric.scaled."""
-        return _unchecked(Diagonal, entries=self.entries * factor)
 
     def scale(self) -> float:
         """Spectral-radius estimate used for default step sizing (exact here)."""
@@ -85,6 +79,8 @@ class DenseSymmetric:
         bands = tuple(np.diagonal(m, k).copy() for k in (0, 1, -1))
         tridiagonal = np.count_nonzero(m) == sum(np.count_nonzero(b) for b in bands)
         object.__setattr__(self, "_bands", bands if tridiagonal else None)
+        # Taken once here: the reduction allocates a matrix the size of m.
+        object.__setattr__(self, "_scale", float(np.abs(m).sum(axis=1).max()))
 
     @property
     def dimension(self) -> int:
@@ -99,36 +95,15 @@ class DenseSymmetric:
         out[1:] += lo * v[:-1]
         return out
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
     def to_dense(self) -> np.ndarray:
         return self.matrix
 
-    def scaled(self, factor: float) -> "DenseSymmetric":
-        """factor times this operator, with the same product.
-
-        Not re-checked: the symmetry tolerance is absolute, so at a large
-        factor a matrix accepted here would fail it.
-        """
-        bands = None if self._bands is None else tuple(b * factor for b in self._bands)
-        return _unchecked(DenseSymmetric, matrix=self.matrix * factor, _bands=bands)
-
     def scale(self) -> float:
         """Max absolute row sum, an upper bound on the spectral radius."""
-        return float(np.abs(self.matrix).sum(axis=1).max())
+        return self._scale
 
 
 HermitianOperator = Diagonal | DenseSymmetric
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen operator class cls with the given fields,
-    skipping __post_init__."""
-    operator = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(operator, name, value)
-    return operator
 
 
 @dataclass(frozen=True)
@@ -195,18 +170,19 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
 def rk4_step(
     derivative, state: np.ndarray, dt: float, k1: np.ndarray | None = None
 ) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size dt, for a linear
-    derivative y -> A y that returns an array.
+    """One classical fourth-order Runge-Kutta step of signed size dt, for a
+    linear derivative y -> A y that returns an array.
 
     For a linear derivative classical RK4 is exactly y -> R(dt A) y with
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, evaluated here in Horner form,
     y + dt A (y + dt/2 A (y + dt/3 A (y + dt/4 A y))): three derivative
-    calls after the first stage and no slope sum.  A nonlinear derivative
-    gets only a second-order step.  k1, when given, is derivative(state) as
-    the caller already computed it.
+    calls after the first stage and no slope sum.  A negative dt steps
+    y -> -A y by |dt|, bit for bit, since negation is exact.  A nonlinear
+    derivative gets only a second-order step.  k1, when given, is
+    derivative(state) as the caller already computed it.
     """
-    if dt <= 0.0:
-        raise ValueError("rk4_step requires dt > 0")
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise ValueError(f"rk4_step requires a finite nonzero dt (got {dt})")
     y = np.asarray(state, dtype=float)
     inner = y + (dt / 4) * np.asarray(derivative(y) if k1 is None else k1, dtype=float)
     out = y + dt * derivative(y + (dt / 2) * derivative(y + (dt / 3) * derivative(inner)))

@@ -12,10 +12,26 @@ PD = str(bundled_path("prisoners_dilemma"))
 HARMONIC = str(bundled_path("harmonic_oscillator"))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "coopt", *args], capture_output=True, text=True
+        [sys.executable, "-m", "coopt", *args], capture_output=True, text=True, timeout=timeout
     )
+
+
+def write_agreement_game(path, hbar):
+    """Two binary agents with the pairwise energy table [[1, 2], [2, 1]]."""
+    table = [[1.0, 2.0], [2.0, 1.0]]
+    path.write_text(json.dumps({
+        "mode": "energy",
+        "hbar": hbar,
+        "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+        "agents": [
+            {"name": "A", "acts_on": "a",
+             "objective": {"pairwise": [{"with": "b", "table": table}]}},
+            {"name": "B", "acts_on": "b",
+             "objective": {"pairwise": [{"with": "a", "table": table}]}},
+        ],
+    }))
 
 
 class TestSolve:
@@ -110,19 +126,8 @@ class TestNash:
 
     def test_energy_game_at_small_hbar(self, tmp_path):
         # exp(-E/hbar) underflows to 0 for every entry here; energies do not.
-        table = [[1.0, 2.0], [2.0, 1.0]]
         problem = tmp_path / "game.json"
-        problem.write_text(json.dumps({
-            "mode": "energy",
-            "hbar": 0.001,
-            "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
-            "agents": [
-                {"name": "A", "acts_on": "a",
-                 "objective": {"pairwise": [{"with": "b", "table": table}]}},
-                {"name": "B", "acts_on": "b",
-                 "objective": {"pairwise": [{"with": "a", "table": table}]}},
-            ],
-        }))
+        write_agreement_game(problem, 0.001)
         proc = run_cli("nash", "--problem", str(problem))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["equilibria"] == [{"A": 0, "B": 0}, {"A": 1, "B": 1}]
@@ -174,19 +179,8 @@ class TestVerify:
     def test_underflowed_energy_profile_exits_one(self, tmp_path):
         # Every weight exp(-E/hbar) underflows to 0 at hbar = 0.001, so a
         # certificate would read epsilon 0 although B gains by switching.
-        table = [[1.0, 2.0], [2.0, 1.0]]
         problem, profile = tmp_path / "game.json", tmp_path / "profile.json"
-        problem.write_text(json.dumps({
-            "mode": "energy",
-            "hbar": 0.001,
-            "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
-            "agents": [
-                {"name": "A", "acts_on": "a",
-                 "objective": {"pairwise": [{"with": "b", "table": table}]}},
-                {"name": "B", "acts_on": "b",
-                 "objective": {"pairwise": [{"with": "a", "table": table}]}},
-            ],
-        }))
+        write_agreement_game(problem, 0.001)
         profile.write_text(json.dumps({"profile": {"A": [1.0, 0.0], "B": [0.0, 1.0]}}))
         proc = run_cli("verify", "--problem", str(problem), "--profile", str(profile))
         assert proc.returncode == 1
@@ -196,6 +190,19 @@ class TestVerify:
                        "--hbar", "0.01")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["best_deviation"] == {"A": 1, "B": 0}
+
+    def test_overflowed_energy_profile_exits_one(self, tmp_path):
+        # exp(-E/hbar) of the chain's negative energies overflows at 1e-300,
+        # where the certificate would read epsilon NaN and payoffs Infinity.
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(
+            {"profile": {"A": [0.5, 0.5, 0.0], "B": [0.2, 0.3, 0.5], "C": [0.9, 0.1, 0.0]}}
+        ))
+        proc = run_cli("verify", "--problem", str(bundled_path("pairwise_chain")),
+                       "--profile", str(profile), "--hbar", "1e-300")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "overflows at hbar=1e-300" in proc.stderr
 
 
 class TestSweep:
@@ -214,6 +221,38 @@ class TestSweep:
         proc = run_cli("sweep", "--problem", PD, "--alpha-grid", "nope")
         assert proc.returncode == 1
         assert "alpha-grid" in proc.stderr
+
+    @pytest.mark.parametrize("hbar", ["0.001", "1e-300"])
+    def test_welfare_outside_the_float_range_is_left_empty(self, tmp_path, hbar):
+        # The weights underflow to 0 at 0.001 and, for the chain's negative
+        # energies, overflow at 1e-300.
+        if hbar == "0.001":
+            problem = tmp_path / "game.json"
+            write_agreement_game(problem, 0.001)
+        else:
+            problem = bundled_path("pairwise_chain")
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "--problem", str(problem), "--alpha-grid", "0.5:8:log:3",
+                       "--restarts", "2", "--hbar", hbar, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(row[5] == "" and row[6] in ("true", "false") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["solve", "--alpha", "inf"], "--alpha"), (["solve", "--alpha", "nan"], "--alpha"),
+     (["sweep", "--alpha-grid", "1:inf:lin:2"], "--alpha-grid bounds"),
+     (["sweep", "--alpha-grid", "nan:2:log:2"], "--alpha-grid bounds")],
+)
+def test_non_finite_alpha_exits_one_naming_the_flag(tmp_path, capsys, argv, flag):
+    from coopt.cli import main
+
+    assert main([*argv, "--problem", PD, "--out", str(tmp_path / "out")]) == 1
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestQuantum:
@@ -271,6 +310,17 @@ class TestQuantum:
         proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--dt", "1.0")
         assert proc.returncode == 1
         assert "characteristic" in proc.stderr
+
+    def test_infinite_hbar_exits_one_naming_hbar(self):
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", "inf", timeout=60)
+        assert proc.returncode == 1
+        assert "hbar must be positive and finite" in proc.stderr
+
+    def test_largest_finite_hbar_is_decided_at_once(self):
+        # The default step overflows to inf here, and is rejected at once.
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", "1.7e308", timeout=60)
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
 
     def test_unbounded_step_count_exits_one(self, tmp_path):
         h = tmp_path / "h.json"

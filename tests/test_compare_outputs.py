@@ -31,10 +31,12 @@ def test_quantum_outputs_are_compared(tmp_path):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     jobs = script.quantum_jobs(inputs)
-    assert [job[0] for job in jobs] == ["quantum", "quantum"]
+    assert [job[0] for job in jobs] == ["quantum", "quantum", "quantum"]
+    assert [job[job.index("--hbar") + 1] for job in jobs if "--hbar" in job] == ["0.37"]
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
-    assert written == ["oscillator.json", "oscillator.states3.json", "oscillator.trace.csv"]
+    assert written == ["oscillator.hbar0.37.json", "oscillator.json",
+                       "oscillator.states3.json", "oscillator.trace.csv"]
 
     # A tree whose default step is one ulp shorter.
     tree = tmp_path / "tree"
@@ -46,7 +48,10 @@ def test_quantum_outputs_are_compared(tmp_path):
     continuous.write_text(source.replace(
         line, "DEFAULT_STEP_TIMES = math.nextafter(0.99 * RK4_MONOTONE_LIMIT, 0.0)\n"
     ))
-    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == written
+    # At hbar = 0.37 the shorter factor rounds to the same step.
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
+        name for name in written if "hbar" not in name
+    ]
 
 
 def test_differing_and_missing_files_are_listed(tmp_path):
@@ -101,7 +106,9 @@ def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
     trajectories = script.trajectory_jobs(inputs)
     assert script.compare(ROOT, ROOT, [], tmp_path / "same", trajectories) == []
     digests = sorted((tmp_path / "same" / "new").iterdir())
-    assert [p.name for p in digests] == ["pairwise_chain.coupled.sha256", "ring1.coupled.sha256"]
+    assert [p.name for p in digests] == ["pairwise_chain.coupled.sha256",
+                                         "pairwise_chain.hbar0.37.coupled.sha256",
+                                         "ring1.coupled.sha256"]
     assert all(len(p.read_text().strip()) == 64 for p in digests)
 
     # A tree whose renormalized amplitudes move by one ulp after each step.
@@ -114,7 +121,7 @@ def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
         "        amplitudes = stepped\n", "        amplitudes = np.nextafter(stepped, 2.0)\n"
     ))
     found = script.compare(ROOT, tree, [], tmp_path / "moved", trajectories)
-    assert found == ["pairwise_chain.coupled.sha256", "ring1.coupled.sha256"]
+    assert found == [p.name for p in digests]
 
 
 def test_eigenvalue_digest_catches_a_last_bit_change_but_not_moved_vectors(tmp_path):

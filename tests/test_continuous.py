@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -305,8 +306,8 @@ class TestEvolveLinear:
 
     @pytest.mark.parametrize("tridiagonal", [True, False])
     def test_small_hbar_accepts_an_asymmetry_the_loader_accepts(self, tridiagonal):
-        # Prescaled by -1/hbar = -1000, an asymmetry of 5e-13 reads 5e-10:
-        # the operator it steps on must not be re-checked against 1e-12.
+        # Scaled by 1/hbar = 1000, an asymmetry of 5e-13 reads 5e-10: the
+        # flow must step on the operator as loaded, not re-check a scaled copy.
         h = helpers.random_symmetric_matrix(41, 7, span=2.0)
         if tridiagonal:
             h = np.triu(np.tril(h, 1), -1)
@@ -332,6 +333,40 @@ class TestEvolveLinear:
         assert report.converged
         assert report.time == steps * dt
         assert report.states[0].rayleigh == pytest.approx(rayleigh, abs=1e-12)
+
+    def test_a_short_run_allocates_nothing_the_size_of_the_operator(self):
+        n = 1024
+        x = np.linspace(-8.0, 8.0, n)
+        op = build_grid_hamiltonian(-8.0, 8.0, n, 0.5 * x * x)
+        psi0 = np.full(n, 1.0 / math.sqrt(n))
+        dt = default_step(op)
+        tracemalloc.start()
+        try:
+            evolve_linear(op, psi0, t_max=8 * dt, record_every=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("hbar", [math.inf, math.nan, 0.0, -1.0])
+    def test_hbar_that_is_not_positive_and_finite_rejected(self, hbar):
+        op = Diagonal(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="hbar"):
+            evolve_linear(op, np.array([0.6, 0.8]), hbar=hbar)
+        with pytest.raises(ValueError, match="hbar"):
+            evolve_linear(op, np.array([0.6, 0.8]), dt=0.1, hbar=hbar)
+
+    def test_huge_hbar_is_decided_at_once(self):
+        # Here dt * scale overflows although dt / hbar * scale is about 1.6.
+        op = build_grid_hamiltonian(-3.0, 3.0, 11, np.zeros(11))
+        psi0 = np.full(11, 1.0 / math.sqrt(11.0))
+        hbar = 1.7e308
+        dt = largest_step(op.scale(), hbar)
+        assert math.isfinite(dt) and dt * (op.scale() / hbar) < RK4_MONOTONE_LIMIT
+        _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=3 * dt)
+        assert report.time == 3 * dt
+        with pytest.raises(ValueError, match="largest accepted step"):
+            evolve_linear(op, psi0, hbar=hbar)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_record_every_below_one_rejected(self, every):
@@ -513,6 +548,14 @@ class TestDefaultStepIsProvablyRight:
         found = [report.states[0].rayleigh for _, report, _ in results]
         expected = jacobi_eigen(op).eigenvalues[:3]
         np.testing.assert_allclose(found, expected, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("scale,hbar", [
+        (1.0, 1.7e308), (1e-320, 1e-100), (1e300, 1e-300), (0.0, 1.0), (5e-324, 1e-300),
+    ])
+    def test_largest_step_ends_at_the_extremes_of_the_float_range(self, scale, hbar):
+        dt = largest_step(scale, hbar)
+        assert continuous._accepted(dt, scale, hbar)
+        assert not continuous._accepted(math.nextafter(dt, math.inf), scale, hbar)
 
     @pytest.mark.parametrize("scale,hbar", [(1.0, 1.0), (7.3, 0.5), (4.0e4, 2.0), (3.0, 1e-5)])
     def test_largest_step_is_the_last_one_accepted(self, scale, hbar):

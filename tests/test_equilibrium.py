@@ -49,16 +49,17 @@ def matching_pennies():
     )
 
 
-def agreement_energy():
-    """Two binary agents, each with energy 1 where they agree and 2 where
-    they differ."""
-    table = np.array([[1.0, 2.0], [2.0, 1.0]])
+def agreement_energy(shift=0.0, hbar=1.0):
+    """Two binary agents, each with energy 1 + shift where they agree and
+    2 + shift where they differ."""
+    table = np.array([[1.0, 2.0], [2.0, 1.0]]) + shift
     return GameModel(
         (DomainSpec("a", 2), DomainSpec("b", 2)),
         (
             Agent("A", "a", PairwiseEnergy((("b", table),))),
             Agent("B", "b", PairwiseEnergy((("a", table),))),
         ),
+        hbar=hbar,
     )
 
 
@@ -164,6 +165,13 @@ class TestEpsilonCertificate:
         # every gain would read 0, while B gains by switching to 0.
         model = replace(agreement_energy(), hbar=0.001)
         with pytest.raises(ValueError, match="hbar=0.001"):
+            epsilon_of_profile(model, StrategyProfile.point_mass(model, (0, 1)))
+
+    def test_overflowed_boltzmann_weights_are_rejected_naming_hbar(self):
+        # At hbar = 1e-300 the weight exp(0.5/hbar) of energy -0.5 is inf,
+        # so every gain would read inf - inf = NaN.
+        model = agreement_energy(shift=-1.5, hbar=1e-300)
+        with pytest.raises(ValueError, match="overflows at hbar=1e-300"):
             epsilon_of_profile(model, StrategyProfile.point_mass(model, (0, 1)))
 
     @pytest.mark.parametrize("hbar", [0.01, 1.0 / 720.0])  # weights ~1e-44, subnormal ~1e-313
@@ -318,3 +326,18 @@ def test_social_welfare_is_mean_payoff():
     model = helpers.prisoners_dilemma()
     uniform = StrategyProfile.uniform(model)
     assert social_welfare(model, uniform) == pytest.approx(2.25)
+
+
+@pytest.mark.parametrize("shift,hbar,fate", [
+    (0.0, 0.001, "underflows to 0"),  # every weight exp(-E/hbar) <= exp(-1000)
+    (-1.5, 1e-300, "overflows"),  # the weight of energy -0.5 is exp(5e299)
+])
+def test_welfare_outside_the_float_range_is_rejected_and_left_empty(shift, hbar, fate):
+    model = agreement_energy(shift, hbar)
+    with pytest.raises(ValueError, match=f"{fate} at hbar={hbar!r}"):
+        social_welfare(model, StrategyProfile.uniform(model))
+    report = alpha_sweep(model, [0.5, 2.0, 8.0], restarts=2)
+    assert len(report.rows) == 6
+    assert all(row.welfare is None and row.global_hit is not None for row in report.rows)
+    # and the column is written empty
+    assert all(line.split(",")[5] == "" for line in report.to_csv().splitlines()[1:])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -268,6 +269,11 @@ class TestDocumentRoundTrip:
         doc = solve_document(model, 4.0, result, epsilon_of_profile(model, result.profile))
         text = dumps_document(doc)
         assert dumps_document(json.loads(text)) == text
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_refused(self, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            dumps_document({"epsilon": value})
 
     def test_every_bundled_file_reparses_identically(self):
         for name in ("prisoners_dilemma", "matching_pennies", "coordination",

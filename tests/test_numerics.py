@@ -321,9 +321,26 @@ class TestRk4:
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
             rk4_step(lambda s: s / 0.0, np.array([1.0]), 0.1)
 
-    def test_non_positive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            rk4_step(lambda s: -s, np.array([1.0]), 0.0)
+    @pytest.mark.parametrize("dt", [0.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_zero_or_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite nonzero dt"):
+            rk4_step(lambda s: -s, np.array([1.0]), dt)
+
+    @pytest.mark.parametrize("tridiagonal", [True, False])
+    def test_negative_step_is_a_positive_step_on_the_negated_operator_bitwise(
+        self, tridiagonal
+    ):
+        h = helpers.random_symmetric_matrix(13, 9, span=2.0)
+        if tridiagonal:
+            h = np.triu(np.tril(h, 1), -1)
+        op, negated = DenseSymmetric(h), DenseSymmetric(-h)
+        assert (op._bands is not None) == tridiagonal
+        y = np.sqrt(helpers.random_profile_arrays(14, [9])[0])
+        for dt in (0.05, 0.3):
+            got = rk4_step(op.matvec, y, -dt, k1=op.matvec(y))
+            expected = rk4_step(negated.matvec, y, dt, k1=negated.matvec(y))
+            assert got.tobytes() == expected.tobytes()
+            assert rk4_step(op.matvec, y, -dt).tobytes() == expected.tobytes()
 
     def test_given_first_stage_gives_the_same_step_bitwise(self):
         h = helpers.random_symmetric_matrix(11, 9, span=2.0)
