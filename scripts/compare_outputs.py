@@ -4,13 +4,16 @@
 Runs the CLI jobs of perfbench's games-sweep workload (each bundled game's
 alpha grid with 2 restarts at seeds 3 and 7, the soft and hard solves with
 their traces, nash and verify), the solves of two seeded 200-agent
-pairwise rings at alpha 0.5 and 8 (with a trace, and verify), and
+pairwise rings at alpha 0.5 and 8 (with a trace, and verify), the same
+three jobs and a sweep on a generated ring of mixed cardinalities whose
+agents hold pairwise terms or dense tables and whose names need escaping
+in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
 two lowest at hbar = 0.37, once per tree in a fresh interpreter with that
 tree's src/ on the path.  It also runs `continuous.evolve_coupled` on
 `pairwise_chain` to convergence, at its own hbar = 1 and at hbar = 0.37,
-and on the seed-1 ring to t = 5, recording every step, and writes a sha256 over every
+and on the seed-1 ring and the mixed ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals, and a
 sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
 (its eigenvectors are not compared: they depend on the oracle's start
@@ -114,6 +117,63 @@ def ring_jobs(inputs: Path, seeds=RING_SEEDS) -> list[list[str]]:
     return jobs
 
 
+def mixed_problem(agents: int = 24) -> dict:
+    """A seeded energy ring over cardinalities 2, 3 and 5 in turn.
+
+    Agents 0, 2, 4 (mod 6) hold pairwise terms to both ring neighbours,
+    agents 1 and 3 a dense table over their own variable and one neighbour
+    (3 with the neighbour's axis first), agent 5 one over both neighbours;
+    agent names cycle through a quote, a backslash and non-ASCII letters.
+    """
+    from coopt.rng import SplitMix64
+
+    stream = SplitMix64(5)
+    cards = [(2, 3, 5)[i % 3] for i in range(agents)]
+    names = ['agent "{}"', "agent \\{}", "agént {}", "エージェント{}"]
+
+    def table(*order):
+        count = math.prod(cards[j] for j in order)
+        return [stream.uniform_signed() for _ in range(count)]
+
+    def rows(i, j):
+        flat = table(i, j)
+        return [flat[k * cards[j]:(k + 1) * cards[j]] for k in range(cards[i])]
+
+    def objective(i):
+        left, right = (i - 1) % agents, (i + 1) % agents
+        kind = i % 6
+        if kind in (0, 2, 4):
+            return {"pairwise": [{"with": f"x{j}", "table": rows(i, j)} for j in (left, right)]}
+        order = {1: (i, right), 3: (left, i), 5: (left, i, right)}[kind]
+        return {"dense": {"order": [f"x{j}" for j in order], "values": table(*order)}}
+
+    return {
+        "mode": "energy",
+        "hbar": 1.0,
+        "variables": [{"name": f"x{i}", "cardinality": c} for i, c in enumerate(cards)],
+        "agents": [
+            {"name": names[i % 4].format(i), "acts_on": f"x{i}", "objective": objective(i)}
+            for i in range(agents)
+        ],
+    }
+
+
+def mixed_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for the mixed ring; writes its problem file to inputs."""
+    problem = inputs / "mixed.json"
+    problem.write_text(json.dumps(mixed_problem(), sort_keys=True))
+    base = ["--problem", str(problem)]
+    return [
+        ["solve", *base, "--alpha", str(SOFT_ALPHA), "--trace", "mixed.soft.csv",
+         "--out", "mixed.soft.json"],
+        ["solve", *base, "--alpha", str(HARD_ALPHA), "--max-iter", str(RING["hard_max_iter"]),
+         "--out", "mixed.hard.json"],
+        ["verify", *base, "--profile", "mixed.soft.json", "--out", "mixed.verify.json"],
+        ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
+         "--max-iter", "200", "--out", "mixed.sweep.csv"],
+    ]
+
+
 def quantum_jobs(inputs: Path) -> list[list[str]]:
     """CLI argv lists for the oscillator; writes its Hamiltonian file to inputs."""
     hamiltonian = str(inputs / "harmonic_oscillator.json")
@@ -129,8 +189,8 @@ def quantum_jobs(inputs: Path) -> list[list[str]]:
 
 def trajectory_jobs(inputs: Path) -> list[list]:
     """(problem, t_max, digest file) for evolve_coupled on pairwise_chain,
-    as bundled and at hbar = HBAR, and on the first ring; writes their
-    problem files to inputs."""
+    as bundled and at hbar = HBAR, on the first ring and on the mixed ring;
+    writes their problem files to inputs."""
     seed = RING_SEEDS[0]
     chain = inputs / "pairwise_chain.json"
     shutil.copyfile(bundled_path("pairwise_chain"), chain)
@@ -138,10 +198,13 @@ def trajectory_jobs(inputs: Path) -> list[list]:
     chain_hbar.write_text(json.dumps({**json.loads(chain.read_text()), "hbar": HBAR}))
     ring = inputs / f"ring{seed}.json"
     write_ring(ring, seed, RING["agents"], RING["actions"])
+    mixed = inputs / "mixed.json"
+    mixed.write_text(json.dumps(mixed_problem(), sort_keys=True))
     return [
         [str(chain), 1000.0, "pairwise_chain.coupled.sha256"],
         [str(chain_hbar), 1000.0, f"pairwise_chain.hbar{HBAR}.coupled.sha256"],
         [str(ring), RING_T_MAX, f"ring{seed}.coupled.sha256"],
+        [str(mixed), RING_T_MAX, "mixed.coupled.sha256"],
     ]
 
 
@@ -261,7 +324,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
         inputs.mkdir()
-        jobs = game_jobs(inputs) + ring_jobs(inputs) + quantum_jobs(inputs)
+        jobs = game_jobs(inputs) + ring_jobs(inputs) + mixed_jobs(inputs) + quantum_jobs(inputs)
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

@@ -58,6 +58,11 @@ def _load_model(args):
     return model
 
 
+def _check_tol(args) -> None:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite (got {args.tol})")
+
+
 def _initial_profile(model, args):
     if args.init == "random":
         return discrete.random_profile(model, args.seed)
@@ -67,6 +72,7 @@ def _initial_profile(model, args):
 def _cmd_solve(args) -> int:
     if not math.isfinite(args.alpha):
         raise ValueError(f"--alpha must be finite (got {args.alpha})")
+    _check_tol(args)
     model = _load_model(args)
     result = discrete.iterate_to_fixed_point(
         model,
@@ -90,6 +96,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_tol(args)
     model = _load_model(args)
     grid = parse_alpha_grid(args.alpha_grid)
     report = equilibrium.alpha_sweep(
@@ -111,6 +118,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
+    _check_tol(args)
     operator = fileio.load_hamiltonian(args.hamiltonian)
     n = operator.dimension
     if args.init == "random":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameModel, PairwiseEnergy, stack
+from .model import GameModel, stack
 from .numerics import DenseSymmetric, Diagonal, EigenDecomposition, HermitianOperator, rk4_step
 from .rng import random_unit_vector
 
@@ -109,7 +109,11 @@ def _renormalized(v: np.ndarray, step: int) -> np.ndarray:
 
 
 def _default_dt(scale: float, hbar: float) -> float:
-    return DEFAULT_STEP_TIMES * hbar / (scale if scale > 0 else 1.0)
+    scale = scale if scale > 0 else 1.0
+    dt = DEFAULT_STEP_TIMES * hbar / scale
+    # The product overflows for hbar above about 1.1e308; only then is the
+    # quotient taken first, so every other hbar keeps the same bits.
+    return dt if math.isfinite(dt) else DEFAULT_STEP_TIMES * (hbar / scale)
 
 
 def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
@@ -206,17 +210,18 @@ def coupled_scale(model: GameModel) -> float:
     """Bound on scale() of every agent's effective Hamiltonian at any state.
 
     The entries are expectations of the agent's energies under unit-norm
-    weights, so a pairwise agent's are bounded by the sum over its tables
-    of max|table| and a dense agent's by max|values|.
+    weights, so an agent's are bounded by the sum over its edge tables of
+    max|table|, added in term order, and a dense agent's by max|table|.
     """
-    bounds = []
-    for agent in model.agents:
-        obj = agent.objective
-        if isinstance(obj, PairwiseEnergy):
-            bounds.append(sum(float(np.abs(table).max()) for _, table in obj.terms))
-        else:
-            bounds.append(float(np.abs(obj.values).max()))
-    return max(bounds)
+    plan = model.plan
+    # padding is 0, below every |entry|; the appended 0 is the empty slot's
+    per_edge = np.append(np.abs(plan.edges).max(axis=(1, 2)), 0.0)
+    bounds = np.zeros(len(plan.cards))
+    for slot in plan.slots:
+        bounds += per_edge[slot]
+    for i, _, table, _ in plan.dense:
+        bounds[i] = np.abs(table).max()
+    return float(bounds.max())
 
 
 def stationarity_check(operator: HermitianOperator, psi: np.ndarray) -> tuple[float, float]:
@@ -251,8 +256,8 @@ def evolve_linear(
     default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
     1.5961 is accepted, and steps at or past it are rejected.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (got {tol})")
     dt, max_steps, record_every = _schedule(operator.scale(), hbar, dt, t_max, record_every)
     psi = np.asarray(psi0, dtype=float)
     if psi.shape != (operator.dimension,):
@@ -362,8 +367,8 @@ def evolve_coupled(
     whole run.  Reduces exactly to evolve_linear when the model has a
     single agent.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (got {tol})")
     _require_energy(model)
     hbar = model.hbar
     plan = model.plan

@@ -194,8 +194,8 @@ def iterate_to_fixed_point(
     Every agent's return is computed from the previous step's profile.
     Non-convergence is reported in the result, not raised.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (got {tol})")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     profile = StrategyProfile.uniform(model) if init is None else init

@@ -10,7 +10,9 @@ newline so identical runs emit identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -136,6 +138,12 @@ def _parse_objective(raw, mode: str, where: str):
 def load_problem(path) -> GameModel:
     """Parse and validate a problem file; raises FileFormatError or
     model.ValidationError with a field-anchored message."""
+    # validated once the parsed JSON is released, so that validate's
+    # one-pass copy of the tables does not add to the loader's peak memory
+    return validate(_parse_problem(path))
+
+
+def _parse_problem(path) -> GameModel:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: top level must be an object")
@@ -167,7 +175,7 @@ def load_problem(path) -> GameModel:
         )
         agents.append(Agent(name, acts_on, objective))
 
-    return validate(GameModel(tuple(variables), tuple(agents), hbar=hbar, mode=mode))
+    return GameModel(tuple(variables), tuple(agents), hbar=hbar, mode=mode)
 
 
 def load_hamiltonian(path) -> HermitianOperator:
@@ -224,8 +232,70 @@ def load_profile(path, model: GameModel) -> StrategyProfile:
 
 
 def dumps_document(doc: dict) -> str:
-    # NaN and Infinity are not JSON (RFC 8259): refuse them, not write them
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) plus a
+    newline, byte for byte.
+
+    json's C encoder does not run with an indent, so this encodes directly
+    and joins float lists from float.__repr__ as json writes each float.
+    Anything else, such as NaN and Infinity (not JSON, RFC 8259), keys that
+    are not strings and types json does not encode, is left to json.dumps,
+    which writes the same bytes or raises its own error.
+    """
+    out: list[str] = []
+    try:
+        _encode(doc, "\n", out)
+    except (TypeError, ValueError):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    # newline holds the indent of value's own line; json's type order, with
+    # bool before int
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(value)
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # TypeError unless every item is a float
+            floats = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:
+            out.append("[")
+            for k, item in enumerate(value):
+                out.append("," + inner if k else inner)
+                _encode(item, inner, out)
+        else:
+            if "n" in floats:  # a "nan" or "inf" item
+                raise ValueError(value)
+            out += ("[", inner, floats)
+        out += (newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for k, key in enumerate(sorted(value)):  # TypeError on mixed key types
+            out += ("," + inner if k else inner, encode_basestring_ascii(key), ": ")
+            _encode(value[key], inner, out)
+        out += (newline, "}")
+    else:
+        raise TypeError(value)
 
 
 def write_document(doc: dict, path=None) -> None:

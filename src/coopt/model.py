@@ -144,30 +144,56 @@ class StrategyProfile:
         return cls(tuple(dists))
 
 
+def _reduce_segments(ufunc, flat: np.ndarray, sizes, empty) -> np.ndarray:
+    """ufunc reduced over each consecutive segment of flat with the given
+    sizes, `empty` for a segment of size 0.  np.add may add a segment in
+    another order than its own sum() does."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    out = np.full(sizes.size, empty)
+    nonempty = sizes > 0
+    # a segment runs to the next nonempty start, so empty ones drop out
+    starts = (np.cumsum(sizes) - sizes)[nonempty]
+    if starts.size:
+        out[nonempty] = ufunc.reduceat(flat, starts)
+    return out
+
+
 def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProfile:
-    problems = []
     if len(profile.dists) != len(model.agents):
         raise ValidationError(
             [f"profile has {len(profile.dists)} distributions for {len(model.agents)} agents"]
         )
-    for agent, dist, card in zip(model.agents, profile.dists, model.agent_cardinalities()):
-        if dist.shape != (card,):
-            problems.append(f"agent {agent.name!r}: distribution length {dist.size} != {card}")
-            continue
-        if not np.isfinite(dist).all():
-            problems.append(f"agent {agent.name!r}: non-finite probability")
-        elif (dist < 0).any():
-            problems.append(f"agent {agent.name!r}: negative probability")
+    cards = model.agent_cardinalities()
+    shaped = [dist.shape == (card,) for dist, card in zip(profile.dists, cards)]
+    sizes = [card if ok else 0 for ok, card in zip(shaped, cards)]
+    flat = np.concatenate([dist for ok, dist in zip(shaped, profile.dists) if ok] or [[]])
+    finite = _reduce_segments(np.logical_and, np.isfinite(flat), sizes, True)
+    negative = _reduce_segments(np.logical_or, flat < 0, sizes, False)
+    # reduceat may add a segment in another order than dist.sum(), which
+    # moves a sum of nonnegative terms by at most 2 * size * 2**-53 times
+    # itself; agents that close to the tolerance are summed again below
+    sums = _reduce_segments(np.add, flat, sizes, 0.0)
+    slack = 4e-16 * np.array(sizes) * np.maximum(np.abs(sums), 1.0)
+    near = np.abs(sums - 1.0) > PROBABILITY_TOL - slack
+    problems = []
+    for i in np.flatnonzero(~np.array(shaped) | ~finite | negative | near).tolist():
+        name, dist = model.agents[i].name, profile.dists[i]
+        if not shaped[i]:
+            problems.append(f"agent {name!r}: distribution length {dist.size} != {cards[i]}")
+        elif not finite[i]:
+            problems.append(f"agent {name!r}: non-finite probability")
+        elif negative[i]:
+            problems.append(f"agent {name!r}: negative probability")
         elif abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
             problems.append(
-                f"agent {agent.name!r}: probabilities sum to {float(dist.sum()):.17g}, not 1"
+                f"agent {name!r}: probabilities sum to {float(dist.sum()):.17g}, not 1"
             )
     if problems:
         raise ValidationError(problems)
     return profile
 
 
-def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str]) -> None:
+def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finite: bool) -> None:
     names = model._cardinality_of
     if agent.acts_on not in obj.order:
         problems.append(f"agent {agent.name!r}: variable order omits its own variable")
@@ -182,17 +208,17 @@ def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str]) -> No
         problems.append(
             f"agent {agent.name!r}: {obj.values.size} values for a domain of size {expected}"
         )
-    if not np.isfinite(obj.values).all():
+    if not finite:
         problems.append(f"agent {agent.name!r}: non-finite objective value")
 
 
-def _check_pairwise(agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str]) -> None:
+def _check_pairwise(
+    agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str], finite: list[bool]
+) -> None:
     names = model._cardinality_of
     seen = set()
-    own_card = None
-    if agent.acts_on in names:
-        own_card = model.cardinality(agent.acts_on)
-    for other, table in obj.terms:
+    own_card = names.get(agent.acts_on)
+    for (other, table), table_finite in zip(obj.terms, finite):
         if other not in names:
             problems.append(f"agent {agent.name!r}: pairwise term with unknown variable {other!r}")
             continue
@@ -202,14 +228,22 @@ def _check_pairwise(agent: Agent, obj: PairwiseEnergy, model: GameModel, problem
         if other in seen:
             problems.append(f"agent {agent.name!r}: variable {other!r} listed twice in pairwise terms")
         seen.add(other)
-        shape = (own_card, model.cardinality(other))
+        shape = (own_card, names[other])
         if own_card is not None and table.shape != shape:
             problems.append(
                 f"agent {agent.name!r}: pairwise table for {other!r} has shape "
                 f"{table.shape}, expected {shape}"
             )
-        if not np.isfinite(table).all():
+        if not table_finite:
             problems.append(f"agent {agent.name!r}: non-finite pairwise energy")
+
+
+def _tables(objective) -> list[np.ndarray]:
+    if isinstance(objective, DenseTable):
+        return [objective.values]
+    if isinstance(objective, PairwiseEnergy):
+        return [table for _, table in objective.terms]
+    return []
 
 
 def validate(model: GameModel) -> GameModel:
@@ -238,22 +272,32 @@ def validate(model: GameModel) -> GameModel:
     if sorted(acted) != sorted(names):
         problems.append("agents and variables must be in one-to-one correspondence")
 
-    for agent in model.agents:
+    # one finiteness test over every table, then one flag per table
+    tables = [_tables(agent.objective) for agent in model.agents]
+    every = [table for own in tables for table in own]
+    flat = np.concatenate(every, axis=None) if every else np.zeros(0)
+    flags = _reduce_segments(
+        np.logical_and, np.isfinite(flat), [table.size for table in every], True
+    ).tolist()
+    start = 0
+    for agent, own in zip(model.agents, tables):
         obj = agent.objective
+        finite = flags[start : start + len(own)]
+        start += len(own)
         if isinstance(obj, DenseUtility):
             if model.mode != "utility":
                 problems.append(f"agent {agent.name!r}: utility objective in energy mode")
             if (np.asarray(obj.values) < 0).any():
                 problems.append(f"agent {agent.name!r}: negative utility value")
-            _check_dense(agent, obj, model, problems)
+            _check_dense(agent, obj, model, problems, finite[0])
         elif isinstance(obj, DenseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: energy objective in utility mode")
-            _check_dense(agent, obj, model, problems)
+            _check_dense(agent, obj, model, problems, finite[0])
         elif isinstance(obj, PairwiseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: pairwise energies require energy mode")
-            _check_pairwise(agent, obj, model, problems)
+            _check_pairwise(agent, obj, model, problems, finite)
         else:
             problems.append(f"agent {agent.name!r}: unrecognized objective type")
 
@@ -347,42 +391,56 @@ class ContractionPlan:
         width = max(self.cards)
         # log 1 for every action, -inf for padding: where edge sums start
         self.log_one = np.where(np.arange(width) < np.array(self.cards)[:, None], 0.0, -np.inf)
+        energy = model.mode == "energy"
+
+        def log_of(table, out=None):  # -E/hbar in energy mode, log u in utility mode
+            if energy:
+                return np.divide(np.negative(table, out=out), model.hbar, out=out)
+            with np.errstate(divide="ignore"):
+                return np.log(table, out=out)
+
         self.dense = []  # (agent, log table, table, neighbour agents)
-        edges = []  # (owner, neighbour, log table, table), own axis first
+        owner, neighbour, tables = [], [], []  # per edge; tables own axis first
         for i, agent in enumerate(model.agents):
             obj = agent.objective
             if isinstance(obj, PairwiseEnergy):
-                edges += [
-                    (i, agent_of[other], -table / model.hbar, table) for other, table in obj.terms
-                ]
+                for other, table in obj.terms:
+                    owner.append(i)
+                    neighbour.append(agent_of[other])
+                    tables.append(table)
                 continue
             own_axis = obj.order.index(agent.acts_on)
             table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
-            if isinstance(obj, DenseEnergy):
-                log_table = -table / model.hbar
-            else:
-                with np.errstate(divide="ignore"):
-                    log_table = np.log(table)
             others = [agent_of[v] for v in obj.order if v != agent.acts_on]
             if len(others) == 1:
-                edges.append((i, others[0], log_table, table))
+                owner.append(i)
+                neighbour.append(others[0])
+                tables.append(table)
             else:
-                self.dense.append((i, log_table, table, others))
-        self.owner = np.array([e[0] for e in edges], dtype=np.intp)
-        self.neighbour = np.array([e[1] for e in edges], dtype=np.intp)
-        self.edges = np.zeros((len(edges), width, width))
-        self.log_edges = np.full((width, len(edges), width), -np.inf)
-        for e, (_, _, log_table, table) in enumerate(edges):
-            rows, cols = table.shape
-            self.edges[e, :rows, :cols] = table
-            self.log_edges[:cols, e, :rows] = log_table.T
+                self.dense.append((i, log_of(table), table, others))
+        self.owner = np.array(owner, dtype=np.intp)
+        self.neighbour = np.array(neighbour, dtype=np.intp)
+        self.edges = np.zeros((len(tables), width, width))
+        self.log_edges = np.full((width, len(tables), width), -np.inf)
+        # one stacked fill per table shape
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for e, table in enumerate(tables):
+            groups.setdefault(table.shape, []).append(e)
+        for (rows, cols), group in groups.items():
+            stacked = np.array([tables[e] for e in group])
+            self.edges[group, :rows, :cols] = stacked
+            log_of(stacked, out=stacked)
+            self.log_edges[:cols, group, :rows] = stacked.transpose(2, 0, 1)
+        # Edges are listed owner by owner, so an edge's slot is its rank
+        # among its owner's edges.
+        first = np.searchsorted(self.owner, self.owner)
+        rank = np.arange(len(tables)) - first
         self.slots = []
-        seen = [0] * len(self.cards)  # edges placed so far, per agent
-        for e, i in enumerate(self.owner.tolist()):
-            if seen[i] == len(self.slots):
-                self.slots.append(np.full(len(self.cards), len(edges), dtype=np.intp))
-            self.slots[seen[i]][i] = e
-            seen[i] += 1
+        for k in range(int(rank.max()) + 1 if len(tables) else 0):
+            slot = np.full(len(self.cards), len(tables), dtype=np.intp)
+            at = np.flatnonzero(rank == k)
+            slot[self.owner[at]] = at
+            self.slots.append(slot)
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent vectors of a stacked array, padding dropped.

@@ -255,6 +255,24 @@ def test_non_finite_alpha_exits_one_naming_the_flag(tmp_path, capsys, argv, flag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--problem", PD, "--alpha", "2"],
+     ["sweep", "--problem", PD, "--alpha-grid", "1:2:lin:2"],
+     ["quantum", "--hamiltonian", HARMONIC]],
+    ids=["solve", "sweep", "quantum"],
+)
+def test_tol_that_is_not_positive_and_finite_exits_one_naming_the_flag(
+    tmp_path, capsys, argv, tol
+):
+    from coopt.cli import main
+
+    assert main([*argv, f"--tol={tol}", "--out", str(tmp_path / "out")]) == 1
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestQuantum:
     def test_harmonic_ground_state(self, tmp_path):
         out = tmp_path / "q.json"
@@ -316,11 +334,17 @@ class TestQuantum:
         assert proc.returncode == 1
         assert "hbar must be positive and finite" in proc.stderr
 
-    def test_largest_finite_hbar_is_decided_at_once(self):
-        # The default step overflows to inf here, and is rejected at once.
-        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", "1.7e308", timeout=60)
-        assert proc.returncode in (0, 1, 2)
-        assert "Traceback" not in proc.stderr
+    def test_largest_finite_hbar_is_decided_at_once(self, tmp_path):
+        # 0.99 * 1.5961 * hbar overflows here, but the default step does
+        # not: it is accepted, and t_max is reached after one step.
+        out = tmp_path / "q.json"
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", "1.7e308",
+                       "--out", str(out), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        doc = json.loads(out.read_text())
+        dt = default_step(fileio.load_hamiltonian(HARMONIC), 1.7e308)
+        assert doc["dt"] == dt and 7e305 < dt < 8e305
+        assert doc["states"][0]["time"] == dt
 
     def test_unbounded_step_count_exits_one(self, tmp_path):
         h = tmp_path / "h.json"

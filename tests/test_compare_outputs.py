@@ -54,6 +54,20 @@ def test_quantum_outputs_are_compared(tmp_path):
     ]
 
 
+def test_mixed_ring_covers_grouped_edges_and_escaped_names(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.mixed_jobs(inputs)
+    assert script.compare(ROOT, ROOT, jobs, tmp_path) == []
+    problem = script.mixed_problem()
+    assert sorted({v["cardinality"] for v in problem["variables"]}) == [2, 3, 5]
+    assert {"dense", "pairwise"} == {k for a in problem["agents"] for k in a["objective"]}
+    text = (tmp_path / "new" / "mixed.verify.json").read_text()
+    for escaped in ('agent \\"0\\"', "agent \\\\1", "ag\\u00e9nt 2", "\\u30a8"):
+        assert escaped in text
+
+
 def test_differing_and_missing_files_are_listed(tmp_path):
     script = load_script()
     old, new = tmp_path / "old", tmp_path / "new"
@@ -106,7 +120,8 @@ def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
     trajectories = script.trajectory_jobs(inputs)
     assert script.compare(ROOT, ROOT, [], tmp_path / "same", trajectories) == []
     digests = sorted((tmp_path / "same" / "new").iterdir())
-    assert [p.name for p in digests] == ["pairwise_chain.coupled.sha256",
+    assert [p.name for p in digests] == ["mixed.coupled.sha256",
+                                         "pairwise_chain.coupled.sha256",
                                          "pairwise_chain.hbar0.37.coupled.sha256",
                                          "ring1.coupled.sha256"]
     assert all(len(p.read_text().strip()) == 64 for p in digests)

@@ -104,6 +104,22 @@ def agreement_energy_pair():
     return GameModel(variables, agents, hbar=1.0, mode="energy")
 
 
+def mixed_energy_model():
+    """Energy model of three agents over 2, 3 and 5 actions: a dense table
+    over its own and one neighbour's variable for x0, pairwise terms for x1,
+    and a dense table over all three variables for x2."""
+    variables = (DomainSpec("x0", 2), DomainSpec("x1", 3), DomainSpec("x2", 5))
+    ramp = lambda n, c: np.linspace(-c, 2.0 * c, n)  # noqa: E731
+    agents = (
+        Agent("a0", "x0", DenseEnergy(("x1", "x0"), ramp(6, 1.5))),
+        Agent("a1", "x1", PairwiseEnergy((
+            ("x0", ramp(6, 0.5).reshape(3, 2)), ("x2", ramp(15, 0.25).reshape(3, 5))
+        ))),
+        Agent("a2", "x2", DenseEnergy(("x0", "x1", "x2"), ramp(30, 0.75))),
+    )
+    return GameModel(variables, agents, hbar=0.37, mode="energy")
+
+
 class TestEffectiveHamiltonian:
     def test_single_agent_recovers_raw_energies(self):
         model = helpers.single_agent_energy([0.4, 1.9, 0.2])
@@ -365,8 +381,18 @@ class TestEvolveLinear:
         assert math.isfinite(dt) and dt * (op.scale() / hbar) < RK4_MONOTONE_LIMIT
         _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=3 * dt)
         assert report.time == 3 * dt
-        with pytest.raises(ValueError, match="largest accepted step"):
-            evolve_linear(op, psi0, hbar=hbar)
+        # The default step no longer overflows there: it is accepted.
+        default = default_step(op, hbar)
+        assert math.isfinite(default) and default <= dt
+        _, report = evolve_linear(op, psi0, hbar=hbar)
+        assert report.time == default and not report.converged
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_that_is_not_positive_and_finite_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            evolve_linear(Diagonal(np.array([1.0, 2.0])), np.array([0.6, 0.8]), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            evolve_coupled(agreement_energy_pair(), tol=tol)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_record_every_below_one_rejected(self, every):
@@ -458,6 +484,27 @@ class TestEvolveCoupled:
             state = WaveState(point.amplitudes)
             for i in range(len(model.agents)):
                 assert effective_hamiltonian(model, state, i).scale() <= bound
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            helpers.random_pairwise_model(77),
+            helpers.random_pairwise_model(81),
+            agreement_energy_pair(),
+            mixed_energy_model(),
+            helpers.random_dense_model(79, n_agents=3, card=3, mode="energy"),
+        ],
+        ids=["pairwise77", "pairwise81", "one-neighbour dense", "mixed", "dense79"],
+    )
+    def test_scale_bound_is_the_walk_over_the_objectives(self, model):
+        want = []
+        for agent in model.agents:
+            obj = agent.objective
+            if isinstance(obj, PairwiseEnergy):
+                want.append(sum(float(np.abs(table).max()) for _, table in obj.terms))
+            else:
+                want.append(float(np.abs(obj.values).max()))
+        assert coupled_scale(model) == max(want)
 
     def test_default_coupled_step_comes_from_the_scale_bound(self):
         model = agreement_energy_pair()

@@ -151,6 +151,11 @@ class TestNormalizePolicy:
 
 
 class TestIteration:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_that_is_not_positive_and_finite_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            iterate_to_fixed_point(helpers.prisoners_dilemma(), 2.0, tol=tol)
+
     def test_constant_utility_converges_in_one_step(self):
         model = helpers.prisoners_dilemma(t=2.0, r=2.0, p=2.0, s=2.0)
         result = iterate_to_fixed_point(model, 3.0)

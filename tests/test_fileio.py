@@ -275,6 +275,63 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError, match="JSON compliant"):
             dumps_document({"epsilon": value})
 
+    def test_every_document_the_cli_writes_is_json_dumps(self, tmp_path):
+        def out(name):
+            return str(tmp_path / name)
+
+        games = {name: str(bundled_path(name)) for name in ("prisoners_dilemma", "pairwise_chain")}
+        runs = [
+            ["solve", "--problem", games["prisoners_dilemma"], "--alpha", "4", "--out", out("u.json")],
+            ["solve", "--problem", games["pairwise_chain"], "--alpha", "2", "--out", out("e.json")],
+            ["nash", "--problem", games["prisoners_dilemma"], "--out", out("nash.json")],
+            ["verify", "--problem", games["pairwise_chain"], "--profile", out("e.json"),
+             "--out", out("verify.json")],
+            ["quantum", "--hamiltonian", str(bundled_path("harmonic_oscillator")),
+             "--states", "2", "--out", out("quantum.json")],
+        ]
+        for argv in runs:
+            assert main(argv) in (0, 2)
+        for name in ("u.json", "e.json", "nash.json", "verify.json", "quantum.json"):
+            text = (tmp_path / name).read_text()
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            assert dumps_document(doc) == text
+
+    def test_writer_is_json_dumps_byte_for_byte(self):
+        doc = {
+            "floats": [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -2.5e-7, 1e16, 0.1],
+            "scalars": [-0.0, 10**40, -(10**25), True, False, None, 1, 2.5, "x"],
+            "empty": {"list": [], "dict": {}, "tuple": ()},
+            "nested": [{"b": [1.0, 2.0], "a": [{"z": None}, []]}, {}, [[0.5], [True]]],
+            "names": {"agént": 1.0, "名前": [0.5], 'quote"d': "back\\slash", "tab\t": "é\n"},
+            "tuple": (1.5, 2.5),
+            "int keys": {2: "two", 1: "one"},
+            "zero": 0,
+        }
+        assert dumps_document(doc) == (
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["scalar", "float list", "mixed list"])
+    def test_non_finite_numbers_raise_as_json_does(self, value, where):
+        doc = {"scalar": {"epsilon": value}, "float list": {"x": [1.0, value]},
+               "mixed list": {"x": [1, {"y": value}]}}[where]
+        with pytest.raises(ValueError) as want:
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            dumps_document(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("doc", [{"x": object()}, {"x": [1.0, {1, 2}]}, {"x": np.int64(3)},
+                                     {1: "a", "b": 2}])
+    def test_unencodable_objects_raise_type_error_as_json_does(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            dumps_document(doc)
+        assert str(got.value) == str(want.value)
+
     def test_every_bundled_file_reparses_identically(self):
         for name in ("prisoners_dilemma", "matching_pennies", "coordination",
                      "pairwise_chain", "harmonic_oscillator"):

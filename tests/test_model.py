@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from coopt.model import (
+    PROBABILITY_TOL,
     Agent,
     DenseEnergy,
     DenseUtility,
@@ -15,6 +16,7 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
     ValidationError,
+    _reduce_segments,
     densify,
     energy_to_utility,
     to_utility_model,
@@ -31,6 +33,47 @@ def two_by_two(values, mode="utility"):
         Agent("a2", "x2", cls(("x2", "x1"), np.asarray(values, dtype=float))),
     )
     return GameModel(variables, agents, mode=mode)
+
+
+def failing_profile_case():
+    """Seven agents of mixed cardinalities on a ring, and a profile whose
+    agents fail every check in turn; agent a4's distribution is valid."""
+    cards = [2, 3, 5, 3, 2, 4, 3]
+    model = GameModel(
+        tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards)),
+        tuple(
+            Agent(f"a{i}", f"x{i}",
+                  PairwiseEnergy(((f"x{(i + 1) % 7}", np.zeros((c, cards[(i + 1) % 7]))),)))
+            for i, c in enumerate(cards)
+        ),
+    )
+    dists = (
+        np.array([0.2, 0.3, 0.5]),  # wrong length
+        np.array([0.5, math.nan, 0.5]),
+        np.array([0.5, -0.25, 0.25, 0.25, 0.25]),  # negative, sums to 1
+        np.array([0.5, 0.3, 0.1]),  # bad sum
+        np.array([0.5, 0.5]),
+        np.array([[0.25, 0.25], [0.25, 0.25]]),  # wrong shape, right size
+        np.array([-math.inf, 0.5, 1.5]),  # non-finite and negative
+    )
+    return model, StrategyProfile(dists)
+
+
+def failing_model_case():
+    """Pairwise and dense agents whose tables are non-finite, wrongly shaped
+    or over unknown variables, in orders that skip some tables' checks."""
+    variables = (DomainSpec("x", 2), DomainSpec("y", 3), DomainSpec("z", 5))
+    agents = (
+        Agent("a", "x", PairwiseEnergy((
+            ("w", np.full((2, 3), math.nan)),  # unknown variable, not tested for finiteness
+            ("y", np.array([[0.0, math.inf, 0.0], [0.0, 0.0, 0.0]])),
+            ("z", np.zeros((3, 3))),
+            ("y", np.zeros((2, 3))),
+        ))),
+        Agent("b", "y", DenseEnergy(("y", "q"), np.full(6, math.nan))),  # unknown variable
+        Agent("c", "z", DenseEnergy(("z", "x"), np.r_[np.zeros(9), math.nan])),
+    )
+    return GameModel(variables, agents)
 
 
 class TestValidate:
@@ -80,6 +123,18 @@ class TestValidate:
     def test_infinite_energy_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             validate(two_by_two([np.inf, 0.0, 0.0, 0.0], mode="energy"))
+
+    def test_problem_list_is_pinned(self):
+        with pytest.raises(ValidationError) as raised:
+            validate(failing_model_case())
+        assert raised.value.problems == [
+            "agent 'a': pairwise term with unknown variable 'w'",
+            "agent 'a': non-finite pairwise energy",
+            "agent 'a': pairwise table for 'z' has shape (3, 3), expected (2, 5)",
+            "agent 'a': variable 'y' listed twice in pairwise terms",
+            "agent 'b': unknown variable 'q' in order",
+            "agent 'c': non-finite objective value",
+        ]
 
     def test_every_violation_reported(self):
         model = two_by_two([1.0, -2.0, 3.0], mode="utility")
@@ -197,6 +252,56 @@ class TestProfiles:
         model = helpers.prisoners_dilemma()
         with pytest.raises(ValidationError, match="negative"):
             validate_profile(model, StrategyProfile((np.array([-0.5, 1.5]), np.array([0.5, 0.5]))))
+
+
+    def test_problem_list_is_pinned(self):
+        model, profile = failing_profile_case()
+        with pytest.raises(ValidationError) as raised:
+            validate_profile(model, profile)
+        assert raised.value.problems == [
+            "agent 'a0': distribution length 3 != 2",
+            "agent 'a1': non-finite probability",
+            "agent 'a2': negative probability",
+            "agent 'a3': probabilities sum to 0.90000000000000002, not 1",
+            "agent 'a5': distribution length 4 != 4",
+            "agent 'a6': non-finite probability",
+        ]
+
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        st.integers(0, 2**32),
+        st.floats(-3e-12, 3e-12),
+    )
+    def test_sums_near_the_tolerance_are_decided_as_each_sum_does(self, cards, seed, offset):
+        # Each distribution sums to about 1 + offset, so some land within
+        # rounding of PROBABILITY_TOL; the verdict and message must be those
+        # of the agent's own dist.sum().
+        model = GameModel(
+            tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards)),
+            tuple(Agent(f"a{i}", f"x{i}", PairwiseEnergy(())) for i in range(len(cards))),
+        )
+        dists = [d * (1.0 + offset) for d in helpers.random_profile_arrays(seed, cards)]
+        want = [
+            f"agent 'a{i}': probabilities sum to {float(d.sum()):.17g}, not 1"
+            for i, d in enumerate(dists) if abs(float(d.sum()) - 1.0) > PROBABILITY_TOL
+        ]
+        try:
+            validate_profile(model, StrategyProfile(tuple(dists)))
+            got = []
+        except ValidationError as e:
+            got = e.problems
+        assert got == want
+
+    @given(st.lists(st.lists(st.booleans(), max_size=20), min_size=1, max_size=8))
+    def test_segment_flags_reduce_each_segment(self, segments):
+        flat = np.array([x for seg in segments for x in seg], dtype=bool)
+        sizes = [len(seg) for seg in segments]
+        assert _reduce_segments(np.logical_and, flat, sizes, True).tolist() == [
+            all(seg) for seg in segments
+        ]
+        assert _reduce_segments(np.logical_or, flat, sizes, False).tolist() == [
+            any(seg) for seg in segments
+        ]
 
 
 class TestUtilityConversion:

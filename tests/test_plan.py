@@ -240,6 +240,108 @@ def test_edge_models_match_enumeration_in_column_major_stacks(model, seed):
     np.testing.assert_array_equal(plan.expectations(p)[owners], want_linear)
 
 
+def per_edge_fill(model):
+    """owner, neighbour, edges, log_edges and slots of the model's plan,
+    filled one edge at a time: the reference for the plan's grouped fill."""
+    agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
+    found = []  # (owner, neighbour, log table, table), own axis first
+    for i, agent in enumerate(model.agents):
+        obj = agent.objective
+        if isinstance(obj, PairwiseEnergy):
+            found += [(i, agent_of[v], -t / model.hbar, t) for v, t in obj.terms]
+            continue
+        own_axis = obj.order.index(agent.acts_on)
+        table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
+        if isinstance(obj, DenseEnergy):
+            log_table = -table / model.hbar
+        else:
+            with np.errstate(divide="ignore"):
+                log_table = np.log(table)
+        others = [agent_of[v] for v in obj.order if v != agent.acts_on]
+        if len(others) == 1:
+            found.append((i, others[0], log_table, table))
+    width = max(model.agent_cardinalities())
+    edges = np.zeros((len(found), width, width))
+    log_edges = np.full((width, len(found), width), -np.inf)
+    for e, (_, _, log_table, table) in enumerate(found):
+        rows, cols = table.shape
+        edges[e, :rows, :cols] = table
+        log_edges[:cols, e, :rows] = log_table.T
+    slots, seen = [], [0] * len(model.agents)
+    for e, (i, *_) in enumerate(found):
+        if seen[i] == len(slots):
+            slots.append(np.full(len(model.agents), len(found), dtype=np.intp))
+        slots[seen[i]][i] = e
+        seen[i] += 1
+    return [e[0] for e in found], [e[1] for e in found], edges, log_edges, slots
+
+
+def mixed_shape_model(mode):
+    """Six agents over cardinalities 2, 3 and 5 on a ring.  In energy mode
+    even agents hold pairwise terms to both ring neighbours, agent 1 a dense
+    table over its right neighbour and itself (neighbour axis first), agents
+    3 and 5 one over themselves and their left neighbour; in utility mode
+    every agent holds such a dense table, with some utilities zero.  Agent 4
+    holds a dense table over both neighbours instead."""
+    cards = [2, 3, 5, 3, 2, 5]
+    stream = SplitMix64(17)
+
+    def table(*shape):
+        return np.array([stream.uniform_signed() for _ in range(math.prod(shape))]).reshape(shape)
+
+    agents = []
+    for i in range(6):
+        left, right = (i - 1) % 6, (i + 1) % 6
+        if i == 4:
+            order = (left, i, right)
+        elif i == 1:
+            order = (right, i)
+        else:
+            order = (i, left)
+        values = table(*[cards[j] for j in order]).ravel()
+        names = tuple(f"x{j}" for j in order)
+        if mode == "utility":
+            values = np.abs(values)
+            values[values < 0.2] = 0.0
+            obj = DenseUtility(names, values)
+        elif i % 2 == 0 and i != 4:
+            obj = PairwiseEnergy(tuple(
+                (f"x{j}", table(cards[i], cards[j])) for j in (left, right)
+            ))
+        else:
+            obj = DenseEnergy(names, values)
+        agents.append(Agent(f"agent{i}", f"x{i}", obj))
+    variables = tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards))
+    return GameModel(variables, tuple(agents), hbar=0.37, mode=mode)
+
+
+def assert_plan_is_the_per_edge_fill(model):
+    plan = model.plan
+    owner, neighbour, edges, log_edges, slots = per_edge_fill(model)
+    assert plan.owner.tolist() == owner and plan.neighbour.tolist() == neighbour
+    # bitwise, so signed zeros and -inf padding count too
+    assert plan.edges.shape == edges.shape and plan.edges.tobytes() == edges.tobytes()
+    assert plan.log_edges.shape == log_edges.shape
+    assert plan.log_edges.tobytes() == log_edges.tobytes()
+    assert [slot.tolist() for slot in plan.slots] == [slot.tolist() for slot in slots]
+
+
+@pytest.mark.parametrize("mode", ["energy", "utility"])
+def test_grouped_fill_is_the_per_edge_fill(mode):
+    model = mixed_shape_model(mode)
+    plan = model.plan
+    shapes = {(plan.cards[i], plan.cards[j]) for i, j in zip(plan.owner, plan.neighbour)}
+    assert len(shapes) >= 4
+    assert [entry[0] for entry in plan.dense] == [4]
+    assert_plan_is_the_per_edge_fill(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_models())
+def test_grouped_fill_is_the_per_edge_fill_on_edge_models(model):
+    assert_plan_is_the_per_edge_fill(model)
+
+
 def test_epsilon_of_a_solved_profile_matches_contiguous_copies_bitwise():
     # The solved profile's rows, and the marginals the dense tables are
     # contracted with, come out of column-major stacks; products with them
