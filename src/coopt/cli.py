@@ -207,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"{continuous.RK4_MONOTONE_LIMIT:.4f} (the RK4 monotone limit); default 0.99 "
         "times that limit, a smaller step tracks the exact flow more closely",
     )
-    p.add_argument("--t-max", type=float, default=continuous.DEFAULT_T_MAX)
+    p.add_argument(
+        "--t-max", type=float, default=None,
+        help=f"flow time limit; default {continuous.DEFAULT_T_MAX:g} * hbar",
+    )
     p.add_argument("--tol", type=float, default=continuous.DEFAULT_STATIONARY_TOL)
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--states", type=int, default=1, help="number of lowest states")

