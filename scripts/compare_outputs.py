@@ -10,10 +10,13 @@ agents hold pairwise terms or dense tables and whose names need escaping
 in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
-two lowest at hbar = 0.37, once per tree in a fresh interpreter with that
-tree's src/ on the path.  It also runs `continuous.evolve_coupled` on
-`pairwise_chain` to convergence, at its own hbar = 1 and at hbar = 0.37,
-and on the seed-1 ring and the mixed ring to t = 5, recording every step, and writes a sha256 over every
+two lowest at hbar = 0.37, and `coopt solve` on malformed problem files,
+at least one per kind of problem `validate` words, once per tree in a fresh
+interpreter with that tree's src/ on the path; every job's stderr is an
+output file too, so error messages are compared byte for byte.  It also
+runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
+its own hbar = 1 and at hbar = 0.37, and on the seed-1 ring and the mixed
+ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals, and a
 sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
 (its eigenvectors are not compared: they depend on the oracle's start
@@ -53,9 +56,10 @@ RING_T_MAX = 5.0
 HBAR = 0.37
 
 # Runs every CLI job, then every trajectory job and every spectrum job in
-# one interpreter; the CLI jobs' exit codes go to stdout as JSON.
+# one interpreter; each CLI job's stderr goes to its --out file name plus
+# ".stderr", and the jobs' exit codes go to stdout as JSON.
 RUNNER = textwrap.dedent("""\
-    import hashlib, json, sys
+    import contextlib, hashlib, json, sys
     import numpy as np
     from coopt import fileio
     from coopt.cli import main
@@ -63,7 +67,11 @@ RUNNER = textwrap.dedent("""\
     from coopt.numerics import jacobi_eigen
 
     jobs, trajectories, spectra = json.load(sys.stdin)
-    codes = [main(argv) for argv in jobs]
+    codes = []
+    for argv in jobs:
+        with open(argv[argv.index("--out") + 1] + ".stderr", "w") as err:
+            with contextlib.redirect_stderr(err):
+                codes.append(main(argv))
     for problem, t_max, out in trajectories:
         points, _ = evolve_coupled(fileio.load_problem(problem), t_max=t_max, record_every=1)
         digest = hashlib.sha256()
@@ -172,6 +180,70 @@ def mixed_jobs(inputs: Path) -> list[list[str]]:
         ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
          "--max-iter", "200", "--out", "mixed.sweep.csv"],
     ]
+
+
+def malformed_problems() -> dict[str, dict]:
+    """Problem documents that `validate` refuses, by name: at least one for
+    each kind of problem it words that a problem file can carry.  (A dense
+    table in the other mode's class cannot: the loader picks the class by
+    mode.)"""
+    table = [[0.0, 1.0], [1.0, 0.0]]
+
+    def pairwise(*terms):
+        return {"pairwise": [{"with": other, "table": rows} for other, rows in terms]}
+
+    def dense(order, values):
+        return {"dense": {"order": order, "values": values}}
+
+    def problem(objective, mode="energy", cards=(2, 2), acts_on="y", names=("x", "y"),
+                agent_names=("A", "B"), hbar=1.0):
+        other = pairwise(("x", table)) if mode == "energy" else dense(["y", "x"], [1, 2, 3, 4])
+        return {
+            "mode": mode,
+            "hbar": hbar,
+            "variables": [{"name": n, "cardinality": c} for n, c in zip(names, cards)],
+            "agents": [
+                {"name": agent_names[0], "acts_on": "x", "objective": objective},
+                {"name": agent_names[1], "acts_on": acts_on, "objective": other},
+            ],
+        }
+
+    inf = math.inf
+    return {
+        "pairwise-unknown": problem(pairwise(("q", table))),
+        "pairwise-self": problem(pairwise(("x", table), ("y", table))),
+        "pairwise-twice": problem(pairwise(("y", table), ("y", [[0.0, 2.0], [2.0, 0.0]]))),
+        "pairwise-shape": problem(pairwise(("y", [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]))),
+        "pairwise-nonfinite": problem(pairwise(("y", [[0.0, inf], [1.0, 0.0]]))),
+        "dense-omits-own": problem(dense(["y"], [0.0, 1.0])),
+        "dense-twice": problem(dense(["x", "x"], [0.0, 1.0, 1.0, 0.0])),
+        "dense-unknown": problem(dense(["x", "q"], [0.0, 1.0, 1.0, 0.0])),
+        "dense-size": problem(dense(["x", "y"], [0.0, 1.0, 1.0])),
+        "dense-nonfinite": problem(dense(["x", "y"], [0.0, -inf, 1.0, 0.0])),
+        # A's empty table is right only for a domain size that wrapped to 0;
+        # B's is wrong at any size, so solve never builds 2**32-entry profiles.
+        "dense-size-2to64": problem(dense(["x", "y"], []), "utility", cards=(2**32, 2**32)),
+        "negative-utility": problem(dense(["x", "y"], [1.0, -1.0, 1.0, 1.0]), "utility"),
+        "pairwise-in-utility": problem(pairwise(("y", table)), "utility"),
+        "duplicate-variables": problem(pairwise(("y", table)), names=("x", "x")),
+        "duplicate-agents": problem(pairwise(("y", table)), agent_names=("A", "A")),
+        "not-one-to-one": problem(pairwise(("y", table)), acts_on="x"),
+        "cardinality-1": problem(pairwise(("y", table)), cards=(2, 1)),
+        "hbar-0": problem(pairwise(("y", table)), hbar=0.0),
+        "hbar-negative": problem(pairwise(("y", table)), hbar=-1.0),
+        "no-variables": {"mode": "energy", "variables": [], "agents": []},
+    }
+
+
+def malformed_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt solve` on each malformed problem; writes them to inputs."""
+    jobs = []
+    for name, doc in malformed_problems().items():
+        problem = inputs / f"bad.{name}.json"
+        problem.write_text(json.dumps(doc))
+        jobs.append(["solve", "--problem", str(problem), "--alpha", str(SOFT_ALPHA),
+                     "--out", f"bad.{name}.json"])
+    return jobs
 
 
 def quantum_jobs(inputs: Path) -> list[list[str]]:
@@ -324,7 +396,8 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
         inputs.mkdir()
-        jobs = game_jobs(inputs) + ring_jobs(inputs) + mixed_jobs(inputs) + quantum_jobs(inputs)
+        jobs = (game_jobs(inputs) + ring_jobs(inputs) + mixed_jobs(inputs) + quantum_jobs(inputs)
+                + malformed_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

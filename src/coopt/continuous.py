@@ -159,6 +159,8 @@ def _schedule(
     stays a float."""
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite (got {hbar})")
+    if not math.isfinite(scale):
+        raise ValueError(f"the operator's scale {scale} is past the float range")
     if t_max is None:
         t_max = min(DEFAULT_T_MAX * hbar, sys.float_info.max)
     if not t_max > 0:
@@ -222,8 +224,9 @@ def coupled_scale(model: GameModel) -> float:
     # padding is 0, below every |entry|; the appended 0 is the empty slot's
     per_edge = np.append(np.abs(plan.edges).max(axis=(1, 2)), 0.0)
     bounds = np.zeros(len(plan.cards))
-    for slot in plan.slots:
-        bounds += per_edge[slot]
+    with np.errstate(over="ignore"):  # an infinite bound is refused by _schedule
+        for slot in plan.slots:
+            bounds += per_edge[slot]
     for i, _, table, _ in plan.dense:
         bounds[i] = np.abs(table).max()
     return float(bounds.max())
@@ -375,7 +378,7 @@ def evolve_coupled(
     hbar = model.hbar
     plan = model.plan
     state = WaveState.uniform(model) if state0 is None else state0
-    if [a.size for a in state.amplitudes] != plan.cards:
+    if tuple(a.size for a in state.amplitudes) != plan.cards:
         raise ValueError("initial state does not match the agents' cardinalities")
     amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)], 0.0)
 

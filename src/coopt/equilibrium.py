@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrete import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     AllZeroReturnsError,
     DivergenceError,
     iterate_to_fixed_point,
@@ -187,16 +189,15 @@ def enumerate_pure_nash(model: GameModel) -> list[tuple[int, ...]]:
             f"joint domain of {len(full_shape)} variables has more than "
             f"{MAX_ENUMERATION_SIZE} assignments"
         )
-    agent_axes = [model._position_of[a.acts_on] for a in model.agents]
     mask = np.ones(full_shape, dtype=bool)
-    for agent, own_axis in zip(model.agents, agent_axes):
+    for agent, own_axis in zip(model.agents, model.agent_axes):
         tensor = _full_domain_tensor(model, agent)
         if model.mode == "energy":
             tensor = -tensor  # exact, so the max test orders energies
         best = tensor.max(axis=own_axis, keepdims=True)
         mask &= np.broadcast_to(tensor >= best, full_shape)
     return [
-        tuple(int(joint[axis]) for axis in agent_axes) for joint in np.argwhere(mask)
+        tuple(int(joint[axis]) for axis in model.agent_axes) for joint in np.argwhere(mask)
     ]
 
 
@@ -215,8 +216,8 @@ def alpha_sweep(
     alpha_grid,
     restarts: int = 1,
     base_seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SweepReport:
     """Run the iteration over every (alpha, restart) cell and summarize.
 
@@ -237,9 +238,10 @@ def alpha_sweep(
 
     total = None
     if model.mode == "energy" and math.prod(model.agent_cardinalities()) <= MAX_ENUMERATION_SIZE:
-        total = sum(_full_domain_tensor(model, agent) for agent in model.agents)
+        # axes in agent order, so that a decoded assignment indexes it
+        total = np.transpose(sum(_full_domain_tensor(model, a) for a in model.agents),
+                             model.agent_axes)
         global_min = float(total.min())
-        variable_axis = [model._position_of[a.acts_on] for a in model.agents]
 
     rows = []
     for ai, alpha in enumerate(alphas):
@@ -262,11 +264,7 @@ def alpha_sweep(
                 welfare = None
             hit = None
             if total is not None:
-                decoded = decode_assignment(result.profile)
-                joint = [0] * len(model.variables)
-                for axis, action in zip(variable_axis, decoded):
-                    joint[axis] = action
-                value = float(total[tuple(joint)])
+                value = float(total[decode_assignment(result.profile)])
                 hit = value <= global_min + 1e-12 * (1.0 + abs(global_min))
             rows.append(
                 SweepRow(alpha, seed, result.converged, result.iterations, epsilon, welfare, hit)

@@ -191,7 +191,10 @@ def load_hamiltonian(path) -> HermitianOperator:
         # false for NaN, infinities and integers past the float range
         if not all(_is_number(x) and abs(x) <= sys.float_info.max for x in entries):
             raise FileFormatError(f"{path}: 'diagonal' entries must be finite numbers")
-        return Diagonal(np.array(entries, dtype=float))
+        try:
+            return Diagonal(np.array(entries, dtype=float))
+        except ValueError as e:
+            raise FileFormatError(f"{path}: diagonal: {e}") from e
     if "dense" in data:
         rows = _require(data, "dense", list, str(path))
         matrix = _floats(rows, f"{path}: dense", "a rectangular number matrix")

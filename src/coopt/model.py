@@ -11,9 +11,7 @@ for the sum of those tables.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -103,6 +101,15 @@ class GameModel:
         the objective tables, which must not change in place afterwards."""
         return ContractionPlan(self)
 
+    @functools.cached_property
+    def agent_axes(self) -> tuple[int, ...]:
+        """The position in `variables` of each agent's variable."""
+        return tuple(self._position_of[agent.acts_on] for agent in self.agents)
+
+    @functools.cached_property
+    def _agent_cardinalities(self) -> tuple[int, ...]:
+        return tuple(self.variables[axis].cardinality for axis in self.agent_axes)
+
     def cardinality(self, variable: str) -> int:
         if variable not in self._cardinality_of:
             raise KeyError(f"unknown variable {variable!r}")
@@ -111,8 +118,8 @@ class GameModel:
     def variable_names(self) -> list[str]:
         return [spec.name for spec in self.variables]
 
-    def agent_cardinalities(self) -> list[int]:
-        return [self.cardinality(agent.acts_on) for agent in self.agents]
+    def agent_cardinalities(self) -> tuple[int, ...]:
+        return self._agent_cardinalities
 
     def shape_of(self, order: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.cardinality(name) for name in order)
@@ -132,12 +139,8 @@ class StrategyProfile(Frozen):
 
     @classmethod
     def point_mass(cls, model: GameModel, assignment: Sequence[int]) -> "StrategyProfile":
-        dists = []
-        for c, a in zip(model.agent_cardinalities(), assignment):
-            d = np.zeros(c)
-            d[a] = 1.0
-            dists.append(d)
-        return cls(tuple(dists))
+        # row a of the identity: 1 at action a, 0 elsewhere
+        return cls(tuple(np.eye(c)[a] for c, a in zip(model.agent_cardinalities(), assignment)))
 
 
 def _reduce_segments(ufunc, flat: np.ndarray, sizes, empty) -> np.ndarray:
@@ -190,16 +193,15 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProf
 
 
 def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finite: bool) -> None:
-    names = model._cardinality_of
     if agent.acts_on not in obj.order:
         problems.append(f"agent {agent.name!r}: variable order omits its own variable")
     if len(set(obj.order)) != len(obj.order):
         problems.append(f"agent {agent.name!r}: duplicate variable in order")
-    unknown = [v for v in obj.order if v not in names]
+    unknown = [v for v in obj.order if v not in model._cardinality_of]
     if unknown:
         problems.append(f"agent {agent.name!r}: unknown variable {unknown[0]!r} in order")
         return
-    expected = int(np.prod(model.shape_of(obj.order)))
+    expected = math.prod(model.shape_of(obj.order))
     if obj.values.size != expected:
         problems.append(
             f"agent {agent.name!r}: {obj.values.size} values for a domain of size {expected}"
@@ -208,59 +210,36 @@ def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finit
         problems.append(f"agent {agent.name!r}: non-finite objective value")
 
 
-def _pairwise_problems(model: GameModel, pairwise: np.ndarray, finite: np.ndarray) -> dict:
-    """Each pairwise agent's structure problems, term by term, found on
-    arrays over every term at once; only failing terms are worded.
-    pairwise marks the agents with pairwise objectives; finite holds one
-    flag per pairwise table, agent by agent in term order."""
-    agents = list(itertools.compress(model.agents, pairwise))
-    terms = [agent.objective.terms for agent in agents]
-    counts = [len(own) for own in terms]
-    if not any(counts):
-        return {}
-    position, cards = model._position_of, model._cardinality_of
-    owner = np.repeat(np.flatnonzero(pairwise), counts)
-    own = np.repeat([position.get(agent.acts_on, -1) for agent in agents], counts)
-    names, tables = zip(*itertools.chain.from_iterable(terms))
-    other = np.fromiter(map(position.get, names, itertools.repeat(-1)), np.intp, len(names))
-    unknown, itself = other < 0, (other == own) & (other >= 0)
-    kept = ~unknown & ~itself  # the later checks skip unknown and self terms
-    # kept terms whose variable an earlier kept term of the same agent lists
-    keys = owner * (len(position) + 1) + other
-    first = np.flatnonzero(kept)
-    first = first[np.argsort(keys[first], kind="stable")]
-    twice = np.zeros(len(names), dtype=bool)
-    twice[first[1:]] = keys[first[1:]] == keys[first[:-1]]
-    # position -1, an unknown variable, reads cardinality -1, which no shape has
-    sizes = np.array([spec.cardinality for spec in model.variables] + [-1])
-    expected = zip(sizes[own].tolist(), sizes[other].tolist())
-    shapes = map(operator.attrgetter("shape"), tables)
-    misshapen = kept & (own >= 0) & ~np.fromiter(map(operator.eq, shapes, expected), bool)
-    failing = unknown | itself | (kept & (twice | misshapen | ~finite))
-    problems: dict[int, list[str]] = {}
-    for t in np.flatnonzero(failing).tolist():
-        agent, name = model.agents[owner[t]], names[t]
-        out = problems.setdefault(int(owner[t]), [])
-        if unknown[t]:
-            out.append(f"agent {agent.name!r}: pairwise term with unknown variable {name!r}")
+def _check_pairwise(
+    agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str], finite
+) -> None:
+    """finite yields one finiteness flag per term, in term order."""
+    names = model._cardinality_of
+    seen = set()
+    own_card = names.get(agent.acts_on)
+    for (other, table), table_finite in zip(obj.terms, finite):
+        if other not in names:
+            problems.append(f"agent {agent.name!r}: pairwise term with unknown variable {other!r}")
             continue
-        if itself[t]:
-            out.append(f"agent {agent.name!r}: pairwise term with its own variable")
+        if other == agent.acts_on:
+            problems.append(f"agent {agent.name!r}: pairwise term with its own variable")
             continue
-        if twice[t]:
-            out.append(f"agent {agent.name!r}: variable {name!r} listed twice in pairwise terms")
-        if misshapen[t]:
-            out.append(
-                f"agent {agent.name!r}: pairwise table for {name!r} has shape "
-                f"{tables[t].shape}, expected {(cards[agent.acts_on], cards[name])}"
+        if other in seen:
+            problems.append(f"agent {agent.name!r}: variable {other!r} listed twice in pairwise terms")
+        seen.add(other)
+        shape = (own_card, names[other])
+        if own_card is not None and table.shape != shape:
+            problems.append(
+                f"agent {agent.name!r}: pairwise table for {other!r} has shape "
+                f"{table.shape}, expected {shape}"
             )
-        if not finite[t]:
-            out.append(f"agent {agent.name!r}: non-finite pairwise energy")
-    return problems
+        if not table_finite:
+            problems.append(f"agent {agent.name!r}: non-finite pairwise energy")
 
 
 def _tables(objective) -> list[np.ndarray]:
-    if isinstance(objective, DenseTable):
+    """The tables whose finiteness validate tests, one flag each."""
+    if isinstance(objective, (DenseEnergy, DenseUtility)):
         return [objective.values]
     if isinstance(objective, PairwiseEnergy):
         return [table for _, table in objective.terms]
@@ -294,37 +273,30 @@ def validate(model: GameModel) -> GameModel:
         problems.append("agents and variables must be in one-to-one correspondence")
 
     # one finiteness test over every table, then one flag per table
-    tables = [_tables(agent.objective) for agent in model.agents]
-    counts = [len(own) for own in tables]
-    every = list(itertools.chain.from_iterable(tables))
+    every = [table for agent in model.agents for table in _tables(agent.objective)]
     # raveled first: concatenate with axis=None takes about twice as long
     flat = np.concatenate([table.ravel() for table in every]) if every else np.zeros(0)
-    flags = _reduce_segments(
+    # Each agent takes its tables' flags in turn: next() for a dense table,
+    # the zip over its terms in _check_pairwise, which stops on the terms.
+    finite = iter(_reduce_segments(
         np.logical_and, np.isfinite(flat), [table.size for table in every], True
-    )
-    pairwise = np.array([isinstance(a.objective, PairwiseEnergy) for a in model.agents], bool)
-    pairwise_problems = _pairwise_problems(model, pairwise, flags[np.repeat(pairwise, counts)])
-    starts = np.cumsum(counts, dtype=np.intp) - counts
-    # every agent but the well-formed pairwise ones in energy mode
-    look = ~pairwise | (model.mode != "energy")
-    look[list(pairwise_problems)] = True
-    for i in np.flatnonzero(look).tolist():
-        agent = model.agents[i]
+    ).tolist())
+    for agent in model.agents:
         obj = agent.objective
         if isinstance(obj, DenseUtility):
             if model.mode != "utility":
                 problems.append(f"agent {agent.name!r}: utility objective in energy mode")
             if (np.asarray(obj.values) < 0).any():
                 problems.append(f"agent {agent.name!r}: negative utility value")
-            _check_dense(agent, obj, model, problems, flags[starts[i]])
+            _check_dense(agent, obj, model, problems, next(finite))
         elif isinstance(obj, DenseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: energy objective in utility mode")
-            _check_dense(agent, obj, model, problems, flags[starts[i]])
+            _check_dense(agent, obj, model, problems, next(finite))
         elif isinstance(obj, PairwiseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: pairwise energies require energy mode")
-            problems += pairwise_problems.get(i, [])
+            _check_pairwise(agent, obj, model, problems, finite)
         else:
             problems.append(f"agent {agent.name!r}: unrecognized objective type")
 

@@ -90,7 +90,9 @@ class DenseSymmetric(Frozen):
         tridiagonal = np.count_nonzero(m) == sum(np.count_nonzero(b) for b in bands)
         object.__setattr__(self, "_bands", bands if tridiagonal else None)
         # Taken once here: the reduction allocates a matrix the size of m.
-        object.__setattr__(self, "_scale", float(np.abs(m).sum(axis=1).max()))
+        # Rows past the float range sum to inf, which evolve_linear refuses.
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "_scale", float(np.abs(m).sum(axis=1).max()))
 
     @property
     def dimension(self) -> int:

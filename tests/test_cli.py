@@ -361,6 +361,24 @@ class TestQuantum:
         assert doc["states"][0]["converged"]
         assert round(doc["states"][0]["time"] / doc["dt"]) == 2045
 
+    def test_empty_diagonal_exits_one_naming_the_file(self, tmp_path):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"diagonal": []}))
+        proc = run_cli("quantum", "--hamiltonian", str(h))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {h}: diagonal: diagonal operator needs a nonempty 1-D entry vector\n"
+        )
+
+    def test_scale_past_the_float_range_exits_one_naming_the_scale(self, tmp_path):
+        # every row sums to inf
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"dense": [[1e308, 1e308], [1e308, 1e308]]}))
+        proc = run_cli("quantum", "--hamiltonian", str(h))
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: the operator's scale") and "inf" in line
+
     def test_unbounded_step_count_exits_one(self, tmp_path):
         h = tmp_path / "h.json"
         h.write_text(json.dumps({"diagonal": [1e308, -1e308]}))

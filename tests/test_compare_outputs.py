@@ -22,8 +22,13 @@ def test_checkout_matches_itself_on_one_small_game(tmp_path):
     inputs.mkdir()
     jobs = script.game_jobs(inputs, {"prisoners_dilemma": ("0.25:0.5:log:2", 0)}, seeds=(3,))
     assert script.compare(ROOT, ROOT, jobs, tmp_path) == []
-    # sweep CSV, two solves with their traces, nash and verify
-    assert len(list((tmp_path / "new").iterdir())) == 7
+    # sweep CSV, two solves with their traces, nash and verify, and the five
+    # jobs' stderr
+    written = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert len(written) == 12
+    assert [name for name in written if name.endswith(".stderr")] == sorted(
+        job[job.index("--out") + 1] + ".stderr" for job in jobs
+    )
 
 
 def test_quantum_outputs_are_compared(tmp_path):
@@ -35,8 +40,10 @@ def test_quantum_outputs_are_compared(tmp_path):
     assert [job[job.index("--hbar") + 1] for job in jobs if "--hbar" in job] == ["0.37"]
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
-    assert written == ["oscillator.hbar0.37.json", "oscillator.json",
-                       "oscillator.states3.json", "oscillator.trace.csv"]
+    assert written == ["oscillator.hbar0.37.json", "oscillator.hbar0.37.json.stderr",
+                       "oscillator.json", "oscillator.json.stderr",
+                       "oscillator.states3.json", "oscillator.states3.json.stderr",
+                       "oscillator.trace.csv"]
 
     # A tree whose default step is one ulp shorter.
     tree = tmp_path / "tree"
@@ -50,8 +57,31 @@ def test_quantum_outputs_are_compared(tmp_path):
     ))
     # At hbar = 0.37 the shorter factor rounds to the same step.
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
-        name for name in written if "hbar" not in name
+        name for name in written if "hbar" not in name and not name.endswith(".stderr")
     ]
+
+
+def test_malformed_problems_are_refused_and_a_reworded_message_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.malformed_jobs(inputs)
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    messages = [p.read_text() for p in (tmp_path / "same" / "new").iterdir()]
+    assert len(messages) == len(jobs)
+    assert all(m.startswith("error: ") and m.count("\n") == 1 for m in messages)
+    assert len(set(messages)) == len(jobs)  # each job words a different refusal
+
+    # A tree whose duplicate-term message says "tables" for "terms".
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    model = tree / "src" / "coopt" / "model.py"
+    source = model.read_text()
+    assert source.count("listed twice in pairwise terms") == 1
+    model.write_text(source.replace("listed twice in pairwise terms",
+                                    "listed twice in pairwise tables"))
+    found = script.compare(ROOT, tree, jobs, tmp_path / "moved")
+    assert found == ["bad.pairwise-twice.json.stderr"]
 
 
 def test_mixed_ring_covers_grouped_edges_and_escaped_names(tmp_path):

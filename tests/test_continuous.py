@@ -518,6 +518,19 @@ class TestEvolveCoupled:
         points, _ = evolve_coupled(model, WaveState((lean, lean)), t_max=5.0, record_every=1)
         assert points[1].time == 0.99 * RK4_MONOTONE_LIMIT * model.hbar / 1.0
 
+    def test_scale_bound_past_the_float_range_is_refused_by_name(self):
+        # two terms of 1e308 sum to inf in coupled_scale
+        big = np.full((2, 2), 1e308)
+        variables = tuple(DomainSpec(name, 2) for name in ("x", "y", "z"))
+        agents = (
+            Agent("a", "x", PairwiseEnergy((("y", big), ("z", big)))),
+            Agent("b", "y", PairwiseEnergy((("x", big),))),
+            Agent("c", "z", PairwiseEnergy((("x", big),))),
+        )
+        model = GameModel(variables, agents)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="scale.* inf"):
+            evolve_coupled(model)
+
     @pytest.mark.parametrize("every", [0, -1])
     def test_record_every_below_one_rejected(self, every):
         with pytest.raises(ValueError, match="record_every"):

@@ -71,6 +71,23 @@ class TestProblemLoading:
         with pytest.raises(ValidationError, match="3 values"):
             load_problem(path)
 
+    def test_domain_size_past_two_to_the_64_is_exact(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64, which the empty tables would match
+        doc = {
+            "mode": "utility",
+            "variables": [{"name": "x", "cardinality": 2**32},
+                          {"name": "y", "cardinality": 2**32}],
+            "agents": [
+                {"name": "ax", "acts_on": "x",
+                 "objective": {"dense": {"order": ["x", "y"], "values": []}}},
+                {"name": "ay", "acts_on": "y",
+                 "objective": {"dense": {"order": ["y", "x"], "values": []}}},
+            ],
+        }
+        path = write_json(tmp_path, "huge.json", doc)
+        with pytest.raises(ValidationError, match="domain of size 18446744073709551616"):
+            load_problem(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")
