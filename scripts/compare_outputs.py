@@ -4,7 +4,10 @@
 Runs the CLI jobs of perfbench's games-sweep workload (each bundled game's
 alpha grid with 2 restarts at seeds 3 and 7, the soft and hard solves with
 their traces, nash and verify), the solves of two seeded 200-agent
-pairwise rings at alpha 0.5 and 8 (with a trace, and verify), the same
+pairwise rings at alpha 0.5 and 8 (with a trace, and verify), two solves
+whose map returns to an earlier profile bit for bit and so stop early with
+exit code 2 (`matching_pennies` at alpha 4 from a seeded random start,
+with a trace, and `coordination` at alpha 1), the same
 three jobs and a sweep on a generated ring of mixed cardinalities whose
 agents hold pairwise terms or dense tables and whose names need escaping
 in JSON (quotes, backslashes, non-ASCII), and
@@ -122,6 +125,21 @@ def ring_jobs(inputs: Path, seeds=RING_SEEDS) -> list[list[str]]:
             ["verify", *base, "--profile", f"ring{seed}.soft.json",
              "--out", f"ring{seed}.verify.json"],
         ]
+    return jobs
+
+
+def cycle_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for the solves that stop on an exact repeat; writes
+    their problem files to inputs."""
+    jobs = []
+    for name, alpha, extra in (
+        ("matching_pennies", 4.0, ["--seed", "7", "--trace", "matching_pennies.cycle.csv"]),
+        ("coordination", 1.0, []),
+    ):
+        problem = str(inputs / f"{name}.json")
+        shutil.copyfile(bundled_path(name), problem)
+        jobs.append(["solve", "--problem", problem, "--alpha", str(alpha), "--init", "random",
+                     *extra, "--out", f"{name}.cycle.json"])
     return jobs
 
 
@@ -396,8 +414,8 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
         inputs.mkdir()
-        jobs = (game_jobs(inputs) + ring_jobs(inputs) + mixed_jobs(inputs) + quantum_jobs(inputs)
-                + malformed_jobs(inputs))
+        jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
+                + quantum_jobs(inputs) + malformed_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

@@ -125,17 +125,19 @@ def _cmd_quantum(args) -> int:
         psi0 = random_unit_vector(n, args.seed)
     else:
         psi0 = np.full(n, 1.0 / math.sqrt(n))
-    dt = args.dt if args.dt is not None else continuous.default_step(operator, args.hbar)
     results = lowest_states(
         operator,
         args.states,
         psi0,
-        dt=dt,
+        dt=args.dt,
         t_max=args.t_max,
         tol=args.tol,
         hbar=args.hbar,
         seed=args.seed,
     )
+    # the step the flows took: they refuse a range default_step would
+    # refuse, and their other checks come first
+    dt = args.dt if args.dt is not None else continuous.default_step(operator, args.hbar)
     entries = [
         fileio.quantum_state_entry(k, report, psi)
         for k, (_, report, psi) in enumerate(results)

@@ -106,6 +106,13 @@ def _renormalized(v: np.ndarray, step: int) -> np.ndarray:
     return v / norm
 
 
+def _check_range(scale: float, hbar: float) -> None:
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite (got {hbar})")
+    if not math.isfinite(scale):
+        raise ValueError(f"the operator's scale {scale} is past the float range")
+
+
 def _default_dt(scale: float, hbar: float) -> float:
     scale = scale if scale > 0 else 1.0
     dt = DEFAULT_STEP_TIMES * hbar / scale
@@ -120,9 +127,13 @@ def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
     Below RK4_MONOTONE_LIMIT * hbar / scale(H) every eigencomponent's RK4
     factor is positive and decreasing in its eigenvalue, so the flow still
     converges to the lowest eigenvector; a smaller step tracks the exact
-    flow exp(-tH/hbar) psi0 more closely along the way.
+    flow exp(-tH/hbar) psi0 more closely along the way.  Raises
+    ValueError, as the flows do, for an hbar that is not positive and
+    finite or an operator whose scale is past the float range.
     """
-    return _default_dt(operator.scale(), hbar)
+    scale = operator.scale()
+    _check_range(scale, hbar)
+    return _default_dt(scale, hbar)
 
 
 def _accepted(dt: float, scale: float, hbar: float) -> bool:
@@ -157,10 +168,7 @@ def _schedule(
     the largest float where that overflows; the default record_every spaces
     about 1000 points over max_steps.  The last step's time, max_steps * dt,
     stays a float."""
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be positive and finite (got {hbar})")
-    if not math.isfinite(scale):
-        raise ValueError(f"the operator's scale {scale} is past the float range")
+    _check_range(scale, hbar)
     if t_max is None:
         t_max = min(DEFAULT_T_MAX * hbar, sys.float_info.max)
     if not t_max > 0:

@@ -87,6 +87,7 @@ class FixedPointResult(NamedTuple):
     max_change: float
     field: ExpectedReturnField
     trace: IterationTrace | None = None
+    cycle_period: int | None = None
 
 
 def random_profile(model: GameModel, seed: int) -> StrategyProfile:
@@ -172,10 +173,18 @@ def iterate_to_fixed_point(
     keep_trace: bool = False,
 ) -> FixedPointResult:
     """Run the synchronous update-and-normalize map until the profile stops
-    moving (infinity norm <= tol) or the iteration budget runs out.
+    moving (infinity norm <= tol), the iteration budget runs out, or the
+    profile returns bit for bit to an earlier state.
 
     Every agent's return is computed from the previous step's profile.
-    Non-convergence is reported in the result, not raised.
+    Non-convergence is reported in the result, not raised.  The map is a
+    function of the profile's bits, so once p_t equals an earlier p_s every
+    later state and max_change repeats one of steps s+1..t, each of which
+    was above tol: the run cannot converge and stops there, unconverged,
+    with `iterations` the map evaluations made and `cycle_period` t - s.
+    Repeats are found by Brent's power-of-two scheme (R. P. Brent, BIT 20
+    (1980) 176): the states at steps 1, 2, 4, 8, ... are saved in turn and
+    each step's state is compared with the last one saved.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (got {tol})")
@@ -188,6 +197,8 @@ def iterate_to_fixed_point(
     p = stack(profile.dists, 0.0)
     steps: list[TraceStep] = []
     converged = False
+    cycle_period = None
+    saved, saved_at = None, 0
     for t in range(1, max_iter + 1):
         log_returns = plan.log_returns(p)
         if not (log_returns < np.inf).all():
@@ -200,6 +211,12 @@ def iterate_to_fixed_point(
         if change <= tol:
             converged = True
             break
+        state = p.tobytes()
+        if state == saved:
+            cycle_period = t - saved_at
+            break
+        if t & (t - 1) == 0:
+            saved, saved_at = state, t
 
     return FixedPointResult(
         profile=StrategyProfile(plan.rows(p)),
@@ -208,4 +225,5 @@ def iterate_to_fixed_point(
         max_change=change,
         field=ExpectedReturnField(plan.rows(log_returns)),
         trace=IterationTrace(tuple(steps)) if keep_trace else None,
+        cycle_period=cycle_period,
     )

@@ -344,6 +344,8 @@ def solve_document(
         "profile": _named(model, result.profile.dists),
         "expected_returns": _named(model, result.field.values),
     }
+    if result.cycle_period is not None:
+        doc["cycle_period"] = int(result.cycle_period)
     if certificate is not None:
         doc["epsilon_certificate"] = certificate_document(model, certificate)
     return doc

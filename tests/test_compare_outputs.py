@@ -1,6 +1,7 @@
 """scripts/compare_outputs.py, the output-identity check between two trees."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -59,6 +60,34 @@ def test_quantum_outputs_are_compared(tmp_path):
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
         name for name in written if "hbar" not in name and not name.endswith(".stderr")
     ]
+
+
+def test_solves_that_stop_on_a_repeat_are_compared(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.cycle_jobs(inputs)
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [2, 2]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    written = sorted(p.name for p in new.iterdir())
+    assert written == ["coordination.cycle.json", "coordination.cycle.json.stderr",
+                       "matching_pennies.cycle.csv", "matching_pennies.cycle.json",
+                       "matching_pennies.cycle.json.stderr"]
+    for name in ("coordination.cycle.json", "matching_pennies.cycle.json"):
+        doc = json.loads((new / name).read_text())
+        assert not doc["converged"] and doc["cycle_period"] >= 2
+        assert doc["iterations"] < 10000
+
+    # A tree that runs every repeat out to --max-iter.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    discrete = tree / "src" / "coopt" / "discrete.py"
+    source = discrete.read_text()
+    assert source.count("        if state == saved:\n") == 1
+    discrete.write_text(source.replace("        if state == saved:\n", "        if False:\n"))
+    found = script.compare(ROOT, tree, jobs, tmp_path / "moved")
+    assert found == [name for name in written if not name.endswith(".stderr")]
 
 
 def test_malformed_problems_are_refused_and_a_reworded_message_is_reported(tmp_path):

@@ -278,6 +278,16 @@ class TestEvolveLinear:
         assert default_step(op, hbar=1.0) == 0.99 * RK4_MONOTONE_LIMIT * 1.0 / 5.0
         assert default_step(op, hbar=2.0) == 0.99 * RK4_MONOTONE_LIMIT * 2.0 / 5.0
 
+    def test_default_step_refuses_a_scale_past_the_float_range(self):
+        # every row sums to inf, which would make the step 0.0
+        op = DenseSymmetric(np.full((2, 2), 1e308))
+        assert op.scale() == math.inf
+        message = "the operator's scale inf is past the float range"
+        for call in (lambda: default_step(op), lambda: evolve_linear(op, np.array([1.0, 0.0]))):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+
     def test_stability_limit_is_where_the_rk4_factor_stops_increasing(self):
         def R(z):  # the RK4 amplification of y' = -rate*y at rate*dt = -z
             return helpers.scalar_rk4(-z, 1.0, 1.0)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import helpers
+from coopt import bundled_path, fileio
+from coopt.cli import parse_alpha_grid
 from coopt.discrete import (
     ALPHA_CAP,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     AllZeroReturnsError,
     DivergenceError,
     ExpectedReturnField,
@@ -24,7 +28,9 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
     densify,
+    stack,
 )
+from coopt.rng import derive_seed
 
 
 def write_detail_csv(trace, path, model: GameModel) -> None:
@@ -218,8 +224,14 @@ class TestIteration:
         init = random_profile(model, 123)
         result = iterate_to_fixed_point(model, 32.0, init, max_iter=300)
         assert not result.converged
-        assert result.iterations == 300
+        assert result.cycle_period is not None
+        assert result.iterations < 300
         assert result.max_change > 1e-3
+        # a budget that ends before the repeat is found is used up
+        short = iterate_to_fixed_point(model, 32.0, init, max_iter=result.iterations - 1)
+        assert not short.converged
+        assert short.iterations == result.iterations - 1
+        assert short.cycle_period is None
 
     def test_mixed_dense_and_pairwise_agents_iterate(self):
         table = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -331,3 +343,95 @@ class TestTraceOutput:
         detail_lines = detail.read_text().splitlines()
         assert detail_lines[0] == "step,agent,action,p,psi"
         assert len(detail_lines) == 1 + result.iterations * 4  # 2 agents x 2 actions
+
+
+# ------------------------------------------------- the stop on an exact repeat
+
+# perfbench's games-sweep grids, as perfbench/workloads.py GAMES lists them
+BENCHMARK_GRIDS = {
+    "prisoners_dilemma": "0.25:32:log:8",
+    "matching_pennies": "0.5:4:log:4",
+    "coordination": "0.25:1:log:3",
+    "pairwise_chain": "0.25:2:log:4",
+}
+BUDGETS = (DEFAULT_MAX_ITER, 5)
+
+
+def plain_steps(model, alpha, init, tol, max_iter):
+    """The loop of iterate_to_fixed_point without the stop on a repeat:
+    one (step, max_change, bytes of p, log_returns) row per map evaluation."""
+    plan = model.plan
+    p = stack((StrategyProfile.uniform(model) if init is None else init).dists, 0.0)
+    rows = []
+    for t in range(1, max_iter + 1):
+        log_returns = plan.log_returns(p)
+        if not (log_returns < np.inf).all():
+            raise DivergenceError(t, "non-finite expected return")
+        new_p = normalize_policy(log_returns, alpha)
+        change = float(np.abs(new_p - p).max())
+        p = new_p
+        rows.append((t, change, p.tobytes(), log_returns))
+        if change <= tol:
+            break
+    return rows
+
+
+def check_against_plain_steps(model, alpha, init, max_iter, tol=DEFAULT_TOL):
+    """Runs iterate_to_fixed_point and replays it step by step; returns the
+    cycle period it reported."""
+    result = iterate_to_fixed_point(model, alpha, init, tol=tol, max_iter=max_iter, keep_trace=True)
+    t, period = result.iterations, result.cycle_period
+    rows = plain_steps(model, alpha, init, tol, t + (period or 0))
+    assert [(s.step, s.max_change, s.p.tobytes(), s.log_returns.tobytes())
+            for s in result.trace.steps] == [(*row[:3], row[3].tobytes()) for row in rows[:t]]
+    _, change, p, log_returns = rows[t - 1]
+    assert result.max_change == change
+    assert stack(result.profile.dists, 0.0).tobytes() == p
+    plan = model.plan
+    assert [v.tobytes() for v in result.field.log_values] == [
+        v.tobytes() for v in plan.rows(log_returns)
+    ]
+    if period is None:
+        # the plain loop stops where the run stopped, for the same reason
+        assert len(rows) == t
+        assert result.converged == (change <= tol)
+        assert result.converged or t == max_iter
+    else:
+        # period more plain steps, none within tol, come back to the reported
+        # profile, and no fewer do
+        assert not result.converged and t <= max_iter
+        assert len(rows) == t + period
+        assert all(row[1] > tol for row in rows)
+        assert [row[2] == p for row in rows[t:]] == [False] * (period - 1) + [True]
+    return period
+
+
+@pytest.mark.parametrize("game", sorted(BENCHMARK_GRIDS))
+def test_benchmark_sweep_cells_stop_exactly(game):
+    model = fileio.load_problem(bundled_path(game))
+    alphas = parse_alpha_grid(BENCHMARK_GRIDS[game])
+    periods = []
+    for max_iter in BUDGETS:
+        for ai, alpha in enumerate(alphas):
+            # the uniform start is every seed's first restart
+            periods.append(check_against_plain_steps(model, alpha, None, max_iter))
+            for base_seed in range(1, 11):
+                init = random_profile(model, derive_seed(base_seed, ai, 1))
+                periods.append(check_against_plain_steps(model, alpha, init, max_iter))
+    cycles = [period for period in periods if period is not None]
+    # the benchmark's cycling cells: matching_pennies at alpha 4, coordination at 1
+    assert bool(cycles) == (game in ("matching_pennies", "coordination"))
+
+
+@pytest.mark.parametrize("mode", ["utility", "energy"])
+def test_random_dense_models_stop_exactly(mode):
+    periods = []
+    for seed in range(1, 21):
+        model = helpers.random_dense_model(seed, n_agents=2 + seed % 2, card=2 + seed % 3 // 2,
+                                           mode=mode, value_span=2.0)
+        for alpha in (1.0, 4.0, 16.0, 64.0):
+            for max_iter in BUDGETS:
+                periods.append(check_against_plain_steps(
+                    model, alpha, random_profile(model, seed + 100), max_iter
+                ))
+    assert any(period is not None for period in periods)
