@@ -14,7 +14,9 @@ in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
 two lowest at hbar = 0.37, and `coopt solve` on malformed problem files,
-at least one per kind of problem `validate` words, once per tree in a fresh
+at least one per kind of problem `validate` words, and `coopt verify` on
+malformed profile files, at least one per message that `load_profile` and
+`validate_profile` word, once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  It also
 runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
@@ -264,6 +266,66 @@ def malformed_jobs(inputs: Path) -> list[list[str]]:
     return jobs
 
 
+def malformed_profiles() -> tuple[dict, dict[str, object]]:
+    """A problem with a nine-action agent A and a two-action agent B, and
+    profile documents for it by name: at least one for each message that
+    `load_profile` and `validate_profile` word.  The two "sum-rounding"
+    distributions of A sum to within rounding of 1 + PROBABILITY_TOL, and
+    adding their entries in order lands on the other side of the tolerance
+    from their own sum(), which decides: one is refused, one accepted."""
+    problem = {
+        "mode": "energy",
+        "hbar": 1.0,
+        "variables": [{"name": "x", "cardinality": 9}, {"name": "y", "cardinality": 2}],
+        "agents": [
+            {"name": "A", "acts_on": "x", "objective": {"pairwise": [
+                {"with": "y", "table": [[i / 8, 1 - i / 8] for i in range(9)]}]}},
+            {"name": "B", "acts_on": "y", "objective": {"pairwise": [
+                {"with": "x", "table": [[i / 8 for i in range(9)], [1 - i / 8 for i in range(9)]]}]}},
+        ],
+    }
+    uniform = [1 / 9] * 9
+
+    def profile(a=uniform, b=(0.5, 0.5)):
+        return {"profile": {"A": a, "B": b}}
+
+    return problem, {
+        "not-object": [uniform],
+        "no-profile": {"A": uniform},
+        "missing-agent": {"profile": {"A": uniform}},
+        "not-list": profile(b=0.5),
+        "not-numbers": profile(b=["half", 0.5]),
+        "length": profile(b=[0.25, 0.25, 0.5]),
+        "two-dimensional": profile(b=[[0.5], [0.5]]),
+        "non-finite": profile(b=[math.nan, 0.5]),
+        "negative": profile(b=[-0.5, 1.5]),
+        "sum-off": profile(b=[0.5, 0.5 + 1e-11]),
+        "sum-rounding-refused": profile([
+            0.06209318549706376, 0.18473105354374872, 0.24183856040285448,
+            0.0514401653065641, 0.06988477199585567, 0.1927859162159184,
+            0.07538188143072368, 0.09902396018590492, 0.02282050542236616]),
+        "sum-rounding-accepted": profile([
+            0.04714707681792982, 0.08299614415975826, 0.08352223924524174,
+            0.0209700634864664, 0.07627787347286556, 0.10484190118579945,
+            0.12483953324844663, 0.41044151107914456, 0.04896365730534747]),
+    }
+
+
+def malformed_profile_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt verify` on each malformed profile; writes them and their
+    problem to inputs."""
+    problem_doc, profiles = malformed_profiles()
+    problem = inputs / "profile-problem.json"
+    problem.write_text(json.dumps(problem_doc))
+    jobs = []
+    for name, doc in profiles.items():
+        path = inputs / f"bad-profile.{name}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(["verify", "--problem", str(problem), "--profile", str(path),
+                     "--out", f"bad-profile.{name}.json"])
+    return jobs
+
+
 def quantum_jobs(inputs: Path) -> list[list[str]]:
     """CLI argv lists for the oscillator; writes its Hamiltonian file to inputs."""
     hamiltonian = str(inputs / "harmonic_oscillator.json")
@@ -415,7 +477,7 @@ def main(argv=None) -> int:
         inputs = workdir / "inputs"
         inputs.mkdir()
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
-                + quantum_jobs(inputs) + malformed_jobs(inputs))
+                + quantum_jobs(inputs) + malformed_jobs(inputs) + malformed_profile_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

@@ -48,7 +48,10 @@ def parse_alpha_grid(text: str) -> list[float]:
         if lo <= 0 or hi <= 0:
             raise ValueError("--alpha-grid log spacing needs positive bounds")
         return [float(x) for x in np.geomspace(lo, hi, n)]
-    return [float(x) for x in np.linspace(lo, hi, n)]
+    grid = [float(x) for x in np.linspace(lo, hi, n)]
+    if min(grid) <= 0:
+        raise ValueError(f"--alpha-grid values must be positive (got {min(grid)})")
+    return grid
 
 
 def _load_model(args):
@@ -63,6 +66,11 @@ def _check_tol(args) -> None:
         raise ValueError(f"--tol must be positive and finite (got {args.tol})")
 
 
+def _check_count(value: int, flag: str) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1 (got {value})")
+
+
 def _initial_profile(model, args):
     if args.init == "random":
         return discrete.random_profile(model, args.seed)
@@ -72,7 +80,10 @@ def _initial_profile(model, args):
 def _cmd_solve(args) -> int:
     if not math.isfinite(args.alpha):
         raise ValueError(f"--alpha must be finite (got {args.alpha})")
+    if not args.alpha > 0:
+        raise ValueError(f"--alpha must be positive (got {args.alpha})")
     _check_tol(args)
+    _check_count(args.max_iter, "--max-iter")
     model = _load_model(args)
     result = discrete.iterate_to_fixed_point(
         model,
@@ -97,8 +108,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_tol(args)
-    model = _load_model(args)
     grid = parse_alpha_grid(args.alpha_grid)
+    _check_count(args.restarts, "--restarts")
+    _check_count(args.max_iter, "--max-iter")
+    model = _load_model(args)
     report = equilibrium.alpha_sweep(
         model,
         grid,
@@ -119,6 +132,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_quantum(args) -> int:
     _check_tol(args)
+    _check_count(args.states, "--states")
+    if args.t_max is not None and not args.t_max > 0:
+        raise ValueError(f"--t-max must be positive (got {args.t_max})")
     operator = fileio.load_hamiltonian(args.hamiltonian)
     n = operator.dimension
     if args.init == "random":

@@ -9,8 +9,6 @@ linear variant evolves one vector under a fixed symmetric operator and,
 with deflation, climbs the spectrum one state at a time.
 """
 
-from __future__ import annotations
-
 import math
 import struct
 import sys

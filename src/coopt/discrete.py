@@ -7,8 +7,6 @@ a new profile through the alpha-power normalization.  All accumulation
 runs in the log domain so small hbar and large alpha stay finite.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple
@@ -20,7 +18,6 @@ from .model import (
     GameModel,
     PairwiseEnergy,
     StrategyProfile,
-    stack,
     validate_profile,
 )
 from .numerics import Frozen
@@ -99,9 +96,8 @@ def random_profile(model: GameModel, seed: int) -> StrategyProfile:
 
 
 def _field(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
-    validate_profile(model, profile)
     plan = model.plan
-    return ExpectedReturnField(plan.rows(plan.log_returns(stack(profile.dists, 0.0))))
+    return ExpectedReturnField(plan.rows(plan.log_returns(validate_profile(model, profile))))
 
 
 def expected_return_update(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
@@ -129,22 +125,20 @@ def expected_return_update_factorized(
     return _field(model, profile)
 
 
-def normalize_policy(field, alpha: float):
-    """Profile with p proportional to (expected return)**alpha, per agent.
+def normalize_policy(log_returns: np.ndarray, alpha: float) -> np.ndarray:
+    """Probabilities proportional to (expected return)**alpha, per agent.
 
-    Maps an ExpectedReturnField to a StrategyProfile, or log returns
-    stacked one agent per row (padded with -inf) to probabilities stacked
-    the same way (padded with 0).  Computed as exp(alpha * log psi - log Z)
-    so large alpha cannot overflow; alpha is capped at 1e6 (the practical
-    best-response limit).  The stacked output keeps the input's memory
-    order; on a column-major stack, as `stack` and the contraction plan
-    lay them out, every per-agent reduction adds whole columns.
+    Maps log returns stacked one agent per row (padded with -inf) to
+    probabilities stacked the same way (padded with 0).  Computed as
+    exp(alpha * log psi - log Z) so large alpha cannot overflow; alpha is
+    capped at 1e6 (the practical best-response limit).  The output keeps
+    the input's memory order; on a column-major stack, as `stack` and the
+    contraction plan lay them out, every per-agent reduction adds whole
+    columns.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    stacked = isinstance(field, np.ndarray)
-    log_values = field if stacked else stack(field.log_values, -np.inf)
-    scaled = min(alpha, ALPHA_CAP) * log_values
+    scaled = min(alpha, ALPHA_CAP) * log_returns
     top = scaled.max(axis=1)
     if (top == -np.inf).any():
         raise AllZeroReturnsError(
@@ -153,15 +147,11 @@ def normalize_policy(field, alpha: float):
         )
     sums = np.exp(scaled - top[:, np.newaxis]).sum(axis=1)
     # math.log, as in numerics.log_sum_exp: numpy's vectorized log rounds
-    # differently in about 0.1% of inputs, which would make the stacked and
-    # per-agent normalizations disagree in the last bit.
+    # differently in about 0.1% of inputs, which would move results' last bits.
     z = top + np.array(list(map(math.log, sums.tolist())))
     p = np.exp(scaled - z[:, np.newaxis])
     p /= p.sum(axis=1, keepdims=True)
-    if stacked:
-        return p
-    rows = np.ascontiguousarray(p)
-    return StrategyProfile(tuple(row[: lv.size] for row, lv in zip(rows, field.log_values)))
+    return p
 
 
 def iterate_to_fixed_point(
@@ -190,11 +180,8 @@ def iterate_to_fixed_point(
         raise ValueError(f"tol must be positive and finite (got {tol})")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    profile = StrategyProfile.uniform(model) if init is None else init
-    validate_profile(model, profile)
-
+    p = validate_profile(model, StrategyProfile.uniform(model) if init is None else init)
     plan = model.plan
-    p = stack(profile.dists, 0.0)
     steps: list[TraceStep] = []
     converged = False
     cycle_period = None

@@ -8,8 +8,6 @@ seeded restarts and records convergence, epsilon, welfare and whether the
 decoded assignment attains the global energy minimum.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -28,7 +26,6 @@ from .model import (
     PairwiseEnergy,
     StrategyProfile,
     densify,
-    stack,
     to_utility_model,  # noqa: F401  perfbench/tracing.py patches this name here
     validate,
     validate_profile,
@@ -84,29 +81,26 @@ class SweepReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _stacked_returns(model: GameModel, profile: StrategyProfile) -> np.ndarray:
-    """Stacked per-action returns against the others' marginals: expected
-    utilities, or for energies the log Boltzmann weights log E[exp(-E/hbar)]."""
-    validate_profile(model, profile)
-    p = stack(profile.dists, 0.0)
-    if model.mode == "energy":
-        return model.plan.log_returns(p)
-    return model.plan.expectations(p)
-
-
-def _payoff_vectors(model: GameModel, profile: StrategyProfile):
-    """Expected utility of each own pure action against the others'
-    marginals, per agent; for energies the Boltzmann weight exp(-E/hbar),
-    which the plan's log returns give exactly."""
-    stacked = _stacked_returns(model, profile)
+def _payoffs(model: GameModel, profile: StrategyProfile):
+    """Per agent, the returns that rank its own pure actions against the
+    others' marginals, and their expected payoffs.  Utility models rank by
+    the expected utilities themselves; energy models by the log Boltzmann
+    weights log E[exp(-E/hbar)] of the plan's log returns, whose exp gives
+    the payoffs exactly."""
+    p = validate_profile(model, profile)
+    plan = model.plan
+    if model.mode == "utility":
+        payoffs = plan.rows(plan.expectations(p))
+        return payoffs, payoffs
+    log_returns = plan.log_returns(p)
     with np.errstate(over="ignore"):  # callers check the weights they use
-        return model.plan.rows(np.exp(stacked) if model.mode == "energy" else stacked)
+        return plan.rows(log_returns), plan.rows(np.exp(log_returns))
 
 
 def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
     """Exact expected utility of one agent under the profile."""
-    vectors = _payoff_vectors(model, profile)
-    return float(profile.dists[index] @ vectors[index])
+    _, payoffs = _payoffs(model, profile)
+    return float(profile.dists[index] @ payoffs[index])
 
 
 def _weight_error(what: str, weight: float, hbar: float) -> ValueError:
@@ -120,8 +114,8 @@ def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
     """Unweighted mean of the agents' expected payoffs.  For energy models
     it raises ValueError naming hbar when the mean weight underflows to 0 or
     overflows."""
-    vectors = _payoff_vectors(model, profile)
-    welfare = float(np.mean([float(d @ v) for d, v in zip(profile.dists, vectors)]))
+    _, payoffs = _payoffs(model, profile)
+    welfare = float(np.mean([float(d @ v) for d, v in zip(profile.dists, payoffs)]))
     if model.mode == "energy" and not 0.0 < welfare < math.inf:
         raise _weight_error("the mean expected Boltzmann weight", welfare, model.hbar)
     return welfare
@@ -137,12 +131,8 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     hbar, where every gain would read 0, or overflows, where it would read
     NaN.
     """
-    stacked = _stacked_returns(model, profile)
-    ranking = vectors = model.plan.rows(stacked)
+    ranking, vectors = _payoffs(model, profile)
     energy = model.mode == "energy"
-    if energy:
-        with np.errstate(over="ignore"):  # checked per agent below
-            vectors = model.plan.rows(np.exp(stacked))
     gains = []
     deviations = []
     payoffs = []

@@ -231,7 +231,9 @@ def load_profile(path, model: GameModel) -> StrategyProfile:
         if not isinstance(entry, list):
             raise FileFormatError(f"{path}: profile[{agent.name!r}] must be a list of numbers")
         dists.append(_floats(entry, f"{path}: profile[{agent.name!r}]"))
-    return validate_profile(model, StrategyProfile(tuple(dists)))
+    profile = StrategyProfile(tuple(dists))
+    validate_profile(model, profile)
+    return profile
 
 
 def dumps_document(doc: dict) -> str:

@@ -8,8 +8,6 @@ per neighboring variable, indexed (own action, other action), and stand
 for the sum of those tables.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -143,36 +141,26 @@ class StrategyProfile(Frozen):
         return cls(tuple(np.eye(c)[a] for c, a in zip(model.agent_cardinalities(), assignment)))
 
 
-def _reduce_segments(ufunc, flat: np.ndarray, sizes, empty) -> np.ndarray:
-    """ufunc reduced over each consecutive segment of flat with the given
-    sizes, `empty` for a segment of size 0.  np.add may add a segment in
-    another order than its own sum() does."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    out = np.full(sizes.size, empty)
-    nonempty = sizes > 0
-    # a segment runs to the next nonempty start, so empty ones drop out
-    starts = (np.cumsum(sizes) - sizes)[nonempty]
-    if starts.size:
-        out[nonempty] = ufunc.reduceat(flat, starts)
-    return out
-
-
-def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProfile:
+def validate_profile(model: GameModel, profile: StrategyProfile) -> np.ndarray:
+    """The profile's distributions as `stack(profile.dists, 0.0)` lays them
+    out, once each is checked: raises ValidationError naming every agent
+    whose distribution has the wrong shape, a non-finite or negative entry,
+    or a sum more than PROBABILITY_TOL from 1."""
     if len(profile.dists) != len(model.agents):
         raise ValidationError(
             [f"profile has {len(profile.dists)} distributions for {len(model.agents)} agents"]
         )
     cards = model.agent_cardinalities()
     shaped = [dist.shape == (card,) for dist, card in zip(profile.dists, cards)]
-    sizes = [card if ok else 0 for ok, card in zip(shaped, cards)]
-    flat = np.concatenate([dist for ok, dist in zip(shaped, profile.dists) if ok] or [[]])
-    finite = _reduce_segments(np.logical_and, np.isfinite(flat), sizes, True)
-    negative = _reduce_segments(np.logical_or, flat < 0, sizes, False)
-    # reduceat may add a segment in another order than dist.sum(), which
-    # moves a sum of nonnegative terms by at most 2 * size * 2**-53 times
-    # itself; agents that close to the tolerance are summed again below
-    sums = _reduce_segments(np.add, flat, sizes, 0.0)
-    slack = 4e-16 * np.array(sizes) * np.maximum(np.abs(sums), 1.0)
+    # a misshapen distribution takes a row of zeros, and is refused below
+    p = stack([dist if ok else np.zeros(0) for ok, dist in zip(shaped, profile.dists)], 0.0)
+    finite = np.isfinite(p).all(axis=1)
+    negative = (p < 0).any(axis=1)
+    # A row sum may add in another order than dist.sum(), which moves a sum
+    # of nonnegative terms by at most 2 * size * 2**-53 times itself; agents
+    # that close to the tolerance are summed again below.
+    sums = p.sum(axis=1)
+    slack = 4e-16 * np.array(cards) * np.maximum(np.abs(sums), 1.0)
     near = np.abs(sums - 1.0) > PROBABILITY_TOL - slack
     problems = []
     for i in np.flatnonzero(~np.array(shaped) | ~finite | negative | near).tolist():
@@ -189,7 +177,7 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> StrategyProf
             )
     if problems:
         raise ValidationError(problems)
-    return profile
+    return p
 
 
 def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finite: bool) -> None:
@@ -272,15 +260,17 @@ def validate(model: GameModel) -> GameModel:
     if sorted(acted) != sorted(names):
         problems.append("agents and variables must be in one-to-one correspondence")
 
-    # one finiteness test over every table, then one flag per table
+    # one finiteness test over every table; a table is flagged when a
+    # non-finite position falls inside it, so an empty table reads finite
     every = [table for agent in model.agents for table in _tables(agent.objective)]
     # raveled first: concatenate with axis=None takes about twice as long
     flat = np.concatenate([table.ravel() for table in every]) if every else np.zeros(0)
+    ends = np.cumsum([table.size for table in every])
+    finite = np.ones(len(every), dtype=bool)
+    finite[np.searchsorted(ends, np.flatnonzero(~np.isfinite(flat)), side="right")] = False
     # Each agent takes its tables' flags in turn: next() for a dense table,
     # the zip over its terms in _check_pairwise, which stops on the terms.
-    finite = iter(_reduce_segments(
-        np.logical_and, np.isfinite(flat), [table.size for table in every], True
-    ).tolist())
+    finite = iter(finite.tolist())
     for agent in model.agents:
         obj = agent.objective
         if isinstance(obj, DenseUtility):

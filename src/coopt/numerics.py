@@ -16,8 +16,6 @@ Householder reflectors, then solved by Sturm-sequence bisection plus inverse
 iteration (module `tridiagonal`).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -274,6 +274,36 @@ def test_tol_that_is_not_positive_and_finite_exits_one_naming_the_flag(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["solve", "--alpha", "1", "--max-iter", "0"], "--max-iter must be at least 1 (got 0)"),
+     (["sweep", "--alpha-grid", "1:2:lin:2", "--max-iter", "0"],
+      "--max-iter must be at least 1 (got 0)"),
+     (["sweep", "--alpha-grid", "1:2:lin:2", "--restarts", "0"],
+      "--restarts must be at least 1 (got 0)"),
+     (["quantum", "--states", "0"], "--states must be at least 1 (got 0)"),
+     (["quantum", "--t-max", "0"], "--t-max must be positive (got 0.0)"),
+     (["quantum", "--t-max", "nan"], "--t-max must be positive (got nan)"),
+     (["solve", "--alpha", "0"], "--alpha must be positive (got 0.0)"),
+     (["solve", "--alpha=-2"], "--alpha must be positive (got -2.0)"),
+     (["sweep", "--alpha-grid", "0:2:lin:3"], "--alpha-grid values must be positive (got 0.0)"),
+     (["sweep", "--alpha-grid=-1:2:lin:1"], "--alpha-grid values must be positive (got -1.0)")],
+    ids=["solve-max-iter", "sweep-max-iter", "restarts", "states", "t-max", "t-max-nan",
+         "alpha", "alpha-negative", "alpha-grid", "alpha-grid-negative"],
+)
+def test_out_of_range_flag_exits_one_naming_the_flag_before_reading_files(
+    tmp_path, capsys, argv, message
+):
+    from coopt.cli import main
+
+    # the input file does not exist, so the flag is checked before any read
+    missing = str(tmp_path / "missing.json")
+    where = "--hamiltonian" if argv[0] == "quantum" else "--problem"
+    assert main([*argv, where, missing, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestQuantum:
     def test_harmonic_ground_state(self, tmp_path):
         out = tmp_path / "q.json"

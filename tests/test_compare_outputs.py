@@ -113,6 +113,56 @@ def test_malformed_problems_are_refused_and_a_reworded_message_is_reported(tmp_p
     assert found == ["bad.pairwise-twice.json.stderr"]
 
 
+def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.malformed_profile_jobs(inputs)
+    assert [job[0] for job in jobs] == ["verify"] * len(jobs)
+    codes = script.run_tree(ROOT, jobs, tmp_path / "codes")
+    assert codes == [0 if "accepted" in job[-1] else 1 for job in jobs]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    written = sorted(p.name for p in new.iterdir())
+    names = ["length", "missing-agent", "negative", "no-profile", "non-finite", "not-list",
+             "not-numbers", "not-object", "sum-off", "sum-rounding-accepted",
+             "sum-rounding-refused", "two-dimensional"]
+    assert written == sorted(
+        [f"bad-profile.{name}.json.stderr" for name in names]
+        + ["bad-profile.sum-rounding-accepted.json"]
+    )
+    refusals = [(new / name).read_text() for name in written if "accepted" not in name]
+    assert all(m.startswith("error: ") and m.count("\n") == 1 for m in refusals)
+    assert len(set(refusals)) == len(refusals)  # each job words a different refusal
+
+    def tree_with(name, old, replacement):
+        tree = tmp_path / name
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        model = tree / "src" / "coopt" / "model.py"
+        source = model.read_text()
+        assert source.count(old) == 1
+        model.write_text(source.replace(old, replacement))
+        return tree
+
+    accepted = next(job for job in jobs if "accepted" in job[-1])
+    refused = next(job for job in jobs if "refused" in job[-1])
+    # Sums near the tolerance decided by the screen's row sums, not re-summed.
+    tree = tree_with("no-resum", "        elif abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:\n",
+                     "        else:\n")
+    assert script.compare(ROOT, tree, jobs, tmp_path / "no-resum-out") == [
+        f"exit code 0 -> 1: coopt {' '.join(accepted)}",
+        "bad-profile.sum-rounding-accepted.json",
+        "bad-profile.sum-rounding-accepted.json.stderr",
+    ]
+    # A screen without slack, which passes a row sum just inside the tolerance.
+    tree = tree_with("no-slack", "    slack = 4e-16 * ", "    slack = 0 * ")
+    assert script.compare(ROOT, tree, jobs, tmp_path / "no-slack-out") == [
+        f"exit code 1 -> 0: coopt {' '.join(refused)}",
+        "bad-profile.sum-rounding-refused.json",
+        "bad-profile.sum-rounding-refused.json.stderr",
+    ]
+
+
 def test_mixed_ring_covers_grouped_edges_and_escaped_names(tmp_path):
     script = load_script()
     inputs = tmp_path / "inputs"

@@ -12,7 +12,6 @@ from coopt.discrete import (
     DEFAULT_TOL,
     AllZeroReturnsError,
     DivergenceError,
-    ExpectedReturnField,
     expected_return_update,
     expected_return_update_factorized,
     iterate_to_fixed_point,
@@ -134,40 +133,43 @@ class TestFactorizedUpdate:
 
 
 class TestNormalizePolicy:
-    def field(self, *vectors):
-        return ExpectedReturnField(tuple(np.log(np.asarray(v, dtype=float)) for v in vectors))
+    def log_returns(self, *vectors):
+        """Returns as log returns stacked one agent per row, padded with -inf."""
+        with np.errstate(divide="ignore"):
+            return stack([np.log(np.asarray(v, dtype=float)) for v in vectors], -np.inf)
 
     def test_linear_ratio_at_alpha_one(self):
-        profile = normalize_policy(self.field([1.0, 3.0]), 1.0)
-        np.testing.assert_allclose(profile.dists[0], [0.25, 0.75], rtol=1e-14)
+        p = normalize_policy(self.log_returns([1.0, 3.0]), 1.0)
+        np.testing.assert_allclose(p[0], [0.25, 0.75], rtol=1e-14)
 
     def test_squares_at_alpha_two(self):
-        profile = normalize_policy(self.field([1.0, 3.0]), 2.0)
-        np.testing.assert_allclose(profile.dists[0], [0.1, 0.9], rtol=1e-14)
+        p = normalize_policy(self.log_returns([1.0, 3.0]), 2.0)
+        np.testing.assert_allclose(p[0], [0.1, 0.9], rtol=1e-14)
 
     def test_uniform_returns_give_uniform_policy(self):
         for alpha in (0.5, 1.0, 7.0, 1e5):
-            profile = normalize_policy(self.field([2.5, 2.5, 2.5]), alpha)
-            np.testing.assert_allclose(profile.dists[0], np.full(3, 1 / 3), rtol=1e-14)
+            p = normalize_policy(self.log_returns([2.5, 2.5, 2.5]), alpha)
+            np.testing.assert_allclose(p[0], np.full(3, 1 / 3), rtol=1e-14)
+
+    def test_padding_gets_zero_probability(self):
+        p = normalize_policy(self.log_returns([1.0, 3.0], [1.0, 1.0, 2.0]), 1.0)
+        np.testing.assert_allclose(p, [[0.25, 0.75, 0.0], [0.25, 0.25, 0.5]], rtol=1e-14)
 
     def test_all_zero_returns_rejected(self):
-        field = ExpectedReturnField((np.array([-np.inf, -np.inf]),))
         with pytest.raises(AllZeroReturnsError):
-            normalize_policy(field, 1.0)
+            normalize_policy(self.log_returns([0.0, 0.0]), 1.0)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            normalize_policy(self.field([1.0, 2.0]), 0.0)
+            normalize_policy(self.log_returns([1.0, 2.0]), 0.0)
 
     def test_alpha_capped_at_best_response_limit(self):
-        f = self.field([1.0, 2.0])
-        capped = normalize_policy(f, ALPHA_CAP)
-        huge = normalize_policy(f, 1e12)
-        np.testing.assert_array_equal(capped.dists[0], huge.dists[0])
+        f = self.log_returns([1.0, 2.0])
+        np.testing.assert_array_equal(normalize_policy(f, ALPHA_CAP), normalize_policy(f, 1e12))
 
     def test_sums_to_one(self):
-        profile = normalize_policy(self.field([1e-200, 1.0, 1e200]), 3.0)
-        assert profile.dists[0].sum() == pytest.approx(1.0, abs=1e-12)
+        p = normalize_policy(self.log_returns([1e-200, 1.0, 1e200]), 3.0)
+        assert p[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIteration:
@@ -316,11 +318,11 @@ class TestIterationInvariants:
         )
         alpha = 1.7
         field = expected_return_update(model, profile)
-        updated = normalize_policy(field, alpha)
+        updated = model.plan.rows(normalize_policy(stack(field.log_values, -np.inf), alpha))
         for i, psi in enumerate(helpers.returns_by_enumeration(model, profile)):
             linear = psi**alpha
             linear /= linear.sum()
-            np.testing.assert_allclose(updated.dists[i], linear, atol=1e-10)
+            np.testing.assert_allclose(updated[i], linear, atol=1e-10)
 
 
 class TestTraceOutput:

@@ -16,9 +16,9 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
     ValidationError,
-    _reduce_segments,
     densify,
     energy_to_utility,
+    stack,
     to_utility_model,
     validate,
     validate_profile,
@@ -186,6 +186,33 @@ class TestValidate:
             validate(bad)
         assert len(err.value.problems) >= 3  # hbar, shape, negative utility
 
+    @given(st.lists(st.tuples(st.booleans(), st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+            lambda shape: st.lists(st.floats(), min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]).map(
+                lambda values: np.array(values, dtype=float).reshape(shape))),
+        max_size=3,
+    )), min_size=1, max_size=6))
+    def test_non_finite_tables_name_exactly_their_agents_in_order(self, agents):
+        # Each agent holds one dense table (own variable only) or up to three
+        # pairwise terms with the extra variable y, of any shape, empty ones
+        # included; sizes and shapes are mostly wrong, which validate reports
+        # in other messages.
+        built, want = [], []
+        for i, (dense, tables) in enumerate(agents):
+            if dense:
+                tables = tables[:1] or [np.zeros((0, 0))]
+                objective = DenseEnergy((f"x{i}",), tables[0])
+            else:
+                objective = PairwiseEnergy(tuple(("y", table) for table in tables))
+            built.append(Agent(f"a{i}", f"x{i}", objective))
+            what = "non-finite objective value" if dense else "non-finite pairwise energy"
+            want += [f"agent 'a{i}': {what}" for t in tables if not np.isfinite(t).all()]
+        variables = tuple(DomainSpec(f"x{i}", 2) for i in range(len(agents)))
+        with pytest.raises(ValidationError) as raised:  # y has no agent
+            validate(GameModel((*variables, DomainSpec("y", 2)), tuple(built)))
+        assert [m for m in raised.value.problems if "non-finite" in m] == want
+
 
 class TestEnergyToUtility:
     def test_zero_energy_gives_unit_utility(self):
@@ -335,16 +362,18 @@ class TestProfiles:
             got = e.problems
         assert got == want
 
-    @given(st.lists(st.lists(st.booleans(), max_size=20), min_size=1, max_size=8))
-    def test_segment_flags_reduce_each_segment(self, segments):
-        flat = np.array([x for seg in segments for x in seg], dtype=bool)
-        sizes = [len(seg) for seg in segments]
-        assert _reduce_segments(np.logical_and, flat, sizes, True).tolist() == [
-            all(seg) for seg in segments
-        ]
-        assert _reduce_segments(np.logical_or, flat, sizes, False).tolist() == [
-            any(seg) for seg in segments
-        ]
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.integers(0, 2**32))
+    def test_returns_the_stacked_distributions_column_major(self, cards, seed):
+        model = GameModel(
+            tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards)),
+            tuple(Agent(f"a{i}", f"x{i}", PairwiseEnergy(())) for i in range(len(cards))),
+        )
+        profile = StrategyProfile(tuple(helpers.random_profile_arrays(seed, cards)))
+        p = validate_profile(model, profile)
+        want = stack(profile.dists, 0.0)
+        assert p.flags.f_contiguous
+        assert (p.dtype, p.shape) == (want.dtype, want.shape)
+        assert p.tobytes() == want.tobytes()
 
 
 class TestUtilityConversion:

@@ -16,7 +16,6 @@ import helpers
 from coopt import bundled_path, continuous, discrete, fileio
 from coopt.continuous import WaveState, effective_hamiltonian, evolve_coupled
 from coopt.discrete import (
-    ExpectedReturnField,
     expected_return_update_factorized,
     iterate_to_fixed_point,
     normalize_policy,
@@ -229,10 +228,6 @@ def test_edge_models_match_enumeration_in_column_major_stacks(model, seed):
     stacked = normalize_policy(log_returns, 2.0)
     assert stacked.flags.f_contiguous
     assert all(row.flags.c_contiguous for row in plan.rows(log_returns))
-    per_agent = normalize_policy(ExpectedReturnField(plan.rows(log_returns)), 2.0)
-    for dist, row in zip(per_agent.dists, plan.rows(stacked)):
-        assert dist.flags.c_contiguous
-        np.testing.assert_array_equal(dist, row)
 
     owners = np.unique(plan.owner)
     want_log, want_linear = edge_sums_by_add_at(plan, p)
