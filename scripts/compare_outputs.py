@@ -14,9 +14,11 @@ in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
 two lowest at hbar = 0.37, and `coopt solve` on malformed problem files,
-at least one per kind of problem `validate` words, and `coopt verify` on
+at least one per kind of problem `validate` words and one with a numeric
+string in a pairwise table, `coopt verify` on
 malformed profile files, at least one per message that `load_profile` and
-`validate_profile` word, once per tree in a fresh
+`validate_profile` word, and `coopt quantum` on malformed Hamiltonian
+files, at least one per message that `load_hamiltonian` words, once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  It also
 runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
@@ -204,9 +206,10 @@ def mixed_jobs(inputs: Path) -> list[list[str]]:
 
 def malformed_problems() -> dict[str, dict]:
     """Problem documents that `validate` refuses, by name: at least one for
-    each kind of problem it words that a problem file can carry.  (A dense
+    each kind of problem it words that a problem file can carry (a dense
     table in the other mode's class cannot: the loader picks the class by
-    mode.)"""
+    mode), and one pairwise table holding a string that spells a number,
+    which the loader refuses."""
     table = [[0.0, 1.0], [1.0, 0.0]]
 
     def pairwise(*terms):
@@ -252,6 +255,7 @@ def malformed_problems() -> dict[str, dict]:
         "hbar-0": problem(pairwise(("y", table)), hbar=0.0),
         "hbar-negative": problem(pairwise(("y", table)), hbar=-1.0),
         "no-variables": {"mode": "energy", "variables": [], "agents": []},
+        "pairwise-numeric-string": problem(pairwise(("y", [["1", "0"], [0, 1]]))),
     }
 
 
@@ -295,6 +299,7 @@ def malformed_profiles() -> tuple[dict, dict[str, object]]:
         "missing-agent": {"profile": {"A": uniform}},
         "not-list": profile(b=0.5),
         "not-numbers": profile(b=["half", 0.5]),
+        "numeric-strings": profile(b=["0.5", "0.5"]),
         "length": profile(b=[0.25, 0.25, 0.5]),
         "two-dimensional": profile(b=[[0.5], [0.5]]),
         "non-finite": profile(b=[math.nan, 0.5]),
@@ -323,6 +328,33 @@ def malformed_profile_jobs(inputs: Path) -> list[list[str]]:
         path.write_text(json.dumps(doc))
         jobs.append(["verify", "--problem", str(problem), "--profile", str(path),
                      "--out", f"bad-profile.{name}.json"])
+    return jobs
+
+
+def malformed_hamiltonians() -> dict[str, dict]:
+    """Hamiltonian documents that `load_hamiltonian` refuses, by name: at
+    least one for each message it words."""
+    return {
+        "no-key": {},
+        "two-keys": {"diagonal": [1.0], "dense": [[1.0]]},
+        "unknown-key": {"matrix": [[1.0]]},
+        "dense-numeric-strings": {"dense": [["2", "-1"], ["-1", "2"]]},
+        "dense-null": {"dense": [[2.0, None], [-1.0, 2.0]]},
+        "potential-2d": {"grid": {"xmin": -1.0, "xmax": 1.0, "n": 4,
+                                  "potential": [[0.0, 1.0], [1.0, 0.0]]}},
+        "diagonal-not-numbers": {"diagonal": ["x", 1.0]},
+        "dense-asymmetric": {"dense": [[0.0, 1.0], [0.5, 0.0]]},
+    }
+
+
+def malformed_hamiltonian_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt quantum` on each malformed Hamiltonian; writes them to inputs."""
+    jobs = []
+    for name, doc in malformed_hamiltonians().items():
+        path = inputs / f"bad-hamiltonian.{name}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(["quantum", "--hamiltonian", str(path),
+                     "--out", f"bad-hamiltonian.{name}.json"])
     return jobs
 
 
@@ -477,7 +509,8 @@ def main(argv=None) -> int:
         inputs = workdir / "inputs"
         inputs.mkdir()
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
-                + quantum_jobs(inputs) + malformed_jobs(inputs) + malformed_profile_jobs(inputs))
+                + quantum_jobs(inputs) + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
+                + malformed_hamiltonian_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

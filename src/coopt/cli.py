@@ -6,7 +6,7 @@ Hamiltonian file), nash (exhaustive pure-equilibrium enumeration) and
 verify (epsilon certificate for a provided profile).
 
 Exit codes: 0 success, 2 clean non-convergence (results still written),
-1 malformed input or validation failure.
+1 malformed command line or input, or validation failure.
 """
 
 from __future__ import annotations
@@ -185,9 +185,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is malformed input, reported and exited on by main
+        raise ValueError(message)
+
+
 @functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coopt",
         description="Compromise dynamics for games and energies, with "
         "stationary-state and equilibrium certification tools.",
@@ -254,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # The library checks every result it returns: a numpy floating-point
+        # warning would only print ahead of its refusal or a checked result.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, DivergenceError, AllZeroReturnsError, EvolutionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -438,6 +438,8 @@ def build_grid_hamiltonian(
     if v.size != n_points:
         raise ValueError(f"potential has {v.size} values for {n_points} grid points")
     h = (xmax - xmin) / (n_points - 1)
+    if not 1e-154 < h < 1e154:
+        raise ValueError(f"spacing {h:g} leaves h**2 or 1/h**2 past the float range")
     matrix = np.zeros((n_points, n_points))
     np.fill_diagonal(matrix, 1.0 / h**2 + v)
     off = -1.0 / (2.0 * h**2)

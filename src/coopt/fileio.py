@@ -39,7 +39,7 @@ class FileFormatError(ValueError):
     """Structural problem in an input file; the message names the field."""
 
 
-def _read_json(path):
+def _read_json(path) -> dict:
     try:
         with open(path) as f:
             text = f.read()
@@ -48,14 +48,15 @@ def _read_json(path):
         raise FileFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: top level must be an object")
     # No list in an input file may hold true or false, which numpy would read
     # as 1 and 0.  The text test spares the walk for files without either.
     if "true" in text or "false" in text:
         keys = _keys_to_bool_list(data)
         if keys is not None:
             where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
-            raise FileFormatError(f"{path}: {where.lstrip('.') or 'top level'}: "
-                                  "lists may not hold true or false")
+            raise FileFormatError(f"{path}: {where.lstrip('.')}: lists may not hold true or false")
     return data
 
 
@@ -80,15 +81,25 @@ def _keys_to_bool_list(value):
     return None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_SHAPES = ("a number", "a list of numbers", "a rectangular matrix of numbers")
 
 
-def _floats(value, where: str, what: str = "numbers") -> np.ndarray:
+def _floats(value, where: str, ndim: int) -> np.ndarray:
+    """value as a float array when it is a JSON number (ndim 0), a list of
+    numbers (1) or a rectangular matrix of numbers (2); raises
+    FileFormatError naming where for anything else, such as a string, null,
+    a ragged matrix or an integer past the float range."""
     try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as e:  # overflow: a huge JSON integer
-        raise FileFormatError(f"{where}: must be {what} within the float range") from e
+        arr = np.array(value)  # ValueError when ragged
+        if arr.ndim == ndim:
+            if arr.dtype.kind in "fiu":
+                return arr.astype(float, copy=False)
+            # integers past 64 bits; OverflowError past the float range
+            if arr.dtype == object and all(type(x) in (int, float) for x in arr.flat):
+                return arr.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise FileFormatError(f"{where}: must be {_SHAPES[ndim]} within the float range")
 
 
 def _require(data: dict, field: str, kind, where: str):
@@ -96,43 +107,40 @@ def _require(data: dict, field: str, kind, where: str):
         raise FileFormatError(f"{where}: missing required field {field!r}")
     value = data[field]
     if kind is float:
-        if not _is_number(value):
-            raise FileFormatError(f"{where}: field {field!r} must be a number")
-        return float(_floats(value, f"{where}: field {field!r}", "a number"))
+        return float(_floats(value, f"{where}: field {field!r}", 0))
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise FileFormatError(f"{where}: field {field!r} has the wrong type")
     return value
 
 
-def _parse_objective(raw, mode: str, where: str):
-    if not isinstance(raw, dict) or len(raw) != 1:
-        raise FileFormatError(
-            f"{where}: objective must be an object with exactly one of 'dense' or 'pairwise'"
-        )
-    if "dense" in raw:
+def _one_of(data: dict, keys: tuple[str, ...], where: str) -> str:
+    """The one key of data, which must be one of keys."""
+    names = ", ".join(map(repr, keys))
+    if len(data) != 1:
+        raise FileFormatError(f"{where}: expected an object with exactly one of {names}")
+    (key,) = data
+    if key not in keys:
+        raise FileFormatError(f"{where}: expected one of {names}")
+    return key
+
+
+def _parse_objective(raw: dict, mode: str, where: str):
+    if _one_of(raw, ("dense", "pairwise"), where) == "dense":
         dense = _require(raw, "dense", dict, where)
         order = _require(dense, "order", list, f"{where}.dense")
         values = _require(dense, "values", list, f"{where}.dense")
         if not all(isinstance(v, str) for v in order):
             raise FileFormatError(f"{where}.dense.order: entries must be variable names")
-        if not all(_is_number(v) for v in values):
-            raise FileFormatError(f"{where}.dense.values: entries must be numbers")
         cls = DenseUtility if mode == "utility" else DenseEnergy
-        return cls(tuple(order), _floats(values, f"{where}.dense.values"))
-    if "pairwise" in raw:
-        terms_raw = _require(raw, "pairwise", list, where)
-        terms = []
-        for k, term in enumerate(terms_raw):
-            if not isinstance(term, dict):
-                raise FileFormatError(f"{where}.pairwise[{k}]: must be an object")
-            other = _require(term, "with", str, f"{where}.pairwise[{k}]")
-            table = _require(term, "table", list, f"{where}.pairwise[{k}]")
-            arr = _floats(table, f"{where}.pairwise[{k}].table", "a rectangular number matrix")
-            if arr.ndim != 2:
-                raise FileFormatError(f"{where}.pairwise[{k}].table: must be a 2-D matrix")
-            terms.append((other, arr))
-        return PairwiseEnergy(tuple(terms))
-    raise FileFormatError(f"{where}: objective must contain 'dense' or 'pairwise'")
+        return cls(tuple(order), _floats(values, f"{where}.dense.values", 1))
+    terms = []
+    for k, term in enumerate(_require(raw, "pairwise", list, where)):
+        here = f"{where}.pairwise[{k}]"
+        if not isinstance(term, dict):
+            raise FileFormatError(f"{here}: must be an object")
+        other = _require(term, "with", str, here)
+        terms.append((other, _floats(_require(term, "table", list, here), f"{here}.table", 2)))
+    return PairwiseEnergy(tuple(terms))
 
 
 def load_problem(path) -> GameModel:
@@ -145,8 +153,6 @@ def load_problem(path) -> GameModel:
 
 def _parse_problem(path) -> GameModel:
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
     mode = _require(data, "mode", str, str(path))
     if mode not in ("energy", "utility"):
         raise FileFormatError(f"{path}: mode must be 'energy' or 'utility', got {mode!r}")
@@ -182,55 +188,35 @@ def load_hamiltonian(path) -> HermitianOperator:
     """Parse a Hamiltonian file: diagonal entries, a dense symmetric matrix,
     or a 1-D finite-difference grid with a potential."""
     data = _read_json(path)
-    if not isinstance(data, dict) or len(data) != 1:
-        raise FileFormatError(
-            f"{path}: expected an object with exactly one of 'diagonal', 'dense', 'grid'"
-        )
-    if "diagonal" in data:
-        entries = _require(data, "diagonal", list, str(path))
-        # false for NaN, infinities and integers past the float range
-        if not all(_is_number(x) and abs(x) <= sys.float_info.max for x in entries):
-            raise FileFormatError(f"{path}: 'diagonal' entries must be finite numbers")
-        try:
-            return Diagonal(np.array(entries, dtype=float))
-        except ValueError as e:
-            raise FileFormatError(f"{path}: diagonal: {e}") from e
-    if "dense" in data:
-        rows = _require(data, "dense", list, str(path))
-        matrix = _floats(rows, f"{path}: dense", "a rectangular number matrix")
-        try:
-            return DenseSymmetric(matrix)
-        except ValueError as e:
-            raise FileFormatError(f"{path}: dense: {e}") from e
-    if "grid" in data:
+    key = _one_of(data, ("diagonal", "dense", "grid"), str(path))
+    where = f"{path}: {key}"
+    if key == "diagonal":
+        build, args = Diagonal, (_floats(data[key], where, 1),)
+    elif key == "dense":
+        build, args = DenseSymmetric, (_floats(data[key], where, 2),)
+    else:
         grid = _require(data, "grid", dict, str(path))
-        xmin = _require(grid, "xmin", float, f"{path}: grid")
-        xmax = _require(grid, "xmax", float, f"{path}: grid")
-        n = _require(grid, "n", int, f"{path}: grid")
-        potential = _require(grid, "potential", list, f"{path}: grid")
-        potential = _floats(potential, f"{path}: grid.potential")
-        try:
-            return build_grid_hamiltonian(xmin, xmax, int(n), potential)
-        except ValueError as e:
-            raise FileFormatError(f"{path}: grid: {e}") from e
-    raise FileFormatError(f"{path}: expected one of 'diagonal', 'dense', 'grid'")
+        build, args = build_grid_hamiltonian, (
+            _require(grid, "xmin", float, where),
+            _require(grid, "xmax", float, where),
+            int(_require(grid, "n", int, where)),
+            _floats(_require(grid, "potential", list, where), f"{where}.potential", 1),
+        )
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise FileFormatError(f"{where}: {e}") from e
 
 
 def load_profile(path, model: GameModel) -> StrategyProfile:
     """Read a profile document ({"profile": {agent: [p, ...]}}); any emitted
     solve result is accepted directly since it carries the same key."""
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    table = _require(data, "profile", dict, str(path))
+    table = _require(_read_json(path), "profile", dict, str(path))
     dists = []
     for agent in model.agents:
         if agent.name not in table:
             raise FileFormatError(f"{path}: profile: missing agent {agent.name!r}")
-        entry = table[agent.name]
-        if not isinstance(entry, list):
-            raise FileFormatError(f"{path}: profile[{agent.name!r}] must be a list of numbers")
-        dists.append(_floats(entry, f"{path}: profile[{agent.name!r}]"))
+        dists.append(_floats(table[agent.name], f"{path}: profile[{agent.name!r}]", 1))
     profile = StrategyProfile(tuple(dists))
     validate_profile(model, profile)
     return profile

@@ -158,23 +158,25 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> np.ndarray:
     negative = (p < 0).any(axis=1)
     # A row sum may add in another order than dist.sum(), which moves a sum
     # of nonnegative terms by at most 2 * size * 2**-53 times itself; agents
-    # that close to the tolerance are summed again below.
-    sums = p.sum(axis=1)
-    slack = 4e-16 * np.array(cards) * np.maximum(np.abs(sums), 1.0)
-    near = np.abs(sums - 1.0) > PROBABILITY_TOL - slack
-    problems = []
-    for i in np.flatnonzero(~np.array(shaped) | ~finite | negative | near).tolist():
-        name, dist = model.agents[i].name, profile.dists[i]
-        if not shaped[i]:
-            problems.append(f"agent {name!r}: distribution length {dist.size} != {cards[i]}")
-        elif not finite[i]:
-            problems.append(f"agent {name!r}: non-finite probability")
-        elif negative[i]:
-            problems.append(f"agent {name!r}: negative probability")
-        elif abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
-            problems.append(
-                f"agent {name!r}: probabilities sum to {float(dist.sum()):.17g}, not 1"
-            )
+    # that close to the tolerance are summed again below.  Sums that overflow
+    # or add inf to -inf are refused without a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = p.sum(axis=1)
+        slack = 4e-16 * np.array(cards) * np.maximum(np.abs(sums), 1.0)
+        near = np.abs(sums - 1.0) > PROBABILITY_TOL - slack
+        problems = []
+        for i in np.flatnonzero(~np.array(shaped) | ~finite | negative | near).tolist():
+            name, dist = model.agents[i].name, profile.dists[i]
+            if not shaped[i]:
+                problems.append(f"agent {name!r}: distribution length {dist.size} != {cards[i]}")
+            elif not finite[i]:
+                problems.append(f"agent {name!r}: non-finite probability")
+            elif negative[i]:
+                problems.append(f"agent {name!r}: negative probability")
+            elif abs(float(dist.sum()) - 1.0) > PROBABILITY_TOL:
+                problems.append(
+                    f"agent {name!r}: probabilities sum to {float(dist.sum()):.17g}, not 1"
+                )
     if problems:
         raise ValidationError(problems)
     return p

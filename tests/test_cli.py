@@ -418,6 +418,68 @@ class TestQuantum:
         assert "t_max" in proc.stderr and "dt" in proc.stderr
 
 
+def _two_agents(table, hbar=1.0):
+    """Two binary energy agents; A holds table against b, B the identity."""
+    return {
+        "mode": "energy",
+        "hbar": hbar,
+        "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+        "agents": [
+            {"name": "A", "acts_on": "a",
+             "objective": {"pairwise": [{"with": "b", "table": table}]}},
+            {"name": "B", "acts_on": "b",
+             "objective": {"pairwise": [{"with": "a", "table": [[0, 1], [1, 0]]}]}},
+        ],
+    }
+
+
+class TestOneErrorLine:
+    """Every failure prints one error line and exits 1; no run prints a
+    usage block or a numpy RuntimeWarning."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--alpha", "abc"], "error: argument --alpha: invalid float value: 'abc'\n"),
+         ([], "error: the following arguments are required: --alpha\n")],
+        ids=["alpha-not-a-number", "alpha-missing"],
+    )
+    def test_usage_error_exits_one(self, argv, message):
+        proc = run_cli("solve", "--problem", PD, *argv)
+        assert (proc.returncode, proc.stderr) == (1, message)
+
+    @pytest.mark.parametrize(
+        "argv, doc, code, message",
+        [
+            (["verify", "--problem", PD, "--profile"],
+             {"profile": {"row": [1e308, 1e308], "col": [0.5, 0.5]}},
+             1, "error: agent 'row': probabilities sum to inf, not 1\n"),
+            (["solve", "--alpha", "2", "--problem"], _two_agents([[1e308, -1e308], [0, 0]]),
+             1, "error: diverged at step 2: non-finite expected return\n"),
+            (["solve", "--alpha", "2", "--problem"], _two_agents([[0, 1], [1, 0]], hbar=1e-320),
+             0, ""),
+            (["quantum", "--t-max", "1", "--hamiltonian"],
+             {"grid": {"xmin": -1, "xmax": 1, "n": 3, "potential": [0, 1e308, -1e308]}},
+             1, "error: derivative returned a non-finite value\n"),
+        ],
+        ids=["profile-sum-overflows", "returns-overflow", "tiny-hbar", "potential-overflows"],
+    )
+    def test_floating_point_warnings_are_not_printed(self, tmp_path, argv, doc, code, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(*argv, str(path), "--out", str(tmp_path / "out.json"))
+        assert (proc.returncode, proc.stderr) == (code, message)
+
+    def test_grid_spacing_past_the_float_range_exits_one_naming_it(self, tmp_path):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"grid": {"xmin": 0.0, "xmax": 1e-300, "n": 3,
+                                          "potential": [0, 0, 0]}}))
+        proc = run_cli("quantum", "--hamiltonian", str(h))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {h}: grid: spacing 5e-301 leaves h**2 or 1/h**2 past the float range\n"
+        )
+
+
 class TestDeterminism:
     def test_solve_twice_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -125,7 +125,7 @@ def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path
     new = tmp_path / "same" / "new"
     written = sorted(p.name for p in new.iterdir())
     names = ["length", "missing-agent", "negative", "no-profile", "non-finite", "not-list",
-             "not-numbers", "not-object", "sum-off", "sum-rounding-accepted",
+             "not-numbers", "not-object", "numeric-strings", "sum-off", "sum-rounding-accepted",
              "sum-rounding-refused", "two-dimensional"]
     assert written == sorted(
         [f"bad-profile.{name}.json.stderr" for name in names]
@@ -160,6 +160,40 @@ def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path
         f"exit code 1 -> 0: coopt {' '.join(refused)}",
         "bad-profile.sum-rounding-refused.json",
         "bad-profile.sum-rounding-refused.json.stderr",
+    ]
+
+
+def test_malformed_hamiltonians_are_refused_and_a_reader_of_strings_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.malformed_hamiltonian_jobs(inputs)
+    assert [job[0] for job in jobs] == ["quantum"] * len(jobs)
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [1] * len(jobs)
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    written = sorted(p.name for p in new.iterdir())
+    names = ["dense-asymmetric", "dense-null", "dense-numeric-strings", "diagonal-not-numbers",
+             "no-key", "potential-2d", "two-keys", "unknown-key"]
+    assert written == [f"bad-hamiltonian.{name}.json.stderr" for name in names]
+    refusals = [(new / name).read_text() for name in written]
+    assert all(m.startswith("error: ") and m.count("\n") == 1 for m in refusals)
+
+    # A tree whose number reader converts with dtype=float, which parses
+    # strings that spell numbers and reads null as NaN.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    fileio = tree / "src" / "coopt" / "fileio.py"
+    source = fileio.read_text()
+    line = "        arr = np.array(value)  # ValueError when ragged\n"
+    assert source.count(line) == 1
+    fileio.write_text(source.replace(line, "        arr = np.array(value, dtype=float)\n"))
+    strings = next(job for job in jobs if "numeric-strings" in job[-1])
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
+        f"exit code 1 -> 0: coopt {' '.join(strings)}",
+        "bad-hamiltonian.dense-null.json.stderr",
+        "bad-hamiltonian.dense-numeric-strings.json",
+        "bad-hamiltonian.dense-numeric-strings.json.stderr",
     ]
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -674,6 +675,13 @@ class TestGridHamiltonian:
             build_grid_hamiltonian(0.0, 1.0, 4, [0.0, 0.0])
         with pytest.raises(ValueError, match="xmax"):
             build_grid_hamiltonian(1.0, 0.0, 3, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("xmax", [1e-300, 1e-154, 4e154, 1e308])
+    def test_spacing_whose_square_or_inverse_square_overflows_is_named(self, xmax):
+        # h**2 underflows to 0 or 1/h**2 overflows below 1e-154, and h**2
+        # raises OverflowError above 1e154
+        with pytest.raises(ValueError, match=re.escape(f"spacing {xmax / 2:g} leaves")):
+            build_grid_hamiltonian(0.0, xmax, 3, [0.0, 0.0, 0.0])
 
 
 class TestTrajectoryOutput:

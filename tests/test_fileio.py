@@ -174,7 +174,7 @@ class TestHugeIntegersExitOne:
     @pytest.mark.parametrize(
         "field, doc",
         [
-            ("'diagonal'", {"diagonal": [BIG, 1]}),
+            ("diagonal:", {"diagonal": [BIG, 1]}),
             ("dense", {"dense": [[BIG, 0], [0, 1]]}),
             ("grid.potential", {"grid": {"xmin": -1, "xmax": 1, "n": 3, "potential": [BIG, 0, 0]}}),
             ("'xmin'", {"grid": {"xmin": -BIG, "xmax": 1, "n": 3, "potential": [1, 0, 0]}}),
@@ -223,6 +223,45 @@ class TestBooleansInListsExitOne:
         profile = write_json(tmp_path, "prof.json", {"profile": {"a": [1, 0], "b": [True, False]}})
         assert main(["verify", "--problem", str(problem), "--profile", str(profile)]) == 1
         assert "profile.b" in capsys.readouterr().err
+
+
+class TestOnlyJsonNumbersAreRead:
+    """Strings that spell numbers, null and lists of the wrong depth are
+    named, not converted or flattened."""
+
+    def test_pairwise_table(self, tmp_path, capsys):
+        path = write_json(tmp_path, "bad.json", _two_by_two(
+            "energy", {"pairwise": [{"with": "y", "table": [["1", "0"], [0, 1]]}]}))
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: agents[0].objective.pairwise[0].table: "
+            "must be a rectangular matrix of numbers within the float range\n")
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("dense", {"dense": [["2", "-1"], ["-1", "2"]]}),
+            ("dense", {"dense": [[2.0, None], [-1.0, 2.0]]}),
+            ("grid.potential", {"grid": {"xmin": -1, "xmax": 1, "n": 3,
+                                         "potential": ["0", "1", "0"]}}),
+            ("grid.potential", {"grid": {"xmin": -1, "xmax": 1, "n": 4,
+                                         "potential": [[0, 1], [1, 0]]}}),
+        ],
+        ids=["dense-strings", "dense-null", "potential-strings", "potential-2d"],
+    )
+    def test_hamiltonian_field(self, tmp_path, capsys, field, doc):
+        path = write_json(tmp_path, "h.json", doc)
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        shape = "a rectangular matrix" if field == "dense" else "a list"
+        assert capsys.readouterr().err == (
+            f"error: {path}: {field}: must be {shape} of numbers within the float range\n")
+
+    def test_profile_entry(self, tmp_path, capsys):
+        model = load_problem(bundled_path("prisoners_dilemma"))
+        path = write_json(tmp_path, "prof.json",
+                          {"profile": {"row": ["0.25", "0.75"], "col": [0.5, 0.5]}})
+        with pytest.raises(FileFormatError, match=r"profile\['row'\]: must be a list of numbers"):
+            load_profile(path, model)
 
 
 class TestHamiltonianLoading:

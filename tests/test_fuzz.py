@@ -2,7 +2,9 @@
 
 Each example loads a bundled problem or a small Hamiltonian, applies one to
 three mutations (delete a key or list item, or replace a value with a
-hostile one) and runs the matching subcommands on the result in process.
+hostile one) and runs the matching subcommands on the result in process,
+with numpy's RuntimeWarnings raised as errors.  Each run's stderr is empty
+or one error line.
 """
 
 import contextlib
@@ -10,6 +12,7 @@ import copy
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,9 @@ from coopt import bundled_path
 from coopt.cli import main
 
 PROBLEMS = ("prisoners_dilemma", "matching_pennies", "coordination", "pairwise_chain")
-REPLACEMENTS = (None, True, 0, -1, int("9" * 400), float("nan"), "x", [], {})
+REPLACEMENTS = (None, True, 0, -1, int("9" * 400), float("nan"), "x", [], {}, 1e-300, "1.5")
+# Hamiltonians leave out 1e308: a stiff operator takes about scale * t_max / 1.58 steps.
+PROBLEM_REPLACEMENTS = REPLACEMENTS + (1e308, -1e308)
 _X = [-8.0 + 0.8 * i for i in range(21)]
 HAMILTONIANS = (
     {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 21, "potential": [0.5 * x * x for x in _X]}},
@@ -49,7 +54,7 @@ def _mutate(doc, path, replacement, delete):
         parent[path[-1]] = replacement
 
 
-def _mutated(data, doc):
+def _mutated(data, doc, replacements):
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         if not paths:
@@ -57,7 +62,7 @@ def _mutated(data, doc):
         _mutate(
             doc,
             data.draw(st.sampled_from(paths)),
-            data.draw(st.sampled_from(REPLACEMENTS)),
+            data.draw(st.sampled_from(replacements)),
             data.draw(st.booleans()),
         )
     return doc
@@ -68,16 +73,20 @@ def _run_all(directory, doc, option, jobs):
     path.write_text(json.dumps(doc))
     for argv in jobs:
         out = directory / "out"
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, option, str(path), "--out", str(out)])
         assert code in (0, 1, 2), (argv, doc)
+        message = err.getvalue()
+        assert message == "" or (message.startswith("error: ") and message.count("\n") == 1), (
+            argv, doc, message)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_problem_never_raises(tmp_path_factory, data):
     name = data.draw(st.sampled_from(PROBLEMS))
-    doc = _mutated(data, json.loads(bundled_path(name).read_text()))
+    doc = _mutated(data, json.loads(bundled_path(name).read_text()), PROBLEM_REPLACEMENTS)
     jobs = [
         ["solve", "--alpha", "2", "--max-iter", "50"],
         ["sweep", "--alpha-grid", "0.5:4:log:2"],
@@ -86,10 +95,11 @@ def test_mutated_problem_never_raises(tmp_path_factory, data):
     _run_all(tmp_path_factory.mktemp("fuzz"), doc, "--problem", jobs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_hamiltonian_never_raises(tmp_path_factory, data):
-    doc = _mutated(data, copy.deepcopy(data.draw(st.sampled_from(HAMILTONIANS))))
+    doc = _mutated(data, copy.deepcopy(data.draw(st.sampled_from(HAMILTONIANS))), REPLACEMENTS)
     jobs = [
         ["quantum", "--t-max", "1"],
         ["quantum", "--t-max", "1", "--states", "2", "--init", "random"],

@@ -323,6 +323,16 @@ class TestProfiles:
         with pytest.raises(ValidationError, match="negative"):
             validate_profile(model, StrategyProfile((np.array([-0.5, 1.5]), np.array([0.5, 0.5]))))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sums_past_the_float_range_are_refused_without_a_warning(self):
+        model = helpers.prisoners_dilemma()
+        dists = (np.array([1e308, 1e308]), np.array([np.inf, -np.inf]))
+        with pytest.raises(ValidationError) as raised:
+            validate_profile(model, StrategyProfile(dists))
+        assert raised.value.problems == [
+            "agent 'row': probabilities sum to inf, not 1",
+            "agent 'col': non-finite probability",
+        ]
 
     def test_problem_list_is_pinned(self):
         model, profile = failing_profile_case()
