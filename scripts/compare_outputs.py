@@ -14,11 +14,14 @@ in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
 two lowest at hbar = 0.37, and `coopt solve` on malformed problem files,
-at least one per kind of problem `validate` words and one with a numeric
-string in a pairwise table, `coopt verify` on
+at least one per kind of problem `validate` words, one with a numeric
+string in a pairwise table, one with true or false in each numeric field
+and one that is UTF-16, not UTF-8, `coopt verify` on
 malformed profile files, at least one per message that `load_profile` and
-`validate_profile` word, and `coopt quantum` on malformed Hamiltonian
-files, at least one per message that `load_hamiltonian` words, once per tree in a fresh
+`validate_profile` word, one with true and false in an entry and one with
+true in a field that is not read, and `coopt quantum` on malformed
+Hamiltonian files, at least one per message that `load_hamiltonian` words
+and one with true or false in each numeric field, once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  It also
 runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
@@ -204,12 +207,13 @@ def mixed_jobs(inputs: Path) -> list[list[str]]:
     ]
 
 
-def malformed_problems() -> dict[str, dict]:
+def malformed_problems() -> dict[str, dict | bytes]:
     """Problem documents that `validate` refuses, by name: at least one for
     each kind of problem it words that a problem file can carry (a dense
     table in the other mode's class cannot: the loader picks the class by
-    mode), and one pairwise table holding a string that spells a number,
-    which the loader refuses."""
+    mode); and ones the loader refuses: a pairwise table holding a string
+    that spells a number, true or false in each numeric field, and a file's
+    bytes in UTF-16."""
     table = [[0.0, 1.0], [1.0, 0.0]]
 
     def pairwise(*terms):
@@ -256,6 +260,10 @@ def malformed_problems() -> dict[str, dict]:
         "hbar-negative": problem(pairwise(("y", table)), hbar=-1.0),
         "no-variables": {"mode": "energy", "variables": [], "agents": []},
         "pairwise-numeric-string": problem(pairwise(("y", [["1", "0"], [0, 1]]))),
+        "pairwise-bool": problem(pairwise(("y", [[0.0, True], [1.0, 0.0]]))),
+        "dense-values-bool": problem(dense(["x", "y"], [True, 0.0, 0.0, 1.0])),
+        "hbar-bool": problem(pairwise(("y", table)), hbar=True),
+        "utf-16": json.dumps(problem(pairwise(("y", table)))).encode("utf-16"),
     }
 
 
@@ -264,7 +272,7 @@ def malformed_jobs(inputs: Path) -> list[list[str]]:
     jobs = []
     for name, doc in malformed_problems().items():
         problem = inputs / f"bad.{name}.json"
-        problem.write_text(json.dumps(doc))
+        problem.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         jobs.append(["solve", "--problem", str(problem), "--alpha", str(SOFT_ALPHA),
                      "--out", f"bad.{name}.json"])
     return jobs
@@ -273,10 +281,12 @@ def malformed_jobs(inputs: Path) -> list[list[str]]:
 def malformed_profiles() -> tuple[dict, dict[str, object]]:
     """A problem with a nine-action agent A and a two-action agent B, and
     profile documents for it by name: at least one for each message that
-    `load_profile` and `validate_profile` word.  The two "sum-rounding"
-    distributions of A sum to within rounding of 1 + PROBABILITY_TOL, and
-    adding their entries in order lands on the other side of the tolerance
-    from their own sum(), which decides: one is refused, one accepted."""
+    `load_profile` and `validate_profile` word, one with true and false in
+    an entry, and one with true in a field that is not read, which is
+    accepted.  The two "sum-rounding" distributions of A sum to within
+    rounding of 1 + PROBABILITY_TOL, and adding their entries in order lands
+    on the other side of the tolerance from their own sum(), which decides:
+    one is refused, one accepted."""
     problem = {
         "mode": "energy",
         "hbar": 1.0,
@@ -300,6 +310,7 @@ def malformed_profiles() -> tuple[dict, dict[str, object]]:
         "not-list": profile(b=0.5),
         "not-numbers": profile(b=["half", 0.5]),
         "numeric-strings": profile(b=["0.5", "0.5"]),
+        "bools": profile(b=[True, False]),
         "length": profile(b=[0.25, 0.25, 0.5]),
         "two-dimensional": profile(b=[[0.5], [0.5]]),
         "non-finite": profile(b=[math.nan, 0.5]),
@@ -313,6 +324,7 @@ def malformed_profiles() -> tuple[dict, dict[str, object]]:
             0.04714707681792982, 0.08299614415975826, 0.08352223924524174,
             0.0209700634864664, 0.07627787347286556, 0.10484190118579945,
             0.12483953324844663, 0.41044151107914456, 0.04896365730534747]),
+        "unread-bool-accepted": {**profile(), "notes": [True]},
     }
 
 
@@ -333,7 +345,8 @@ def malformed_profile_jobs(inputs: Path) -> list[list[str]]:
 
 def malformed_hamiltonians() -> dict[str, dict]:
     """Hamiltonian documents that `load_hamiltonian` refuses, by name: at
-    least one for each message it words."""
+    least one for each message it words, and one with true or false in
+    each numeric field."""
     return {
         "no-key": {},
         "two-keys": {"diagonal": [1.0], "dense": [[1.0]]},
@@ -343,6 +356,10 @@ def malformed_hamiltonians() -> dict[str, dict]:
         "potential-2d": {"grid": {"xmin": -1.0, "xmax": 1.0, "n": 4,
                                   "potential": [[0.0, 1.0], [1.0, 0.0]]}},
         "diagonal-not-numbers": {"diagonal": ["x", 1.0]},
+        "diagonal-bool": {"diagonal": [True, 2.0]},
+        "dense-bool": {"dense": [[2.0, False], [False, 2.0]]},
+        "potential-bool": {"grid": {"xmin": -1.0, "xmax": 1.0, "n": 3,
+                                    "potential": [0.0, True, 0.0]}},
         "dense-asymmetric": {"dense": [[0.0, 1.0], [0.5, 0.0]]},
     }
 

@@ -6,7 +6,7 @@ Hamiltonian file), nash (exhaustive pure-equilibrium enumeration) and
 verify (epsilon certificate for a provided profile).
 
 Exit codes: 0 success, 2 clean non-convergence (results still written),
-1 malformed command line or input, or validation failure.
+1 malformed command line or input, validation failure or unwritable output.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _cmd_sweep(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     all_converged = all(row.converged for row in report.rows)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, DivergenceError, AllZeroReturnsError, EvolutionError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as e:  # the readers raise FileFormatError: an output failed
+        print(f"error: {e.filename or 'output'}: {e.strerror or e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -227,12 +227,9 @@ def coupled_scale(model: GameModel) -> float:
     max|table|, added in term order, and a dense agent's by max|table|.
     """
     plan = model.plan
-    # padding is 0, below every |entry|; the appended 0 is the empty slot's
-    per_edge = np.append(np.abs(plan.edges).max(axis=(1, 2)), 0.0)
-    bounds = np.zeros(len(plan.cards))
-    with np.errstate(over="ignore"):  # an infinite bound is refused by _schedule
-        for slot in plan.slots:
-            bounds += per_edge[slot]
+    # padding is 0, below every |entry|; _schedule refuses an infinite bound
+    per_edge = np.abs(plan.edges).max(axis=(1, 2))
+    bounds = np.bincount(plan.owner, per_edge, len(plan.cards)).astype(float)
     for i, _, table, _ in plan.dense:
         bounds[i] = np.abs(table).max()
     return float(bounds.max())
@@ -464,7 +461,7 @@ TRAJECTORY_HEADER = "t,agent,action,psi,lambda,residual"
 def write_trajectory_csv(path, sections) -> None:
     """Long-format trajectory CSV; sections is an iterable of
     (points, labels) pairs written under one header."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(TRAJECTORY_HEADER + "\n")
         for points, labels in sections:
             for point in points:

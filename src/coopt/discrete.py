@@ -71,7 +71,7 @@ class IterationTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write("step,max_change\n")
             for s in self.steps:
                 f.write(f"{s.step},{float(s.max_change)!r}\n")

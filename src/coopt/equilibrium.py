@@ -63,7 +63,7 @@ class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(self.to_csv())
 
     def to_csv(self) -> str:

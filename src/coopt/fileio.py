@@ -41,44 +41,39 @@ class FileFormatError(ValueError):
 
 def _read_json(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise FileFormatError(f"{path}: top level must be an object")
+        if "true" in text or "false" in text:  # else the walk would find none
+            _nulls_for_bools(data)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from e
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+    except RecursionError as e:
+        raise FileFormatError(f"{path}: nested too deeply") from e
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    # No list in an input file may hold true or false, which numpy would read
-    # as 1 and 0.  The text test spares the walk for files without either.
-    if "true" in text or "false" in text:
-        keys = _keys_to_bool_list(data)
-        if keys is not None:
-            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
-            raise FileFormatError(f"{path}: {where.lstrip('.')}: lists may not hold true or false")
     return data
 
 
-def _keys_to_bool_list(value):
-    # keys down to the first list holding true or false, depth first, or None
+def _nulls_for_bools(value) -> None:
+    # true and false inside lists become None in place, which each field's
+    # reader refuses as it refuses null; numpy would read them as 1 and 0
     if isinstance(value, dict):
-        children = value.items()
-    elif isinstance(value, list):
+        children = value.values()
+    else:
         kinds = set(map(type, value))
         if bool in kinds:
-            return []
+            value[:] = [None if type(x) is bool else x for x in value]
         if list not in kinds and dict not in kinds:
-            return None
-        children = enumerate(value)
-    else:
-        return None
-    for key, child in children:
+            return
+        children = value
+    for child in children:
         if isinstance(child, (dict, list)):
-            keys = _keys_to_bool_list(child)
-            if keys is not None:
-                return [key, *keys]
-    return None
+            _nulls_for_bools(child)
 
 
 _SHAPES = ("a number", "a list of numbers", "a rectangular matrix of numbers")
@@ -294,7 +289,7 @@ def write_document(doc: dict, path=None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
 

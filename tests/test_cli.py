@@ -479,6 +479,39 @@ class TestOneErrorLine:
             f"error: {h}: grid: spacing 5e-301 leaves h**2 or 1/h**2 past the float range\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["solve", "--problem", PD, "--alpha", "2"], "--out"),
+         (["sweep", "--problem", PD, "--alpha-grid", "0.5:2:log:2"], "--out"),
+         (["quantum", "--hamiltonian", HARMONIC, "--dt", "0.0025"], "--trace")],
+        ids=["solve-out", "sweep-out", "quantum-trace"],
+    )
+    def test_output_that_cannot_be_written_exits_one(self, tmp_path, capsys, argv, flag):
+        from coopt.cli import main
+
+        path = tmp_path / "missing" / "x"
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "q.json")]
+        assert main([*argv, *out, flag, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # -X warn_default_encoding warns at each open() that takes the locale's encoding
+    out = {name: str(tmp_path / name) for name in ("s.json", "s.csv", "w.csv", "q.json", "q.csv")}
+    for argv in (
+        ["solve", "--problem", PD, "--alpha", "2", "--out", out["s.json"], "--trace", out["s.csv"]],
+        ["sweep", "--problem", PD, "--alpha-grid", "0.5:2:log:2", "--out", out["w.csv"]],
+        ["quantum", "--hamiltonian", HARMONIC, "--dt", "0.0025", "--out", out["q.json"],
+         "--trace", out["q.csv"]],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "coopt", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        assert proc.stderr == ""
+
 
 class TestDeterminism:
     def test_solve_twice_is_byte_identical(self, tmp_path):

@@ -112,6 +112,23 @@ def test_malformed_problems_are_refused_and_a_reworded_message_is_reported(tmp_p
     found = script.compare(ROOT, tree, jobs, tmp_path / "moved")
     assert found == ["bad.pairwise-twice.json.stderr"]
 
+    # A tree that reads true and false in lists as 1 and 0.
+    tree = tmp_path / "bools"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    fileio = tree / "src" / "coopt" / "fileio.py"
+    source = fileio.read_text()
+    assert source.count("            _nulls_for_bools(data)\n") == 1
+    fileio.write_text(source.replace("            _nulls_for_bools(data)\n", "            pass\n"))
+    read = [job for job in jobs
+            if job[-1] in ("bad.pairwise-bool.json", "bad.dense-values-bool.json")]
+    assert script.compare(ROOT, tree, jobs, tmp_path / "bools-out") == [
+        *(f"exit code 1 -> 0: coopt {' '.join(job)}" for job in read),
+        "bad.dense-values-bool.json",
+        "bad.dense-values-bool.json.stderr",
+        "bad.pairwise-bool.json",
+        "bad.pairwise-bool.json.stderr",
+    ]
+
 
 def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path):
     script = load_script()
@@ -124,12 +141,13 @@ def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     new = tmp_path / "same" / "new"
     written = sorted(p.name for p in new.iterdir())
-    names = ["length", "missing-agent", "negative", "no-profile", "non-finite", "not-list",
-             "not-numbers", "not-object", "numeric-strings", "sum-off", "sum-rounding-accepted",
-             "sum-rounding-refused", "two-dimensional"]
+    names = ["bools", "length", "missing-agent", "negative", "no-profile", "non-finite",
+             "not-list", "not-numbers", "not-object", "numeric-strings", "sum-off",
+             "sum-rounding-accepted", "sum-rounding-refused", "two-dimensional",
+             "unread-bool-accepted"]
     assert written == sorted(
         [f"bad-profile.{name}.json.stderr" for name in names]
-        + ["bad-profile.sum-rounding-accepted.json"]
+        + ["bad-profile.sum-rounding-accepted.json", "bad-profile.unread-bool-accepted.json"]
     )
     refusals = [(new / name).read_text() for name in written if "accepted" not in name]
     assert all(m.startswith("error: ") and m.count("\n") == 1 for m in refusals)
@@ -173,14 +191,15 @@ def test_malformed_hamiltonians_are_refused_and_a_reader_of_strings_is_reported(
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     new = tmp_path / "same" / "new"
     written = sorted(p.name for p in new.iterdir())
-    names = ["dense-asymmetric", "dense-null", "dense-numeric-strings", "diagonal-not-numbers",
-             "no-key", "potential-2d", "two-keys", "unknown-key"]
+    names = ["dense-asymmetric", "dense-bool", "dense-null", "dense-numeric-strings",
+             "diagonal-bool", "diagonal-not-numbers", "no-key", "potential-2d", "potential-bool",
+             "two-keys", "unknown-key"]
     assert written == [f"bad-hamiltonian.{name}.json.stderr" for name in names]
     refusals = [(new / name).read_text() for name in written]
     assert all(m.startswith("error: ") and m.count("\n") == 1 for m in refusals)
 
     # A tree whose number reader converts with dtype=float, which parses
-    # strings that spell numbers and reads null as NaN.
+    # strings that spell numbers and reads null, and so true and false, as NaN.
     tree = tmp_path / "tree"
     shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     fileio = tree / "src" / "coopt" / "fileio.py"
@@ -191,9 +210,12 @@ def test_malformed_hamiltonians_are_refused_and_a_reader_of_strings_is_reported(
     strings = next(job for job in jobs if "numeric-strings" in job[-1])
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
         f"exit code 1 -> 0: coopt {' '.join(strings)}",
+        "bad-hamiltonian.dense-bool.json.stderr",
         "bad-hamiltonian.dense-null.json.stderr",
         "bad-hamiltonian.dense-numeric-strings.json",
         "bad-hamiltonian.dense-numeric-strings.json.stderr",
+        "bad-hamiltonian.diagonal-bool.json.stderr",
+        "bad-hamiltonian.potential-bool.json.stderr",
     ]
 
 

@@ -222,7 +222,72 @@ class TestBooleansInListsExitOne:
             "energy", {"pairwise": [{"with": "y", "table": [[1, 0], [0, 1]]}]}))
         profile = write_json(tmp_path, "prof.json", {"profile": {"a": [1, 0], "b": [True, False]}})
         assert main(["verify", "--problem", str(problem), "--profile", str(profile)]) == 1
-        assert "profile.b" in capsys.readouterr().err
+        assert "profile['b']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "message, objective",
+        [
+            ("agents[0].objective.dense.values: must be a list of numbers within the float range",
+             {"dense": {"order": ["x", "y"], "values": [True, 0, 0, 1]}}),
+            ("agents[0].objective.dense.order: entries must be variable names",
+             {"dense": {"order": [True, "y"], "values": [1, 0, 0, 1]}}),
+            ("agents[0].objective.pairwise[0]: must be an object", {"pairwise": [False]}),
+        ],
+        ids=["dense-values", "dense-order", "pairwise-entry"],
+    )
+    def test_objective_field(self, tmp_path, capsys, message, objective):
+        path = write_json(tmp_path, "bad.json", _two_by_two("energy", objective))
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("field", ["variables", "agents"])
+    def test_problem_entry(self, tmp_path, capsys, field):
+        doc = _two_by_two("energy", {"pairwise": [{"with": "y", "table": [[1, 0], [0, 1]]}]})
+        doc[field][0] = True
+        path = write_json(tmp_path, "bad.json", doc)
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {field}[0] must be an object\n"
+
+    def test_diagonal(self, tmp_path, capsys):
+        path = write_json(tmp_path, "h.json", {"diagonal": [True, 2.0]})
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: diagonal: must be a list of numbers within the float range\n")
+
+    def test_fields_that_are_not_read_may_hold_them(self, tmp_path, capsys):
+        doc = json.loads(bundled_path("prisoners_dilemma").read_text())
+        doc["notes"] = [True, {"seen": [False, None]}]
+        path = write_json(tmp_path, "p.json", doc)
+        assert main(["solve", "--problem", str(path), "--alpha", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestUnreadableFilesExitOne:
+    """A file that is not UTF-8 or is nested past the interpreter's
+    recursion limit is named on one error line."""
+
+    def test_utf16_file(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_bytes('{"diagonal": [1.0]}'.encode("utf-16"))  # starts with FF FE
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text: invalid start byte at byte 0\n")
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text('{"diagonal": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply\n"
+
+    def test_deep_nesting_past_the_parser(self, tmp_path, monkeypatch, capsys):
+        # a document the parser returns but the walk over its lists cannot finish
+        deep = [True]
+        for _ in range(100_000):
+            deep = [deep]
+        path = write_json(tmp_path, "h.json", {"diagonal": [True]})
+        monkeypatch.setattr(json, "loads", lambda text: {"diagonal": deep})
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply\n"
 
 
 class TestOnlyJsonNumbersAreRead:
