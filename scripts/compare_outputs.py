@@ -21,7 +21,10 @@ malformed profile files, at least one per message that `load_profile` and
 `validate_profile` word, one with true and false in an entry and one with
 true in a field that is not read, and `coopt quantum` on malformed
 Hamiltonian files, at least one per message that `load_hamiltonian` words
-and one with true or false in each numeric field, once per tree in a fresh
+and one with true or false in each numeric field, and `coopt solve` where
+the map or its output leaves the float range or an agent's returns are all
+zero (`pairwise_chain` at hbar = 1e-4 and 1e-320, and a generated utility
+game), once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  It also
 runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
@@ -278,6 +281,33 @@ def malformed_jobs(inputs: Path) -> list[list[str]]:
     return jobs
 
 
+def refusal_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt solve` runs that are refused once the map has run:
+    `pairwise_chain` at an hbar whose expected returns overflow only on
+    output, and at one where the map's own returns leave the float range,
+    and a utility game whose agent `Col` has all-zero utilities; writes
+    their problem files to inputs."""
+    chain = str(inputs / "pairwise_chain.json")
+    shutil.copyfile(bundled_path("pairwise_chain"), chain)
+    zero = inputs / "all-zero.json"
+    zero.write_text(json.dumps({
+        "mode": "utility",
+        "variables": [{"name": "r", "cardinality": 2}, {"name": "c", "cardinality": 2}],
+        "agents": [
+            {"name": "Row", "acts_on": "r",
+             "objective": {"dense": {"order": ["r", "c"], "values": [1, 2, 3, 4]}}},
+            {"name": "Col", "acts_on": "c",
+             "objective": {"dense": {"order": ["r", "c"], "values": [0, 0, 0, 0]}}},
+        ],
+    }))
+    solve = ["solve", "--alpha", str(SOFT_ALPHA), "--problem"]
+    return [
+        [*solve, chain, "--hbar", "1e-4", "--out", "refused.hbar1e-4.json"],
+        [*solve, chain, "--hbar", "1e-320", "--out", "refused.hbar1e-320.json"],
+        [*solve, str(zero), "--out", "refused.all-zero.json"],
+    ]
+
+
 def malformed_profiles() -> tuple[dict, dict[str, object]]:
     """A problem with a nine-action agent A and a two-action agent B, and
     profile documents for it by name: at least one for each message that
@@ -527,7 +557,7 @@ def main(argv=None) -> int:
         inputs.mkdir()
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
                 + quantum_jobs(inputs) + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
-                + malformed_hamiltonian_jobs(inputs))
+                + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs))
         compared = len(list((workdir / "new").iterdir()))

@@ -59,7 +59,6 @@ from .numerics import (
     Diagonal,
     EigenDecomposition,
     jacobi_eigen,
-    log_sum_exp,
     rk4_step,
 )
 

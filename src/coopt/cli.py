@@ -93,6 +93,12 @@ def _cmd_solve(args) -> int:
         max_iter=args.max_iter,
         keep_trace=args.trace is not None,
     )
+    logs = result.field.log_values
+    # an expected return that underflows to 0 is valid output
+    if model.mode == "energy" and np.isinf(np.exp(np.concatenate(logs))).any():
+        i = next(i for i, row in enumerate(logs) if np.isinf(np.exp(row)).any())
+        what = f"agent {model.agents[i].name!r}: the expected return exp({float(logs[i].max())!r})"
+        raise equilibrium.weight_error(f"{what} of its best action", math.inf, model.hbar)
     certificate = (
         equilibrium.epsilon_of_profile(model, result.profile)
         if model.mode == "utility"
@@ -120,12 +126,7 @@ def _cmd_sweep(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    text = report.to_csv()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+    fileio.write_text(report.to_csv(), args.out)
     all_converged = all(row.converged for row in report.rows)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 

@@ -157,15 +157,17 @@ def _float(bits: int) -> float:
 
 
 def _schedule(
-    scale: float, hbar: float, dt: float | None, t_max: float | None,
+    scale: float, hbar: float, dt: float | None, t_max: float | None, tol: float,
     record_every: int | None,
 ) -> tuple[float, int, int]:
     """(dt, max_steps, record_every) of a flow whose operators are bounded
-    by scale: dt defaults to 0.99 * RK4_MONOTONE_LIMIT * hbar / scale and
-    must stay below the limit; t_max defaults to DEFAULT_T_MAX * hbar, or
-    the largest float where that overflows; the default record_every spaces
-    about 1000 points over max_steps.  The last step's time, max_steps * dt,
-    stays a float."""
+    by scale, once its stopping tol is checked: dt defaults to 0.99 *
+    RK4_MONOTONE_LIMIT * hbar / scale and must stay below the limit; t_max
+    defaults to DEFAULT_T_MAX * hbar, or the largest float where that
+    overflows; the default record_every spaces about 1000 points over
+    max_steps.  The last step's time, max_steps * dt, stays a float."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite (got {tol})")
     _check_range(scale, hbar)
     if t_max is None:
         t_max = min(DEFAULT_T_MAX * hbar, sys.float_info.max)
@@ -268,9 +270,7 @@ def evolve_linear(
     default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
     1.5961 is accepted, and steps at or past it are rejected.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite (got {tol})")
-    dt, max_steps, record_every = _schedule(operator.scale(), hbar, dt, t_max, record_every)
+    dt, max_steps, record_every = _schedule(operator.scale(), hbar, dt, t_max, tol, record_every)
     psi = np.asarray(psi0, dtype=float)
     if psi.shape != (operator.dimension,):
         raise ValueError("initial state does not match the operator dimension")
@@ -375,8 +375,6 @@ def evolve_coupled(
     whole run.  Reduces exactly to evolve_linear when the model has a
     single agent.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite (got {tol})")
     _require_energy(model)
     hbar = model.hbar
     plan = model.plan
@@ -385,7 +383,9 @@ def evolve_coupled(
         raise ValueError("initial state does not match the agents' cardinalities")
     amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)], 0.0)
 
-    dt, max_steps, record_every = _schedule(coupled_scale(model), hbar, dt, t_max, record_every)
+    dt, max_steps, record_every = _schedule(
+        coupled_scale(model), hbar, dt, t_max, tol, record_every
+    )
     step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0

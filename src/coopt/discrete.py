@@ -37,7 +37,12 @@ class DivergenceError(RuntimeError):
 
 
 class AllZeroReturnsError(RuntimeError):
-    """Every action of some agent has zero expected return."""
+    """Every action of the agent in row `index` has zero expected return."""
+
+    def __init__(self, index: int, name: str | None = None):
+        who = f"index {index}" if name is None else repr(name)
+        super().__init__(f"agent {who}: all expected returns are zero, distribution undefined")
+        self.index = index
 
 
 class ExpectedReturnField(NamedTuple):
@@ -141,13 +146,10 @@ def normalize_policy(log_returns: np.ndarray, alpha: float) -> np.ndarray:
     scaled = min(alpha, ALPHA_CAP) * log_returns
     top = scaled.max(axis=1)
     if (top == -np.inf).any():
-        raise AllZeroReturnsError(
-            f"agent index {int(np.argmax(top == -np.inf))}: all expected returns are zero, "
-            "distribution undefined"
-        )
+        raise AllZeroReturnsError(int(np.argmax(top == -np.inf)))
     sums = np.exp(scaled - top[:, np.newaxis]).sum(axis=1)
-    # math.log, as in numerics.log_sum_exp: numpy's vectorized log rounds
-    # differently in about 0.1% of inputs, which would move results' last bits.
+    # math.log, not np.log: numpy's vectorized log rounds differently in
+    # about 0.1% of inputs, which would move results' last bits.
     z = top + np.array(list(map(math.log, sums.tolist())))
     p = np.exp(scaled - z[:, np.newaxis])
     p /= p.sum(axis=1, keepdims=True)
@@ -189,8 +191,14 @@ def iterate_to_fixed_point(
     for t in range(1, max_iter + 1):
         log_returns = plan.log_returns(p)
         if not (log_returns < np.inf).all():
-            raise DivergenceError(t, "non-finite expected return")
-        new_p = normalize_policy(log_returns, alpha)
+            agent = model.agents[int(np.argmin((log_returns < np.inf).all(axis=1)))]
+            # in an energy model only -E/hbar past the float range does this
+            hint = f" at hbar={model.hbar!r}; use a larger hbar" if model.mode == "energy" else ""
+            raise DivergenceError(t, f"agent {agent.name!r}: non-finite expected return{hint}")
+        try:
+            new_p = normalize_policy(log_returns, alpha)
+        except AllZeroReturnsError as e:
+            raise AllZeroReturnsError(e.index, model.agents[e.index].name) from None
         change = float(np.abs(new_p - p).max())
         p = new_p
         if keep_trace:

@@ -103,7 +103,7 @@ def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> f
     return float(profile.dists[index] @ payoffs[index])
 
 
-def _weight_error(what: str, weight: float, hbar: float) -> ValueError:
+def weight_error(what: str, weight: float, hbar: float) -> ValueError:
     """The error for a Boltzmann weight, positive in exact arithmetic, that
     underflowed to 0 or overflowed at hbar."""
     fate = "underflows to 0" if weight == 0.0 else "overflows"
@@ -117,7 +117,7 @@ def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
     _, payoffs = _payoffs(model, profile)
     welfare = float(np.mean([float(d @ v) for d, v in zip(profile.dists, payoffs)]))
     if model.mode == "energy" and not 0.0 < welfare < math.inf:
-        raise _weight_error("the mean expected Boltzmann weight", welfare, model.hbar)
+        raise weight_error("the mean expected Boltzmann weight", welfare, model.hbar)
     return welfare
 
 
@@ -139,7 +139,7 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     for agent, dist, vec, rank in zip(model.agents, profile.dists, vectors, ranking):
         best = int(np.argmax(rank))
         if energy and not 0.0 < vec[best] < math.inf:
-            raise _weight_error(
+            raise weight_error(
                 f"agent {agent.name!r}: the Boltzmann weight exp({float(rank[best])!r}) of "
                 "its best deviation", float(vec[best]), model.hbar
             )

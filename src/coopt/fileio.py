@@ -285,7 +285,11 @@ def _encode(value, newline: str, out: list[str]) -> None:
 
 
 def write_document(doc: dict, path=None) -> None:
-    text = dumps_document(doc)
+    write_text(dumps_document(doc), path)
+
+
+def write_text(text: str, path=None) -> None:
+    """text to the file at path as UTF-8, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:

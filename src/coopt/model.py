@@ -86,10 +86,6 @@ class GameModel:
         object.__setattr__(self, "agents", tuple(self.agents))
 
     @functools.cached_property
-    def _cardinality_of(self) -> dict[str, int]:
-        return {spec.name: spec.cardinality for spec in reversed(self.variables)}
-
-    @functools.cached_property
     def _position_of(self) -> dict[str, int]:
         return {spec.name: i for i, spec in reversed(list(enumerate(self.variables)))}
 
@@ -109,9 +105,9 @@ class GameModel:
         return tuple(self.variables[axis].cardinality for axis in self.agent_axes)
 
     def cardinality(self, variable: str) -> int:
-        if variable not in self._cardinality_of:
+        if variable not in self._position_of:
             raise KeyError(f"unknown variable {variable!r}")
-        return self._cardinality_of[variable]
+        return self.variables[self._position_of[variable]].cardinality
 
     def variable_names(self) -> list[str]:
         return [spec.name for spec in self.variables]
@@ -183,11 +179,12 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> np.ndarray:
 
 
 def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finite: bool) -> None:
+    """finite is True when every table of the model is known to be finite."""
     if agent.acts_on not in obj.order:
         problems.append(f"agent {agent.name!r}: variable order omits its own variable")
     if len(set(obj.order)) != len(obj.order):
         problems.append(f"agent {agent.name!r}: duplicate variable in order")
-    unknown = [v for v in obj.order if v not in model._cardinality_of]
+    unknown = [v for v in obj.order if v not in model._position_of]
     if unknown:
         problems.append(f"agent {agent.name!r}: unknown variable {unknown[0]!r} in order")
         return
@@ -196,18 +193,19 @@ def _check_dense(agent: Agent, obj, model: GameModel, problems: list[str], finit
         problems.append(
             f"agent {agent.name!r}: {obj.values.size} values for a domain of size {expected}"
         )
-    if not finite:
+    if not (finite or np.isfinite(obj.values).all()):
         problems.append(f"agent {agent.name!r}: non-finite objective value")
 
 
 def _check_pairwise(
-    agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str], finite
+    agent: Agent, obj: PairwiseEnergy, model: GameModel, problems: list[str], finite: bool
 ) -> None:
-    """finite yields one finiteness flag per term, in term order."""
-    names = model._cardinality_of
+    """finite is True when every table of the model is known to be finite."""
+    names = model._position_of
     seen = set()
-    own_card = names.get(agent.acts_on)
-    for (other, table), table_finite in zip(obj.terms, finite):
+    own = names.get(agent.acts_on)
+    own_card = None if own is None else model.variables[own].cardinality
+    for other, table in obj.terms:
         if other not in names:
             problems.append(f"agent {agent.name!r}: pairwise term with unknown variable {other!r}")
             continue
@@ -217,18 +215,18 @@ def _check_pairwise(
         if other in seen:
             problems.append(f"agent {agent.name!r}: variable {other!r} listed twice in pairwise terms")
         seen.add(other)
-        shape = (own_card, names[other])
+        shape = (own_card, model.variables[names[other]].cardinality)
         if own_card is not None and table.shape != shape:
             problems.append(
                 f"agent {agent.name!r}: pairwise table for {other!r} has shape "
                 f"{table.shape}, expected {shape}"
             )
-        if not table_finite:
+        if not (finite or np.isfinite(table).all()):
             problems.append(f"agent {agent.name!r}: non-finite pairwise energy")
 
 
 def _tables(objective) -> list[np.ndarray]:
-    """The tables whose finiteness validate tests, one flag each."""
+    """The tables whose finiteness validate tests."""
     if isinstance(objective, (DenseEnergy, DenseUtility)):
         return [objective.values]
     if isinstance(objective, PairwiseEnergy):
@@ -262,17 +260,11 @@ def validate(model: GameModel) -> GameModel:
     if sorted(acted) != sorted(names):
         problems.append("agents and variables must be in one-to-one correspondence")
 
-    # one finiteness test over every table; a table is flagged when a
-    # non-finite position falls inside it, so an empty table reads finite
-    every = [table for agent in model.agents for table in _tables(agent.objective)]
-    # raveled first: concatenate with axis=None takes about twice as long
-    flat = np.concatenate([table.ravel() for table in every]) if every else np.zeros(0)
-    ends = np.cumsum([table.size for table in every])
-    finite = np.ones(len(every), dtype=bool)
-    finite[np.searchsorted(ends, np.flatnonzero(~np.isfinite(flat)), side="right")] = False
-    # Each agent takes its tables' flags in turn: next() for a dense table,
-    # the zip over its terms in _check_pairwise, which stops on the terms.
-    finite = iter(finite.tolist())
+    # One finiteness test over every table; only when it fails is each
+    # table tested alone, so that its agent can be named.
+    # Raveled first: concatenate with axis=None takes about twice as long.
+    every = [table.ravel() for agent in model.agents for table in _tables(agent.objective)]
+    finite = bool(np.isfinite(np.concatenate(every)).all()) if every else True
     for agent in model.agents:
         obj = agent.objective
         if isinstance(obj, DenseUtility):
@@ -280,11 +272,11 @@ def validate(model: GameModel) -> GameModel:
                 problems.append(f"agent {agent.name!r}: utility objective in energy mode")
             if (np.asarray(obj.values) < 0).any():
                 problems.append(f"agent {agent.name!r}: negative utility value")
-            _check_dense(agent, obj, model, problems, next(finite))
+            _check_dense(agent, obj, model, problems, finite)
         elif isinstance(obj, DenseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: energy objective in utility mode")
-            _check_dense(agent, obj, model, problems, next(finite))
+            _check_dense(agent, obj, model, problems, finite)
         elif isinstance(obj, PairwiseEnergy):
             if model.mode != "energy":
                 problems.append(f"agent {agent.name!r}: pairwise energies require energy mode")

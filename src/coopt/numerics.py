@@ -5,15 +5,15 @@ constant is small, and the fixed-step RK4 update drives both continuous-time
 evolutions.  Their derivatives are linear within a step, y -> A y with A
 frozen, so `rk4_step` is for linear derivatives: it evaluates classical RK4
 as the polynomial R(dt A) y in Horner form, three stage products plus the
-residual product the caller already took.  The step is signed, so the flows
-step on H itself with dt = -(time step)/hbar and no scaled copy of H is
-made.  A dense operator whose entries off its three central bands are all
-zero, as every grid Hamiltonian's are, is multiplied on those bands in
-O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle
-used to certify stationary states.  It calls no LAPACK (only norms come from
-numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
-Householder reflectors, then solved by Sturm-sequence bisection plus inverse
-iteration (module `tridiagonal`).
+residual product the caller already took, which it must pass as k1.  The
+step is signed, so the flows step on H itself with dt = -(time step)/hbar
+and no scaled copy of H is made.  A dense operator whose entries off its
+three central bands are all zero, as every grid Hamiltonian's are, is
+multiplied on those bands in O(n).  The eigensolver `jacobi_eigen` is the
+self-contained oracle used to certify stationary states.  It calls no
+LAPACK (only norms come from numpy's linear algebra): a dense matrix is
+reduced to tridiagonal form by Householder reflectors, then solved by
+Sturm-sequence bisection plus inverse iteration (module `tridiagonal`).
 """
 
 import math
@@ -55,9 +55,6 @@ class Diagonal(Frozen):
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.entries * v
-
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.entries)
 
     def scale(self) -> float:
         """Spectral-radius estimate used for default step sizing (exact here)."""
@@ -105,9 +102,6 @@ class DenseSymmetric(Frozen):
         out[1:] += lo * v[:-1]
         return out
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix
-
     def scale(self) -> float:
         """Max absolute row sum, an upper bound on the spectral radius."""
         return self._scale
@@ -123,20 +117,9 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def log_sum_exp(values) -> float:
-    """ln(sum(exp(values))), shift-stabilized; -inf entries are allowed."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector is undefined")
-    m = float(v.max())
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.exp(v - m).sum()))
-
-
 def log_sum_exp_along(values: np.ndarray, axis: int) -> np.ndarray:
-    """Axis-wise log_sum_exp; rows of all -inf map to -inf, never NaN, a
-    +inf entry gives +inf and a NaN entry NaN."""
+    """ln(sum(exp(values))) along axis, shift-stabilized; rows of all -inf
+    map to -inf, never NaN, a +inf entry gives +inf and a NaN entry NaN."""
     v = np.asarray(values, dtype=float)
     m = v.max(axis=axis, keepdims=True)
     # Shifted by 0 instead, a row of all -inf sums to 0, whose log is -inf.
@@ -176,9 +159,7 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
     return EigenDecomposition(*symmetric_eigen(a))
 
 
-def rk4_step(
-    derivative, state: np.ndarray, dt: float, k1: np.ndarray | None = None
-) -> np.ndarray:
+def rk4_step(derivative, state: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of signed size dt, for a
     linear derivative y -> A y that returns an array.
 
@@ -187,13 +168,13 @@ def rk4_step(
     y + dt A (y + dt/2 A (y + dt/3 A (y + dt/4 A y))): three derivative
     calls after the first stage and no slope sum.  A negative dt steps
     y -> -A y by |dt|, bit for bit, since negation is exact.  A nonlinear
-    derivative gets only a second-order step.  k1, when given, is
-    derivative(state) as the caller already computed it.
+    derivative gets only a second-order step.  k1 is derivative(state),
+    the first stage, as the caller already computed it.
     """
     if not (math.isfinite(dt) and dt != 0.0):
         raise ValueError(f"rk4_step requires a finite nonzero dt (got {dt})")
     y = np.asarray(state, dtype=float)
-    inner = y + (dt / 4) * np.asarray(derivative(y) if k1 is None else k1, dtype=float)
+    inner = y + (dt / 4) * np.asarray(k1, dtype=float)
     out = y + dt * derivative(y + (dt / 2) * derivative(y + (dt / 3) * derivative(inner)))
     # A non-finite later stage reaches the output through the products; the
     # innermost term, of the size of y, is added in for a derivative that

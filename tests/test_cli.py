@@ -78,6 +78,37 @@ class TestSolve:
         assert proc.returncode == 1
         assert "variables[1]" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "problem, hbar, message",
+        [("pairwise_chain", "1e-4", "agent 'A': the expected return exp(2000.0) of its best "
+          "action overflows at hbar=0.0001; use a larger hbar"),
+         ("pairwise_chain", "1e-320", "diverged at step 1: agent 'A': non-finite expected "
+          "return at hbar=1e-320; use a larger hbar"),
+         ("all-zero", None, "agent 'Col': all expected returns are zero, distribution undefined")],
+        ids=["returns-overflow-on-output", "returns-overflow-in-map", "all-zero-returns"],
+    )
+    def test_runtime_refusal_names_the_agent_and_writes_nothing(
+        self, tmp_path, problem, hbar, message
+    ):
+        path = bundled_path(problem) if problem != "all-zero" else tmp_path / "zero.json"
+        if problem == "all-zero":  # Col's utilities are all zero
+            path.write_text(json.dumps({
+                "mode": "utility",
+                "variables": [{"name": "r", "cardinality": 2}, {"name": "c", "cardinality": 2}],
+                "agents": [
+                    {"name": "Row", "acts_on": "r",
+                     "objective": {"dense": {"order": ["r", "c"], "values": [1, 2, 3, 4]}}},
+                    {"name": "Col", "acts_on": "c",
+                     "objective": {"dense": {"order": ["r", "c"], "values": [0, 0, 0, 0]}}},
+                ],
+            }))
+        out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+        proc = run_cli("solve", "--problem", str(path), "--alpha", "1",
+                       *(["--hbar", hbar] if hbar else []),
+                       "--out", str(out), "--trace", str(trace))
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert not out.exists() and not trace.exists()
+
     def test_energy_problem_has_no_certificate(self, tmp_path):
         chain = str(bundled_path("pairwise_chain"))
         out = tmp_path / "r.json"
@@ -454,7 +485,8 @@ class TestOneErrorLine:
              {"profile": {"row": [1e308, 1e308], "col": [0.5, 0.5]}},
              1, "error: agent 'row': probabilities sum to inf, not 1\n"),
             (["solve", "--alpha", "2", "--problem"], _two_agents([[1e308, -1e308], [0, 0]]),
-             1, "error: diverged at step 2: non-finite expected return\n"),
+             1, "error: diverged at step 2: agent 'B': non-finite expected return at hbar=1.0; "
+                "use a larger hbar\n"),
             (["solve", "--alpha", "2", "--problem"], _two_agents([[0, 1], [1, 0]], hbar=1e-320),
              0, ""),
             (["quantum", "--t-max", "1", "--hamiltonian"],

@@ -130,6 +130,33 @@ def test_malformed_problems_are_refused_and_a_reworded_message_is_reported(tmp_p
     ]
 
 
+def test_runtime_refusals_are_compared_and_an_unnamed_agent_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.refusal_jobs(inputs)
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [1, 1, 1]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    written = sorted(p.name for p in new.iterdir())
+    assert written == ["refused.all-zero.json.stderr", "refused.hbar1e-320.json.stderr",
+                       "refused.hbar1e-4.json.stderr"]
+    for name, agent in zip(written, ("agent 'Col'", "agent 'A'", "agent 'A'")):
+        message = (new / name).read_text()
+        assert message.startswith("error: ") and message.count("\n") == 1 and agent in message
+
+    # A tree whose all-zero refusal names the agent's row, not the agent.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    discrete = tree / "src" / "coopt" / "discrete.py"
+    source = discrete.read_text()
+    line = "            raise AllZeroReturnsError(e.index, model.agents[e.index].name) from None\n"
+    assert source.count(line) == 1
+    discrete.write_text(source.replace(line, "            raise\n"))
+    found = script.compare(ROOT, tree, jobs, tmp_path / "moved")
+    assert found == ["refused.all-zero.json.stderr"]
+
+
 def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path):
     script = load_script()
     inputs = tmp_path / "inputs"

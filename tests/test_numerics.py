@@ -12,7 +12,6 @@ from coopt.numerics import (
     DenseSymmetric,
     Diagonal,
     jacobi_eigen,
-    log_sum_exp,
     log_sum_exp_along,
     rk4_step,
 )
@@ -30,6 +29,10 @@ def wilkinson_plus(n=21):
     return tridiagonal_matrix(np.abs(np.arange(n) - (n - 1) / 2), np.ones(n - 1))
 
 
+def log_sum_exp(values) -> float:
+    return float(log_sum_exp_along(np.array(values, dtype=float), axis=0))
+
+
 class TestLogSumExp:
     def test_two_equal_weights(self):
         assert log_sum_exp([math.log(1.0), math.log(1.0)]) == pytest.approx(math.log(2.0))
@@ -39,10 +42,6 @@ class TestLogSumExp:
 
     def test_large_values_do_not_overflow(self):
         assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
 
     def test_minus_infinity_entries_drop_out(self):
         assert log_sum_exp([-np.inf, 0.0]) == pytest.approx(0.0)
@@ -83,8 +82,9 @@ class TestLogSumExp:
         ]
         arr = np.moveaxis(np.array(rows).reshape(2, 3, 3), 2, axis)
         out = log_sum_exp_along(arr, axis=axis).ravel()
-        assert out[0] == pytest.approx(log_sum_exp([0.5, -1.0, 2.0]), rel=1e-15)
-        assert out[1] == pytest.approx(log_sum_exp([3.0, 1.0]), rel=1e-15)
+        assert out[0] == pytest.approx(math.log(math.exp(0.5) + math.exp(-1.0) + math.exp(2.0)),
+                                       rel=1e-15)
+        assert out[1] == pytest.approx(math.log(math.exp(3.0) + math.exp(1.0)), rel=1e-15)
         assert out[2] == -np.inf
         assert out[3] == np.inf
         assert np.isnan(out[4]) and np.isnan(out[5])
@@ -296,10 +296,10 @@ class TestJacobi:
 class TestRk4:
     def test_zero_derivative_keeps_state(self):
         y = np.array([1.0, -2.0, 3.5])
-        np.testing.assert_array_equal(rk4_step(lambda s: np.zeros_like(s), y, 0.3), y)
+        np.testing.assert_array_equal(rk4_step(np.zeros_like, y, 0.3, np.zeros_like(y)), y)
 
     def test_scalar_decay_matches_fourth_order_taylor(self):
-        out = rk4_step(lambda y: -y, np.array([1.0]), 0.1)
+        out = rk4_step(np.negative, np.array([1.0]), 0.1, np.array([-1.0]))
         assert out[0] == pytest.approx(0.9048375, abs=1e-12)
         assert out[0] == pytest.approx(helpers.scalar_rk4(1.0, 1.0, 0.1), rel=1e-15)
         # close to the exact flow but not equal: local error is O(dt^5)
@@ -313,18 +313,18 @@ class TestRk4:
     def test_diagonal_system_matches_per_component_scalar(self, rates, dt):
         rates = np.array(rates)
         y = np.ones_like(rates)
-        out = rk4_step(lambda s: -rates * s, y, dt)
+        out = rk4_step(lambda s: -rates * s, y, dt, -rates * y)
         expected = [helpers.scalar_rk4(r, 1.0, dt) for r in rates]
         np.testing.assert_allclose(out, expected, rtol=1e-13)
 
     def test_non_finite_derivative_rejected(self):
         with np.errstate(divide="ignore"), pytest.raises(ValueError):
-            rk4_step(lambda s: s / 0.0, np.array([1.0]), 0.1)
+            rk4_step(lambda s: s / 0.0, np.array([1.0]), 0.1, np.array([1.0]))
 
     @pytest.mark.parametrize("dt", [0.0, -0.0, np.inf, -np.inf, np.nan])
     def test_zero_or_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="finite nonzero dt"):
-            rk4_step(lambda s: -s, np.array([1.0]), dt)
+            rk4_step(np.negative, np.array([1.0]), dt, np.array([-1.0]))
 
     @pytest.mark.parametrize("tridiagonal", [True, False])
     def test_negative_step_is_a_positive_step_on_the_negated_operator_bitwise(
@@ -340,15 +340,6 @@ class TestRk4:
             got = rk4_step(op.matvec, y, -dt, k1=op.matvec(y))
             expected = rk4_step(negated.matvec, y, dt, k1=negated.matvec(y))
             assert got.tobytes() == expected.tobytes()
-            assert rk4_step(op.matvec, y, -dt).tobytes() == expected.tobytes()
-
-    def test_given_first_stage_gives_the_same_step_bitwise(self):
-        h = helpers.random_symmetric_matrix(11, 9, span=2.0)
-        derivative = lambda s: (h @ s) * -0.7  # noqa: E731
-        y = np.sqrt(helpers.random_profile_arrays(12, [9])[0])
-        expected = rk4_step(derivative, y, 0.05)
-        got = rk4_step(derivative, y, 0.05, k1=derivative(y))
-        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_given_first_stage_rejected(self, bad):
@@ -378,7 +369,7 @@ class TestRk4:
         for k in range(1, 5):
             term = dt * (a @ term) / k
             expected = expected + term
-        np.testing.assert_allclose(rk4_step(derivative, y, dt), expected, rtol=1e-13)
+        np.testing.assert_allclose(rk4_step(derivative, y, dt, derivative(y)), expected, rtol=1e-13)
 
 
 class TestOperators:
