@@ -11,7 +11,7 @@ Usage: python scripts/pd_alpha_sweep.py [--restarts N] [--seed S] [--out CSV]
 import argparse
 
 from coopt import alpha_sweep, bundled_path
-from coopt.fileio import load_problem
+from coopt.fileio import load_problem, write_text
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
             f"{row.epsilon:12.4e} {row.welfare:9.4f}"
         )
     if args.out:
-        report.write_csv(args.out)
+        write_text(report.to_csv(), args.out)
         print(f"\nreport written to {args.out}")
 
 

@@ -7,7 +7,7 @@ Certification utilities measure epsilon-approximate equilibria and match
 stationary states against a self-contained eigensolver.
 """
 
-from .bundled import BUNDLED, bundled_path
+from .bundled import bundled_path
 from .continuous import (
     StationaryReport,
     StationaryState,

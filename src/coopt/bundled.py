@@ -6,17 +6,9 @@ from pathlib import Path
 
 _DIR = Path(__file__).parent / "examples"
 
-BUNDLED = (
-    "prisoners_dilemma",
-    "matching_pennies",
-    "coordination",
-    "pairwise_chain",
-    "harmonic_oscillator",
-)
-
 
 def bundled_path(name: str) -> Path:
-    path = _DIR / f"{name}.json"
-    if not path.exists():
-        raise KeyError(f"no bundled file {name!r}; choose one of {', '.join(BUNDLED)}")
-    return path
+    names = sorted(path.stem for path in _DIR.glob("*.json"))
+    if name not in names:
+        raise KeyError(f"no bundled file {name!r}; choose one of {', '.join(names)}")
+    return _DIR / f"{name}.json"

@@ -323,7 +323,6 @@ def lowest_states(
     tol: float = DEFAULT_STATIONARY_TOL,
     hbar: float = 1.0,
     seed: int = 0,
-    record_every: int | None = None,
 ) -> list[tuple[list[TrajectoryPoint], StationaryReport, np.ndarray]]:
     """Ground state plus the next count-1 states via repeated deflation.
 
@@ -348,8 +347,7 @@ def lowest_states(
                 start = random_unit_vector(operator.dimension, seed + k)
         start = start / float(np.linalg.norm(start))
         points, report = evolve_linear(
-            operator, start, dt=dt, t_max=t_max, tol=tol, hbar=hbar,
-            deflate=tuple(found), record_every=record_every,
+            operator, start, dt=dt, t_max=t_max, tol=tol, hbar=hbar, deflate=tuple(found)
         )
         psi = points[-1].amplitudes[0]
         found.append(psi)

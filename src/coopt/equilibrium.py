@@ -62,10 +62,6 @@ class SweepRow(NamedTuple):
 class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_csv())
-
     def to_csv(self) -> str:
         def fmt(x):
             if x is None:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import Frozen, log_sum_exp_along
+from .numerics import Frozen, log_sum_exp_first
 
 PROBABILITY_TOL = 1e-12
 
@@ -441,26 +441,20 @@ class ContractionPlan:
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
             if self.owner.size:
-                # log_sum_exp_along over the neighbour axis, in place
                 combined = self.log_edges + log_p[self.neighbour].T[:, :, np.newaxis]
-                top = combined.max(axis=0)
-                # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
-                top[~np.isfinite(top)] = 0.0
-                combined -= top
                 padded = np.zeros((self.owner.size + 1, combined.shape[2]))
-                per_edge = padded[:-1]
-                np.log(np.exp(combined, out=combined).sum(axis=0, out=per_edge), out=per_edge)
-                per_edge += top
+                log_sum_exp_first(combined, out=padded[:-1])
                 for slot in self.slots:
                     out += padded[slot]
-        for i, log_table, _, others in self.dense:
-            if others:
-                joint = functools.reduce(
-                    np.add.outer, [log_p[j, : self.cards[j]] for j in others]
-                )
-                combined = log_table + joint[np.newaxis, ...]
-                log_table = log_sum_exp_along(combined.reshape(combined.shape[0], -1), axis=1)
-            out[i, : self.cards[i]] = log_table
+            for i, log_table, _, others in self.dense:
+                if others:
+                    joint = functools.reduce(
+                        np.add.outer, [log_p[j, : self.cards[j]] for j in others]
+                    )
+                    combined = log_table + joint[np.newaxis, ...]
+                    # the transpose sums each row's contiguous memory in order
+                    log_table = log_sum_exp_first(combined.reshape(combined.shape[0], -1).T)
+                out[i, : self.cards[i]] = log_table
         return np.asfortranarray(out)
 
     def expectations(self, p: np.ndarray) -> np.ndarray:

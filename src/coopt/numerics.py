@@ -1,19 +1,21 @@
 """Shared numerical kernels.
 
 Log-domain accumulation keeps the dynamics stable when the temperature
-constant is small, and the fixed-step RK4 update drives both continuous-time
-evolutions.  Their derivatives are linear within a step, y -> A y with A
-frozen, so `rk4_step` is for linear derivatives: it evaluates classical RK4
-as the polynomial R(dt A) y in Horner form, three stage products plus the
-residual product the caller already took, which it must pass as k1.  The
-step is signed, so the flows step on H itself with dt = -(time step)/hbar
-and no scaled copy of H is made.  A dense operator whose entries off its
-three central bands are all zero, as every grid Hamiltonian's are, is
-multiplied on those bands in O(n).  The eigensolver `jacobi_eigen` is the
-self-contained oracle used to certify stationary states.  It calls no
-LAPACK (only norms come from numpy's linear algebra): a dense matrix is
-reduced to tridiagonal form by Householder reflectors, then solved by
-Sturm-sequence bisection plus inverse iteration (module `tridiagonal`).
+constant is small; `log_sum_exp_first`, in place over the first axis, is
+the one log-sum-exp, for pairwise and dense tables alike.  The fixed-step
+RK4 update drives both continuous-time evolutions.  Their derivatives are
+linear within a step, y -> A y with A frozen, so `rk4_step` is for linear
+derivatives: it evaluates classical RK4 as the polynomial R(dt A) y in
+Horner form, three stage products plus the residual product the caller
+already took, which it must pass as k1.  The step is signed, so the flows
+step on H itself with dt = -(time step)/hbar and no scaled copy of H is
+made.  A dense operator whose entries off its three central bands are all
+zero, as every grid Hamiltonian's are, is multiplied on those bands in
+O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle used to
+certify stationary states.  It calls no LAPACK (only norms come from
+numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
+Householder reflectors, then solved by Sturm-sequence bisection plus
+inverse iteration (module `tridiagonal`).
 """
 
 import math
@@ -117,15 +119,17 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def log_sum_exp_along(values: np.ndarray, axis: int) -> np.ndarray:
-    """ln(sum(exp(values))) along axis, shift-stabilized; rows of all -inf
-    map to -inf, never NaN, a +inf entry gives +inf and a NaN entry NaN."""
-    v = np.asarray(values, dtype=float)
-    m = v.max(axis=axis, keepdims=True)
-    # Shifted by 0 instead, a row of all -inf sums to 0, whose log is -inf.
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(v - safe).sum(axis=axis)) + safe.squeeze(axis)
+def log_sum_exp_first(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ln(sum(exp(values))) over the first axis, shift-stabilized, into out;
+    values is overwritten.  All -inf sums to -inf, never NaN; a +inf entry
+    gives +inf, a NaN NaN.  The caller suppresses log(0)'s divide warning."""
+    top = values.max(axis=0)
+    # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
+    top[~np.isfinite(top)] = 0.0
+    values -= top
+    out = np.log(np.exp(values, out=values).sum(axis=0, out=out), out=out)
+    out += top
+    return out
 
 
 def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:

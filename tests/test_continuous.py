@@ -416,8 +416,6 @@ class TestEvolveLinear:
         psi0 = np.array([0.6, 0.8])
         with pytest.raises(ValueError, match="record_every"):
             evolve_linear(op, psi0, record_every=every)
-        with pytest.raises(ValueError, match="record_every"):
-            lowest_states(op, 2, psi0, record_every=every)
 
 
 class TestEvolveCoupled:

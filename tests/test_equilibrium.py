@@ -296,12 +296,10 @@ class TestAlphaSweep:
         c = alpha_sweep(model, [0.5, 2.0], restarts=3, base_seed=43)
         assert c != a
 
-    def test_csv_shape(self, tmp_path):
+    def test_csv_shape(self):
         model = helpers.prisoners_dilemma()
         report = alpha_sweep(model, [1.0, 8.0], restarts=2, base_seed=3)
-        path = tmp_path / "sweep.csv"
-        report.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = report.to_csv().splitlines()
         assert lines[0] == "alpha,seed,converged,iterations,epsilon,welfare,global_hit"
         assert len(lines) == 5
         # utility model: epsilon and welfare filled, global_hit empty

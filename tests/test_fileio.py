@@ -27,6 +27,17 @@ def write_json(tmp_path, name, doc):
     return path
 
 
+class TestBundledPath:
+    @pytest.mark.parametrize("name", ["../../../BENCHMARK", "../__init__", "no_such_game"])
+    def test_other_names_are_refused_with_the_sorted_list(self, name):
+        with pytest.raises(KeyError) as excinfo:
+            bundled_path(name)
+        assert excinfo.value.args[0] == (
+            f"no bundled file {name!r}; choose one of coordination, harmonic_oscillator, "
+            "matching_pennies, pairwise_chain, prisoners_dilemma"
+        )
+
+
 class TestProblemLoading:
     def test_bundled_prisoners_dilemma(self):
         model = load_problem(bundled_path("prisoners_dilemma"))

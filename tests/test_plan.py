@@ -34,7 +34,7 @@ from coopt.model import (
     stack,
     to_utility_model,
 )
-from coopt.numerics import log_sum_exp_along
+from coopt.numerics import log_sum_exp_first
 from coopt.rng import SplitMix64
 
 # Seeds whose random pairwise models have agents of different cardinalities.
@@ -201,12 +201,11 @@ def edge_sums_by_add_at(plan, p):
     log tables (edges, neighbour, own) and np.add.at: the reference the
     plan's slot sums must equal bit for bit."""
     p = np.array(p, order="C")
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p)
     log_edges = plan.log_edges.transpose(1, 0, 2)
     log_returns = np.array(plan.log_one, order="C")
-    combined = log_edges + log_p[plan.neighbour][:, :, np.newaxis]
-    np.add.at(log_returns, plan.owner, log_sum_exp_along(combined, axis=1))
+    with np.errstate(divide="ignore"):
+        combined = log_edges + np.log(p)[plan.neighbour][:, :, np.newaxis]
+        np.add.at(log_returns, plan.owner, log_sum_exp_first(np.moveaxis(combined, 1, 0)))
     expectations = np.zeros(p.shape)
     per_edge = np.matmul(plan.edges, p[plan.neighbour][..., np.newaxis])
     np.add.at(expectations, plan.owner, per_edge[..., 0])
