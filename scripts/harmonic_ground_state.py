@@ -11,7 +11,8 @@ import argparse
 
 import numpy as np
 
-from coopt import build_grid_hamiltonian, default_step, jacobi_eigen, lowest_states
+from coopt.continuous import build_grid_hamiltonian, default_step, lowest_states
+from coopt.numerics import jacobi_eigen
 
 
 def main():

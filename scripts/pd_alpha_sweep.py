@@ -10,7 +10,8 @@ Usage: python scripts/pd_alpha_sweep.py [--restarts N] [--seed S] [--out CSV]
 
 import argparse
 
-from coopt import alpha_sweep, bundled_path
+from coopt import bundled_path
+from coopt.equilibrium import alpha_sweep
 from coopt.fileio import load_problem, write_text
 
 

@@ -237,20 +237,6 @@ def coupled_scale(model: GameModel) -> float:
     return float(bounds.max())
 
 
-def stationarity_check(operator: HermitianOperator, psi: np.ndarray) -> tuple[float, float]:
-    """Rayleigh quotient and eigen-residual norm ||H psi - lambda psi||."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (operator.dimension,):
-        raise ValueError(
-            f"state of length {psi.size} does not match operator dimension {operator.dimension}"
-        )
-    psi = _unit(psi, "psi")
-    h_psi = operator.matvec(psi)
-    rayleigh = float(psi @ h_psi)
-    residual = float(np.linalg.norm(h_psi - rayleigh * psi))
-    return rayleigh, residual
-
-
 def evolve_linear(
     operator: HermitianOperator,
     psi0: np.ndarray,

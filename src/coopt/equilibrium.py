@@ -93,12 +93,6 @@ def _payoffs(model: GameModel, profile: StrategyProfile):
         return plan.rows(log_returns), plan.rows(np.exp(log_returns))
 
 
-def expected_payoff(model: GameModel, profile: StrategyProfile, index: int) -> float:
-    """Exact expected utility of one agent under the profile."""
-    _, payoffs = _payoffs(model, profile)
-    return float(profile.dists[index] @ payoffs[index])
-
-
 def weight_error(what: str, weight: float, hbar: float) -> ValueError:
     """The error for a Boltzmann weight, positive in exact arithmetic, that
     underflowed to 0 or overflowed at hbar."""

@@ -14,8 +14,9 @@ zero, as every grid Hamiltonian's are, is multiplied on those bands in
 O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle used to
 certify stationary states.  It calls no LAPACK (only norms come from
 numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
-Householder reflectors, then solved by Sturm-sequence bisection plus
-inverse iteration (module `tridiagonal`).
+Householder reflectors, of which a tridiagonal operator takes none, then
+solved by Sturm-sequence bisection plus inverse iteration (module
+`tridiagonal`).
 """
 
 import math
@@ -138,11 +139,10 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
     A Diagonal operator is sorted.  A dense matrix is symmetrized, reduced
     to tridiagonal form by Householder reflectors, and solved by
     Sturm-count bisection and inverse iteration (`coopt.tridiagonal`).  A
-    tridiagonal input such as a grid Hamiltonian takes no reflector; a
-    201-point grid takes about 0.045 s on a 2-vCPU VM, 0.035 s of it in
-    bisection and 0.01 s in inverse iteration.  The name is kept from the
-    Jacobi rotations this oracle once ran, because callers and benchmarks
-    look it up.
+    tridiagonal input such as a grid Hamiltonian takes no reflector; at 201
+    points bisection takes about three quarters of the time.  The name is
+    kept from the Jacobi rotations this oracle once ran, because callers and
+    benchmarks look it up.
     """
     n = operator.dimension
     if n > EIGEN_MAX_DIMENSION:
@@ -153,13 +153,16 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
         vecs = np.eye(n)[:, order]
         return EigenDecomposition(operator.entries[order].copy(), vecs)
 
-    a = 0.5 * (operator.matrix + operator.matrix.T)
+    m = operator.matrix
     if n == 1:
-        return EigenDecomposition(np.diag(a).copy(), np.eye(1))
+        return EigenDecomposition(m[0].copy(), np.eye(1))
     # Imported on first use: where bytecode is not cached, every coopt
     # process would otherwise compile it, certifying or not.
     from .tridiagonal import symmetric_eigen
 
+    # Halved before adding, so that entries near the float limit cannot overflow.
+    a = 0.5 * m
+    a += 0.5 * m.T
     return EigenDecomposition(*symmetric_eigen(a))
 
 

@@ -207,8 +207,8 @@ def _tridiagonalize(a: np.ndarray):
     # - beta)), that maps a[k+1:, k] to (beta, 0, ...), as LAPACK dlarfg
     # builds it; beta goes to a[k+1, k] and v's tail below it.  A column
     # already zero below its subdiagonal takes none (tau = 0), so tridiagonal
-    # input passes through bitwise.  Returns T's diagonal, its off-diagonal
-    # and the taus.
+    # input passes through bitwise and a zero column is spared the 0/0 of its
+    # reflector.  Returns T's diagonal, its off-diagonal and the taus.
     n = a.shape[0]
     tau = np.zeros(max(n - 2, 0))
     for k in range(n - 2):

@@ -24,7 +24,6 @@ from coopt.continuous import (
     largest_step,
     lowest_states,
     match_eigenvalue,
-    stationarity_check,
     write_trajectory_csv,
 )
 from coopt.model import Agent, DenseEnergy, DomainSpec, GameModel, PairwiseEnergy
@@ -176,31 +175,39 @@ class TestEffectiveHamiltonian:
 
 
 class TestStationarityCheck:
+    """evolve_linear's t = 0 point holds the Rayleigh quotient and the
+    eigen-residual norm ||H psi - lambda psi|| of its start vector."""
+
+    @staticmethod
+    def check(op, psi):
+        points, _ = evolve_linear(op, psi)
+        return points[0].rayleigh[0], points[0].residual[0]
+
     def test_eigenvector_has_zero_residual(self):
         op = Diagonal(np.array([1.0, 2.0, 3.0]))
-        lam, residual = stationarity_check(op, np.array([0.0, 1.0, 0.0]))
+        lam, residual = self.check(op, np.array([0.0, 1.0, 0.0]))
         assert lam == 2.0 and residual == 0.0
 
     def test_mixed_state_hand_computed(self):
         op = Diagonal(np.array([1.0, 2.0]))
-        lam, residual = stationarity_check(op, np.array([1.0, 1.0]) / math.sqrt(2.0))
+        lam, residual = self.check(op, np.array([1.0, 1.0]) / math.sqrt(2.0))
         assert lam == pytest.approx(1.5, abs=1e-15)
         assert residual == pytest.approx(0.5, abs=1e-15)
 
     def test_identity_operator(self):
         op = DenseSymmetric(np.eye(4))
         psi = np.array([0.5, -0.5, 0.5, 0.5])
-        lam, residual = stationarity_check(op, psi)
+        lam, residual = self.check(op, psi)
         assert lam == pytest.approx(1.0, abs=1e-15)
         assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            stationarity_check(Diagonal(np.array([1.0, 2.0])), np.array([1.0, 0.0, 0.0]))
+            self.check(Diagonal(np.array([1.0, 2.0])), np.array([1.0, 0.0, 0.0]))
 
     def test_non_unit_state_rejected(self):
         with pytest.raises(ValueError, match="unit"):
-            stationarity_check(Diagonal(np.array([1.0, 2.0])), np.array([1.0, 1.0]))
+            self.check(Diagonal(np.array([1.0, 2.0])), np.array([1.0, 1.0]))
 
 
 class TestEvolveLinear:

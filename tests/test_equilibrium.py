@@ -12,7 +12,6 @@ from coopt.equilibrium import (
     decode_assignment,
     enumerate_pure_nash,
     epsilon_of_profile,
-    expected_payoff,
     social_welfare,
 )
 from coopt.model import (
@@ -77,19 +76,17 @@ class TestExpectedPayoff:
     def test_point_mass_reads_the_table_entry(self):
         model = helpers.prisoners_dilemma()
         profile = StrategyProfile.point_mass(model, (1, 0))  # row defects, col cooperates
-        assert expected_payoff(model, profile, 0) == 5.0
-        assert expected_payoff(model, profile, 1) == 0.0
+        assert epsilon_of_profile(model, profile).payoffs == (5.0, 0.0)
 
     def test_constant_utility(self):
         model = helpers.prisoners_dilemma(t=4.0, r=4.0, p=4.0, s=4.0)
         profile = StrategyProfile((np.array([0.3, 0.7]), np.array([0.9, 0.1])))
-        assert expected_payoff(model, profile, 0) == pytest.approx(4.0, rel=1e-14)
+        assert epsilon_of_profile(model, profile).payoffs[0] == pytest.approx(4.0, rel=1e-14)
 
     def test_uniform_prisoners_dilemma_average(self):
         model = helpers.prisoners_dilemma()
         uniform = StrategyProfile.uniform(model)
-        for i in range(2):
-            assert expected_payoff(model, uniform, i) == pytest.approx(2.25, rel=1e-14)
+        assert epsilon_of_profile(model, uniform).payoffs == pytest.approx((2.25, 2.25), rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(210, 215))
     def test_matches_full_enumeration_oracle(self, seed):
@@ -97,9 +94,8 @@ class TestExpectedPayoff:
         profile = StrategyProfile(
             tuple(helpers.random_profile_arrays(seed + 1, model.agent_cardinalities()))
         )
-        for i in range(3):
-            want = helpers.payoff_by_enumeration(model, profile, i)
-            assert expected_payoff(model, profile, i) == pytest.approx(want, rel=1e-12)
+        want = tuple(helpers.payoff_by_enumeration(model, profile, i) for i in range(3))
+        assert epsilon_of_profile(model, profile).payoffs == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "model",
@@ -119,10 +115,6 @@ class TestExpectedPayoff:
         assert social_welfare(model, profile) == pytest.approx(
             social_welfare(utility, profile), rel=1e-12
         )
-        for i in range(len(model.agents)):
-            assert expected_payoff(model, profile, i) == pytest.approx(
-                expected_payoff(utility, profile, i), rel=1e-12
-            )
 
 
 class TestEpsilonCertificate:

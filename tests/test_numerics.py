@@ -218,6 +218,22 @@ class TestJacobi:
             np.linalg.eigvalsh(dense), rtol=0, atol=1e-14 * np.linalg.norm(dense),
         )
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e308, 0.0], [0.0, 1.0]],
+            [[1e308, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+            [[1e308, 1e308], [1e308, -1e308]],
+        ],
+        ids=["diagonal", "dense", "tridiagonal"],
+    )
+    def test_entries_near_the_float_limit_symmetrize_without_overflow(self, m):
+        # m + m.T overflows to inf here; halving each entry first does not
+        h = np.array(m)
+        eig = jacobi_eigen(DenseSymmetric(h))
+        tol = 1e-9 * np.abs(h).max() * h.shape[0]  # bounds ||H||_2, whose own sum overflows
+        np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+
     def test_tridiagonal_eigenvectors_are_reproducible(self):
         op = load_hamiltonian(bundled_path("harmonic_oscillator"))
         first, second = jacobi_eigen(op), jacobi_eigen(op)

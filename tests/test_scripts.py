@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from coopt import alpha_sweep, bundled_path
+from coopt import bundled_path
+from coopt.equilibrium import alpha_sweep
 from coopt.fileio import load_problem
 
 ROOT = Path(__file__).resolve().parent.parent
