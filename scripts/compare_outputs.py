@@ -13,7 +13,11 @@ agents hold pairwise terms or dense tables and whose names need escaping
 in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start and for its
-two lowest at hbar = 0.37, and `coopt solve` on malformed problem files,
+two lowest at hbar = 0.37, `coopt quantum` with a trace on a seeded
+diagonal Hamiltonian and on a seeded, exactly symmetric dense 12 x 12 one
+with entries off its bands, `solve`, `sweep` and `nash` on an
+anti-coordination game whose variables are listed in the reverse of its
+agents' order, and `coopt solve` on malformed problem files,
 at least one per kind of problem `validate` words, one with a numeric
 string in a pairwise table, one with true or false in each numeric field
 and one that is UTF-16, not UTF-8, `coopt verify` on
@@ -31,9 +35,10 @@ runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
 its own hbar = 1 and at hbar = 0.37, and on the seed-1 ring and the mixed
 ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals, and a
-sha256 of the bundled oscillator's eigenvalues from `numerics.jacobi_eigen`
-(its eigenvectors are not compared: they depend on the oracle's start
-vectors, not only on the matrix).  Both trees read the same input files.
+sha256 of the eigenvalues from `numerics.jacobi_eigen` of the bundled
+oscillator and of both seeded Hamiltonians (their eigenvectors are not
+compared: they depend on the oracle's start vectors, not only on the
+matrix).  Both trees read the same input files.
 Exits 1 listing every output file whose bytes differ, or every job whose
 exit code differs; 0 when all match.  A differing .json or .csv file is
 listed with the largest absolute difference between its corresponding
@@ -208,6 +213,57 @@ def mixed_jobs(inputs: Path) -> list[list[str]]:
         ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
          "--max-iter", "200", "--out", "mixed.sweep.csv"],
     ]
+
+
+def reversed_game_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for a utility game where each agent is paid 1 where
+    the two actions differ, whose variables are listed in the reverse of
+    its agents' order; writes its problem file to inputs."""
+    values = [0.0, 1.0, 1.0, 0.0]
+    problem = inputs / "reversed.json"
+    problem.write_text(json.dumps({
+        "mode": "utility",
+        "variables": [{"name": "y", "cardinality": 2}, {"name": "x", "cardinality": 2}],
+        "agents": [
+            {"name": "left", "acts_on": "x",
+             "objective": {"dense": {"order": ["x", "y"], "values": values}}},
+            {"name": "right", "acts_on": "y",
+             "objective": {"dense": {"order": ["y", "x"], "values": values}}},
+        ],
+    }))
+    base = ["--problem", str(problem)]
+    return [
+        ["solve", *base, "--alpha", str(SOFT_ALPHA), "--init", "random", "--seed", "7",
+         "--out", "reversed.solve.json"],
+        ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
+         "--out", "reversed.sweep.csv"],
+        ["nash", *base, "--out", "reversed.nash.json"],
+    ]
+
+
+def seeded_hamiltonians() -> dict[str, dict]:
+    """A seeded diagonal Hamiltonian and a seeded dense 12 x 12 one, exactly
+    symmetric (b + b.T, whose sums commute), by name."""
+    from coopt.rng import SplitMix64
+
+    stream = SplitMix64(11)
+    diagonal = [stream.uniform_signed() for _ in range(9)]
+    b = [[stream.uniform_signed() for _ in range(12)] for _ in range(12)]
+    dense = [[b[i][j] + b[j][i] for j in range(12)] for i in range(12)]
+    return {"diagonal": {"diagonal": diagonal}, "dense": {"dense": dense}}
+
+
+def seeded_hamiltonian_jobs(inputs: Path) -> tuple[list[list[str]], list[list[str]]]:
+    """`coopt quantum` with a trace on each seeded Hamiltonian, and its
+    spectrum job; writes them to inputs."""
+    jobs, spectra = [], []
+    for name, doc in seeded_hamiltonians().items():
+        path = inputs / f"seeded.{name}.json"
+        path.write_text(json.dumps(doc))
+        jobs.append(["quantum", "--hamiltonian", str(path), "--trace",
+                     f"seeded.{name}.trace.csv", "--out", f"seeded.{name}.json"])
+        spectra.append([str(path), f"seeded.{name}.eigenvalues.sha256"])
+    return jobs, spectra
 
 
 def malformed_problems() -> dict[str, dict | bytes]:
@@ -555,11 +611,13 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         inputs = workdir / "inputs"
         inputs.mkdir()
+        seeded, seeded_spectra = seeded_hamiltonian_jobs(inputs)
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
-                + quantum_jobs(inputs) + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
+                + quantum_jobs(inputs) + seeded + reversed_game_jobs(inputs)
+                + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
                 + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
-                        trajectory_jobs(inputs), spectrum_jobs(inputs))
+                        trajectory_jobs(inputs), spectrum_jobs(inputs) + seeded_spectra)
         compared = len(list((workdir / "new").iterdir()))
         for line in found:
             print(f"differs: {describe(line, workdir / 'old', workdir / 'new')}")

@@ -9,6 +9,14 @@ file formats from `coopt.fileio` and the command line from `coopt.cli`.
 The package itself holds only `bundled_path`, the path of a shipped example.
 """
 
-from .bundled import bundled_path
+from pathlib import Path
 
 __version__ = "0.1.0"
+
+
+def bundled_path(name: str) -> Path:
+    directory = Path(__file__).parent / "examples"
+    names = sorted(path.stem for path in directory.glob("*.json"))
+    if name not in names:
+        raise KeyError(f"no bundled file {name!r}; choose one of {', '.join(names)}")
+    return directory / f"{name}.json"

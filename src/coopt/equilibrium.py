@@ -142,14 +142,15 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
 
 
 def _full_domain_tensor(model: GameModel, agent) -> np.ndarray:
-    """An agent's objective as a dense table over the full variable domain,
-    in broadcast shape (length 1 along the variables it does not read)."""
+    """An agent's objective as a dense table over the joint domain, one axis
+    per agent in agent order, in broadcast shape (length 1 along the agents
+    whose variables it does not read)."""
     obj = agent.objective
     if isinstance(obj, PairwiseEnergy):
         obj = densify(obj, model, agent.acts_on)
     shape = model.shape_of(obj.order)
-    axes = [model._position_of[v] for v in obj.order]
-    full = [1] * len(model.variables)
+    axes = [model.agent_of[v] for v in obj.order]
+    full = [1] * len(model.agents)
     for axis, size in zip(axes, shape):
         full[axis] = size
     return np.transpose(obj.values.reshape(shape), np.argsort(axes)).reshape(full)
@@ -161,24 +162,22 @@ def enumerate_pure_nash(model: GameModel) -> list[tuple[int, ...]]:
     Exhaustive over the joint domain; ties count as equilibria.  Energies
     are compared directly (lower is better), so the result does not depend
     on hbar.  Profiles come back as per-agent action tuples in the model's
-    agent order.
+    agent order, listed in lexicographic order.
     """
-    full_shape = model.shape_of(model.variable_names())
+    full_shape = model.agent_cardinalities()
     if math.prod(full_shape) > MAX_ENUMERATION_SIZE:
         raise EnumerationTooLargeError(
             f"joint domain of {len(full_shape)} variables has more than "
             f"{MAX_ENUMERATION_SIZE} assignments"
         )
     mask = np.ones(full_shape, dtype=bool)
-    for agent, own_axis in zip(model.agents, model.agent_axes):
+    for own_axis, agent in enumerate(model.agents):
         tensor = _full_domain_tensor(model, agent)
         if model.mode == "energy":
             tensor = -tensor  # exact, so the max test orders energies
         best = tensor.max(axis=own_axis, keepdims=True)
         mask &= np.broadcast_to(tensor >= best, full_shape)
-    return [
-        tuple(int(joint[axis]) for axis in model.agent_axes) for joint in np.argwhere(mask)
-    ]
+    return [tuple(joint) for joint in np.argwhere(mask).tolist()]
 
 
 def decode_assignment(profile: StrategyProfile) -> tuple[int, ...]:
@@ -218,9 +217,7 @@ def alpha_sweep(
 
     total = None
     if model.mode == "energy" and math.prod(model.agent_cardinalities()) <= MAX_ENUMERATION_SIZE:
-        # axes in agent order, so that a decoded assignment indexes it
-        total = np.transpose(sum(_full_domain_tensor(model, a) for a in model.agents),
-                             model.agent_axes)
+        total = sum(_full_domain_tensor(model, a) for a in model.agents)
         global_min = float(total.min())
 
     rows = []

@@ -96,13 +96,13 @@ class GameModel:
         return ContractionPlan(self)
 
     @functools.cached_property
-    def agent_axes(self) -> tuple[int, ...]:
-        """The position in `variables` of each agent's variable."""
-        return tuple(self._position_of[agent.acts_on] for agent in self.agents)
+    def agent_of(self) -> dict[str, int]:
+        """Each variable's name mapped to the index of the agent acting on it."""
+        return {agent.acts_on: i for i, agent in enumerate(self.agents)}
 
     @functools.cached_property
     def _agent_cardinalities(self) -> tuple[int, ...]:
-        return tuple(self.variables[axis].cardinality for axis in self.agent_axes)
+        return tuple(self.cardinality(agent.acts_on) for agent in self.agents)
 
     def cardinality(self, variable: str) -> int:
         if variable not in self._position_of:
@@ -369,7 +369,7 @@ class ContractionPlan:
     """
 
     def __init__(self, model: GameModel):
-        agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
+        agent_of = model.agent_of
         self.cards = model.agent_cardinalities()
         width = max(self.cards)
         # log 1 for every action, -inf for padding: where edge sums start

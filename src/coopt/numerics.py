@@ -9,13 +9,15 @@ derivatives: it evaluates classical RK4 as the polynomial R(dt A) y in
 Horner form, three stage products plus the residual product the caller
 already took, which it must pass as k1.  The step is signed, so the flows
 step on H itself with dt = -(time step)/hbar and no scaled copy of H is
-made.  A dense operator whose entries off its three central bands are all
-zero, as every grid Hamiltonian's are, is multiplied on those bands in
-O(n).  The eigensolver `jacobi_eigen` is the self-contained oracle used to
-certify stationary states.  It calls no LAPACK (only norms come from
-numpy's linear algebra): a dense matrix is reduced to tridiagonal form by
-Householder reflectors, of which a tridiagonal operator takes none, then
-solved by Sturm-sequence bisection plus inverse iteration (module
+made.  A dense operator holds its own copy of the symmetric part of its
+input, the one matrix that the flows and the oracle read; one whose
+entries off its three central bands are all zero, as every grid
+Hamiltonian's are, is multiplied on those bands in O(n).  The eigensolver
+`jacobi_eigen` is the self-contained oracle used to certify stationary
+states.  It calls no LAPACK (only norms come from numpy's linear algebra):
+a dense matrix, scaled by a power of two, is reduced to tridiagonal form
+by Householder reflectors, of which a tridiagonal operator takes none,
+then solved by Sturm-sequence bisection plus inverse iteration (module
 `tridiagonal`).
 """
 
@@ -45,7 +47,7 @@ class Diagonal(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = np.atleast_1d(np.asarray(entries, dtype=float))
+        entries = np.array(entries, dtype=float, ndmin=1)
         if entries.ndim != 1 or entries.size < 1:
             raise ValueError("diagonal operator needs a nonempty 1-D entry vector")
         if not np.isfinite(entries).all():
@@ -67,9 +69,10 @@ class Diagonal(Frozen):
 class DenseSymmetric(Frozen):
     """Dense real symmetric operator; asymmetry beyond 1e-12 is rejected.
 
-    A tridiagonal matrix (every entry off the main, first sub- and first
-    super-diagonal exactly zero) is multiplied on its three bands; any
-    other takes `matrix @ v`.
+    `matrix` is a copy of the symmetric part (m + m.T) / 2 of the input m,
+    bitwise m when m is symmetric.  A tridiagonal one (every entry off the
+    three central bands exactly zero) is multiplied on its bands; any other
+    takes `matrix @ v`.
     """
 
     __slots__ = ("matrix", "_bands", "_scale")
@@ -82,15 +85,17 @@ class DenseSymmetric(Frozen):
             raise ValueError("dense operator entries must be finite")
         if np.abs(m - m.T).max() > 1e-12:
             raise ValueError("matrix is not symmetric within 1e-12")
-        object.__setattr__(self, "matrix", m)
-        # Both off-diagonals are kept: the matrix may be asymmetric up to 1e-12.
-        bands = tuple(np.diagonal(m, k).copy() for k in (0, 1, -1))
-        tridiagonal = np.count_nonzero(m) == sum(np.count_nonzero(b) for b in bands)
-        object.__setattr__(self, "_bands", bands if tridiagonal else None)
-        # Taken once here: the reduction allocates a matrix the size of m.
+        # Halved before adding, so that entries near the float limit cannot overflow.
+        h = 0.5 * m
+        h += 0.5 * m.T
+        object.__setattr__(self, "matrix", h)
+        d, e = np.diagonal(h).copy(), np.diagonal(h, 1).copy()
+        tridiagonal = np.count_nonzero(h) == np.count_nonzero(d) + 2 * np.count_nonzero(e)
+        object.__setattr__(self, "_bands", (d, e) if tridiagonal else None)
+        # Taken once here: the reduction allocates a matrix the size of h.
         # Rows past the float range sum to inf, which evolve_linear refuses.
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "_scale", float(np.abs(m).sum(axis=1).max()))
+            object.__setattr__(self, "_scale", float(np.abs(h).sum(axis=1).max()))
 
     @property
     def dimension(self) -> int:
@@ -99,10 +104,10 @@ class DenseSymmetric(Frozen):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self._bands is None:
             return self.matrix @ v
-        d, up, lo = self._bands
+        d, e = self._bands
         out = d * v
-        out[:-1] += up * v[1:]
-        out[1:] += lo * v[:-1]
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
         return out
 
     def scale(self) -> float:
@@ -136,8 +141,9 @@ def log_sum_exp_first(values: np.ndarray, out: np.ndarray | None = None) -> np.n
 def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric operator, the package's oracle.
 
-    A Diagonal operator is sorted.  A dense matrix is symmetrized, reduced
-    to tridiagonal form by Householder reflectors, and solved by
+    A Diagonal operator is sorted.  A dense matrix is scaled exactly, by a
+    power of two, to entries below 1 so that its reduction cannot overflow,
+    reduced to tridiagonal form by Householder reflectors, and solved by
     Sturm-count bisection and inverse iteration (`coopt.tridiagonal`).  A
     tridiagonal input such as a grid Hamiltonian takes no reflector; at 201
     points bisection takes about three quarters of the time.  The name is
@@ -160,10 +166,9 @@ def jacobi_eigen(operator: HermitianOperator) -> EigenDecomposition:
     # process would otherwise compile it, certifying or not.
     from .tridiagonal import symmetric_eigen
 
-    # Halved before adding, so that entries near the float limit cannot overflow.
-    a = 0.5 * m
-    a += 0.5 * m.T
-    return EigenDecomposition(*symmetric_eigen(a))
+    k = math.frexp(float(np.abs(m).max()))[1]
+    values, vectors = symmetric_eigen(np.ldexp(m, -k))
+    return EigenDecomposition(np.ldexp(values, k), vectors)
 
 
 def rk4_step(derivative, state: np.ndarray, dt: float, k1: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -357,3 +359,76 @@ def test_eigenvalue_digest_catches_a_last_bit_change_but_not_moved_vectors(tmp_p
     # Inverse iteration one shift at a time: other start vectors, the same eigenvalues.
     tree = tree_with("blocks", "_INVERSE_BYTES = 8 << 20", "_INVERSE_BYTES = 1")
     assert script.compare(ROOT, tree, [], tmp_path / "blocks", [], spectra) == []
+
+
+def test_seeded_hamiltonians_cover_the_diagonal_the_dense_product_and_the_reflectors(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs, spectra = script.seeded_hamiltonian_jobs(inputs)
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes", (), spectra) == [0, 0]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same", (), spectra) == []
+    written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
+    assert written == sorted(
+        f"seeded.{name}.{suffix}" for name in ("dense", "diagonal")
+        for suffix in ("eigenvalues.sha256", "json", "json.stderr", "trace.csv")
+    )
+    dense = np.array(json.loads((inputs / "seeded.dense.json").read_text())["dense"])
+    assert dense.shape == (12, 12) and dense.tobytes() == dense.T.tobytes()
+    assert np.count_nonzero(np.triu(dense, 2)) > 0
+
+    def tree_with(name, module, old, new):
+        tree = tmp_path / name
+        shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        path = tree / "src" / "coopt" / module
+        source = path.read_text()
+        assert source.count(old) == 1
+        path.write_text(source.replace(old, new))
+        return tree
+
+    # Each mutation moves one path by an ulp and shows in its own outputs only.
+    mutations = {
+        "dense-product": ("numerics.py", "            return self.matrix @ v\n",
+                          "            return np.nextafter(self.matrix @ v, np.inf)\n",
+                          ["seeded.dense.json", "seeded.dense.trace.csv"]),
+        "diagonal-product": ("numerics.py", "        return self.entries * v\n",
+                             "        return np.nextafter(self.entries * v, np.inf)\n",
+                             ["seeded.diagonal.json", "seeded.diagonal.trace.csv"]),
+        "diagonal-oracle": ("numerics.py", "operator.entries[order].copy()",
+                            "np.nextafter(operator.entries[order], np.inf)",
+                            ["seeded.diagonal.eigenvalues.sha256"]),
+        "reflector": ("tridiagonal.py", "        x[0], x[1:] = beta, v[1:]\n",
+                      "        x[0], x[1:] = math.nextafter(beta, math.inf), v[1:]\n",
+                      ["seeded.dense.eigenvalues.sha256"]),
+    }
+    for name, (module, old, new, expected) in mutations.items():
+        tree = tree_with(name, module, old, new)
+        assert script.compare(ROOT, tree, jobs, tmp_path / f"{name}-out", (), spectra) == expected
+
+
+def test_reversed_variables_game_is_compared_and_its_equilibrium_order_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.reversed_game_jobs(inputs)
+    assert [job[0] for job in jobs] == ["solve", "sweep", "nash"]
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes")[::2] == [0, 0]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    problem = json.loads((inputs / "reversed.json").read_text())
+    assert [v["name"] for v in problem["variables"]] == ["y", "x"]
+    assert [a["acts_on"] for a in problem["agents"]] == ["x", "y"]
+    nash = json.loads((new / "reversed.nash.json").read_text())
+    assert nash["equilibria"] == [{"left": 0, "right": 1}, {"left": 1, "right": 0}]
+
+    # A tree that lists the equilibria last to first.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    equilibrium = tree / "src" / "coopt" / "equilibrium.py"
+    source = equilibrium.read_text()
+    line = "    return [tuple(joint) for joint in np.argwhere(mask).tolist()]\n"
+    assert source.count(line) == 1
+    equilibrium.write_text(source.replace(
+        line, "    return [tuple(joint) for joint in np.argwhere(mask).tolist()][::-1]\n"
+    ))
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == ["reversed.nash.json"]

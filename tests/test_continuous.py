@@ -357,6 +357,23 @@ class TestEvolveLinear:
         assert round(small.time / default_step(op, 1e-3)) == round(unit.time / default_step(op))
         assert small.states[0].rayleigh == pytest.approx(unit.states[0].rayleigh, abs=1e-12)
 
+    @pytest.mark.parametrize("tridiagonal", [True, False])
+    def test_an_asymmetric_input_evolves_as_the_matrix_the_oracle_solves(self, tridiagonal):
+        h = helpers.random_symmetric_matrix(45, 8, span=2.0)
+        if tridiagonal:
+            h = np.triu(np.tril(h, 1), -1)
+        h[3, 2] -= 9e-13
+        op = DenseSymmetric(h)
+        tol = 1e-10
+        points, report = evolve_linear(op, np.full(8, 1.0 / math.sqrt(8.0)), tol=tol)
+        assert report.converged
+        psi = points[-1].amplitudes[0]
+        h_psi = op.matrix @ psi
+        assert np.linalg.norm(h_psi - (psi @ h_psi) * psi) <= tol
+        assert report.states[0].rayleigh == pytest.approx(
+            jacobi_eigen(op).eigenvalues[0], abs=1e-12
+        )
+
     def test_matches_a_classical_rk4_replay(self):
         x = np.linspace(-4.0, 4.0, 15)
         op = build_grid_hamiltonian(-4.0, 4.0, 15, 0.5 * x * x)

@@ -22,11 +22,25 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
     to_utility_model,
+    validate,
 )
 
 
 def coordination_game():
     values = np.array([1.0, 0.0, 0.0, 1.0])
+    return GameModel(
+        (DomainSpec("x1", 2), DomainSpec("x2", 2)),
+        (
+            Agent("left", "x1", DenseUtility(("x1", "x2"), values)),
+            Agent("right", "x2", DenseUtility(("x2", "x1"), values)),
+        ),
+        mode="utility",
+    )
+
+
+def anti_coordination():
+    """Each agent is paid 1 where the two actions differ and 0 where they agree."""
+    values = np.array([0.0, 1.0, 1.0, 0.0])
     return GameModel(
         (DomainSpec("x1", 2), DomainSpec("x2", 2)),
         (
@@ -188,14 +202,20 @@ class TestPureNashEnumeration:
         assert enumerate_pure_nash(coordination_game()) == [(0, 0), (1, 1)]
 
     def test_size_guard(self):
-        model = helpers.random_dense_model(7, n_agents=2, card=2, mode="utility")
-        big = GameModel(
-            tuple(DomainSpec(f"v{i}", 101) for i in range(3)),
-            model.agents,
-            mode="utility",
+        # three agents on 101 actions each: 1,030,301 joint assignments
+        variables = tuple(DomainSpec(f"v{i}", 101) for i in range(3))
+        agents = tuple(
+            Agent(f"a{i}", f"v{i}", DenseUtility((f"v{i}",), np.ones(101))) for i in range(3)
         )
+        big = validate(GameModel(variables, agents, mode="utility"))
         with pytest.raises(EnumerationTooLargeError):
             enumerate_pure_nash(big)
+
+    def test_equilibria_are_listed_in_the_agents_order_whatever_the_variables_order(self):
+        game = anti_coordination()
+        listed = enumerate_pure_nash(game)
+        assert listed == [(0, 1), (1, 0)]
+        assert enumerate_pure_nash(replace(game, variables=game.variables[::-1])) == listed
 
     @pytest.mark.parametrize("seed", range(260, 270))
     def test_energy_models_compare_energies_at_any_hbar(self, seed):
@@ -305,6 +325,15 @@ class TestAlphaSweep:
             assert row.epsilon is None
             assert row.welfare is not None
             assert row.global_hit in (True, False)
+
+    @pytest.mark.parametrize("seed", [31, 32, 40])  # mixed cardinalities, cells hit and missed
+    def test_global_minimum_does_not_depend_on_the_variables_order(self, seed):
+        model = helpers.random_pairwise_model(seed, max_agents=4, max_card=3)
+        shuffled = replace(model, variables=model.variables[::-1])
+        grid = [0.5, 2.0, 8.0]
+        report = alpha_sweep(model, grid, restarts=3, base_seed=seed)
+        assert alpha_sweep(shuffled, grid, restarts=3, base_seed=seed) == report
+        assert {row.global_hit for row in report.rows} == {True, False}
 
     def test_energy_model_beyond_the_enumeration_cap_leaves_global_hit_empty(self):
         report = alpha_sweep(binary_chain(21), [1.0, 8.0], restarts=2)  # 2**21 assignments

@@ -224,15 +224,28 @@ class TestJacobi:
             [[1e308, 0.0], [0.0, 1.0]],
             [[1e308, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
             [[1e308, 1e308], [1e308, -1e308]],
+            [[1.0, 1e308, 1e308], [1e308, 1.0, 1.0], [1e308, 1.0, 1.0]],
         ],
-        ids=["diagonal", "dense", "tridiagonal"],
+        ids=["diagonal", "dense", "tridiagonal", "off-the-bands"],
     )
     def test_entries_near_the_float_limit_symmetrize_without_overflow(self, m):
-        # m + m.T overflows to inf here; halving each entry first does not
+        # m + m.T overflows to inf here; halving each entry first does not.
+        # The reflectors' products would overflow on the last matrix as
+        # given; it is reduced scaled by a power of two.
         h = np.array(m)
         eig = jacobi_eigen(DenseSymmetric(h))
         tol = 1e-9 * np.abs(h).max() * h.shape[0]  # bounds ||H||_2, whose own sum overflows
         np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("seed,n", [(12, 5), (15, 30), (17, 40)])
+    def test_scaling_by_a_power_of_two_keeps_the_bits(self, seed, n):
+        # Entries far from 1 in magnitude, reduced by reflectors at every scale.
+        h = helpers.random_symmetric_matrix(seed, n, span=3.0)
+        eig = jacobi_eigen(DenseSymmetric(h))
+        for factor in (2.0**-40, 2.0**60):
+            scaled = jacobi_eigen(DenseSymmetric(h * factor))
+            assert (scaled.eigenvalues / factor).tobytes() == eig.eigenvalues.tobytes()
+            assert scaled.eigenvectors.tobytes() == eig.eigenvectors.tobytes()
 
     def test_tridiagonal_eigenvectors_are_reproducible(self):
         op = load_hamiltonian(bundled_path("harmonic_oscillator"))
@@ -418,7 +431,7 @@ class TestOperators:
         op = DenseSymmetric(m)
         # rounding of at most three products and two sums per entry
         bound = 4 * np.finfo(float).eps * (np.abs(m) @ np.abs(v))
-        assert (np.abs(op.matvec(v) - m @ v) <= bound).all()
+        assert (np.abs(op.matvec(v) - op.matrix @ v) <= bound).all()
 
     def test_grid_hamiltonian_takes_the_band_product(self):
         op = load_hamiltonian(bundled_path("harmonic_oscillator"))
@@ -434,9 +447,40 @@ class TestOperators:
         m[corner] = 1e-13  # within the symmetry tolerance of its zero mirror
         op = DenseSymmetric(m)
         v = np.linspace(-1.0, 2.0, 6)
-        assert op.matvec(v).tobytes() == (m @ v).tobytes()
+        assert op.matvec(v).tobytes() == (op.matrix @ v).tobytes()
         # the entry shows in the product, so the bands alone would miss it
-        assert (m @ v)[corner[0]] != (bands @ v)[corner[0]]
+        assert (op.matrix @ v)[corner[0]] != (bands @ v)[corner[0]]
+
+    @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal", "dense"])
+    def test_writing_into_the_input_afterwards_changes_nothing(self, kind):
+        if kind == "diagonal":
+            entries = np.array([3.0, -1.0, 2.0])
+            op, written = Diagonal(entries), entries
+        else:
+            m = wilkinson_plus(5)
+            if kind == "dense":
+                m[0, 4] = m[4, 0] = 0.25
+            op, written = DenseSymmetric(m), m
+        v = np.linspace(-1.0, 2.0, op.dimension)
+        before = (op.matvec(v), op.scale(), jacobi_eigen(op).eigenvalues)
+        written[0] = -10.0  # the first row, or the first entry
+        after = (op.matvec(v), op.scale(), jacobi_eigen(op).eigenvalues)
+        assert before[0].tobytes() == after[0].tobytes()
+        assert before[1] == after[1]
+        assert before[2].tobytes() == after[2].tobytes()
+
+    @pytest.mark.parametrize("tridiagonal", [True, False])
+    def test_an_input_within_the_tolerance_is_kept_as_its_symmetric_part(self, tridiagonal):
+        h = helpers.random_symmetric_matrix(44, 6, span=2.0)
+        if tridiagonal:
+            h = np.triu(np.tril(h, 1), -1)
+        h[2, 1] += 8e-13
+        op = DenseSymmetric(h)
+        assert (op._bands is not None) == tridiagonal
+        assert op.matrix.tobytes() == op.matrix.T.tobytes()
+        np.testing.assert_array_equal(op.matrix, 0.5 * h + 0.5 * h.T)
+        # a symmetric input is kept bit for bit
+        assert DenseSymmetric(op.matrix).matrix.tobytes() == op.matrix.tobytes()
 
     def test_dense_scale_bounds_spectral_radius(self):
         h = helpers.random_symmetric_matrix(7, 6, span=2.0)
