@@ -12,8 +12,9 @@ three jobs and a sweep on a generated ring of mixed cardinalities whose
 agents hold pairwise terms or dense tables and whose names need escaping
 in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
-trace), for its three lowest states from a seeded random start and for its
-two lowest at hbar = 0.37, `coopt quantum` with a trace on a seeded
+trace), for its three lowest states from a seeded random start, for its
+two lowest at hbar = 0.37 and with a `--dt` past the RK4 monotone limit,
+which is refused, `coopt quantum` with a trace on a seeded
 diagonal Hamiltonian and on a seeded, exactly symmetric dense 12 x 12 one
 with entries off its bands, `solve`, `sweep` and `nash` on an
 anti-coordination game whose variables are listed in the reverse of its
@@ -471,6 +472,7 @@ def quantum_jobs(inputs: Path) -> list[list[str]]:
         [*base, "--states", "3", "--init", "random", "--seed", "1",
          "--out", "oscillator.states3.json"],
         [*base, "--hbar", str(HBAR), "--states", "2", "--out", f"oscillator.hbar{HBAR}.json"],
+        [*base, "--dt", "1", "--out", "oscillator.dt-past-limit.json"],
     ]
 
 

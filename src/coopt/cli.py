@@ -6,7 +6,8 @@ Hamiltonian file), nash (exhaustive pure-equilibrium enumeration) and
 verify (epsilon certificate for a provided profile).
 
 Exit codes: 0 success, 2 clean non-convergence (results still written),
-1 malformed command line or input, validation failure or unwritable output.
+1 malformed command line or input, validation failure, unwritable output
+or an input too large for the memory that can be allocated.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     except OSError as e:  # the readers raise FileFormatError: an output failed
         print(f"error: {e.filename or 'output'}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

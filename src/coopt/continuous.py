@@ -10,7 +10,6 @@ with deflation, climbs the spectrum one state at a time.
 """
 
 import math
-import struct
 import sys
 from typing import NamedTuple
 
@@ -134,28 +133,6 @@ def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
     return _default_dt(scale, hbar)
 
 
-def _accepted(dt: float, scale: float, hbar: float) -> bool:
-    # dt / hbar is the size of the step RK4 takes on H; it is monotone in dt
-    # and overflows only where that step does.
-    return dt / hbar * scale < RK4_MONOTONE_LIMIT
-
-
-def largest_step(scale: float, hbar: float = 1.0) -> float:
-    """The largest float dt that evolve_linear and evolve_coupled accept
-    for an operator of the given scale."""
-    # Non-negative floats are ordered as their bit patterns, so bisecting
-    # those of 0.0 (accepted) and inf (never) takes at most 63 tests.
-    lo, hi = 0, 0x7FF0000000000000
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _accepted(_float(mid), scale, hbar) else (lo, mid)
-    return _float(lo)
-
-
-def _float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
 def _schedule(
     scale: float, hbar: float, dt: float | None, t_max: float | None, tol: float,
     record_every: int | None,
@@ -177,11 +154,12 @@ def _schedule(
         dt = _default_dt(scale, hbar)
     if not dt / hbar > 0:
         raise ValueError(f"dt must be positive, and dt / hbar nonzero (got dt={dt}, hbar={hbar})")
-    if not _accepted(dt, scale, hbar):
+    # dt / hbar is the size of the step RK4 takes on H; it is monotone in dt
+    # and overflows only where that step does.
+    if not dt / hbar * scale < RK4_MONOTONE_LIMIT:
         raise ValueError(
             f"dt={dt} is not below the RK4 monotone limit {RK4_MONOTONE_LIMIT:.4f} "
-            f"times the characteristic time {hbar / scale if scale else math.inf}; "
-            f"the largest accepted step is {largest_step(scale, hbar)!r}"
+            f"times the characteristic time {hbar / scale if scale else math.inf}"
         )
     steps = t_max / dt
     if not math.isfinite(steps):

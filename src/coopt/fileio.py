@@ -3,16 +3,14 @@
 Problem files describe variables, agents and objectives; Hamiltonian files
 describe a diagonal, dense or finite-difference grid operator; profile
 files carry one distribution per agent.  Result documents are plain JSON
-with a schema_version field, written with sorted keys and a trailing
-newline so identical runs emit identical bytes.
+with a schema_version field, written by json.dumps with a two-space indent,
+sorted keys and a trailing newline so identical runs emit identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -218,70 +216,11 @@ def load_profile(path, model: GameModel) -> StrategyProfile:
 
 
 def dumps_document(doc: dict) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) plus a
-    newline, byte for byte.
+    """doc as JSON with a two-space indent and sorted keys, plus a newline.
 
-    json's C encoder does not run with an indent, so this encodes directly
-    and joins float lists from float.__repr__ as json writes each float.
-    Anything else, such as NaN and Infinity (not JSON, RFC 8259), keys that
-    are not strings and types json does not encode, is left to json.dumps,
-    which writes the same bytes or raises its own error.
+    NaN and Infinity are not JSON (RFC 8259) and raise ValueError.
     """
-    out: list[str] = []
-    try:
-        _encode(doc, "\n", out)
-    except (TypeError, ValueError):
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out.append("\n")
-    return "".join(out)
-
-
-def _encode(value, newline: str, out: list[str]) -> None:
-    # newline holds the indent of value's own line; json's type order, with
-    # bool before int
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(value)
-        out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        try:  # TypeError unless every item is a float
-            floats = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:
-            out.append("[")
-            for k, item in enumerate(value):
-                out.append("," + inner if k else inner)
-                _encode(item, inner, out)
-        else:
-            if "n" in floats:  # a "nan" or "inf" item
-                raise ValueError(value)
-            out += ("[", inner, floats)
-        out += (newline, "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{")
-        for k, key in enumerate(sorted(value)):  # TypeError on mixed key types
-            out += ("," + inner if k else inner, encode_basestring_ascii(key), ": ")
-            _encode(value[key], inner, out)
-        out += (newline, "}")
-    else:
-        raise TypeError(value)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_document(doc: dict, path=None) -> None:

@@ -83,11 +83,13 @@ class DenseSymmetric(Frozen):
             raise ValueError("dense operator must be a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("dense operator entries must be finite")
-        if np.abs(m - m.T).max() > 1e-12:
-            raise ValueError("matrix is not symmetric within 1e-12")
-        # Halved before adding, so that entries near the float limit cannot overflow.
+        # Halved before subtracting and adding, so that entries near the
+        # float limit cannot overflow; the difference's buffer becomes the sum.
         h = 0.5 * m
-        h += 0.5 * m.T
+        work = h - h.T
+        if np.abs(work, out=work).max() > 0.5e-12:
+            raise ValueError("matrix is not symmetric within 1e-12")
+        h = np.add(h, h.T, out=work)
         object.__setattr__(self, "matrix", h)
         d, e = np.diagonal(h).copy(), np.diagonal(h, 1).copy()
         tridiagonal = np.count_nonzero(h) == np.count_nonzero(d) + 2 * np.count_nonzero(e)

@@ -39,14 +39,18 @@ def test_quantum_outputs_are_compared(tmp_path):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     jobs = script.quantum_jobs(inputs)
-    assert [job[0] for job in jobs] == ["quantum", "quantum", "quantum"]
+    assert [job[0] for job in jobs] == ["quantum"] * 4
     assert [job[job.index("--hbar") + 1] for job in jobs if "--hbar" in job] == ["0.37"]
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
-    assert written == ["oscillator.hbar0.37.json", "oscillator.hbar0.37.json.stderr",
+    assert written == ["oscillator.dt-past-limit.json.stderr",
+                       "oscillator.hbar0.37.json", "oscillator.hbar0.37.json.stderr",
                        "oscillator.json", "oscillator.json.stderr",
                        "oscillator.states3.json", "oscillator.states3.json.stderr",
                        "oscillator.trace.csv"]
+    refusal = (tmp_path / "same" / "new" / "oscillator.dt-past-limit.json.stderr").read_text()
+    assert refusal.startswith("error: dt=1.0 is not below the RK4 monotone limit 1.5961 ")
+    assert refusal.count("\n") == 1
 
     # A tree whose default step is one ulp shorter.
     tree = tmp_path / "tree"
@@ -61,6 +65,17 @@ def test_quantum_outputs_are_compared(tmp_path):
     # At hbar = 0.37 the shorter factor rounds to the same step.
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
         name for name in written if "hbar" not in name and not name.endswith(".stderr")
+    ]
+
+    # A tree whose refusal gives the limit to three places.
+    tree = tmp_path / "reworded"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    continuous = tree / "src" / "coopt" / "continuous.py"
+    source = continuous.read_text()
+    assert source.count("{RK4_MONOTONE_LIMIT:.4f}") == 1
+    continuous.write_text(source.replace("{RK4_MONOTONE_LIMIT:.4f}", "{RK4_MONOTONE_LIMIT:.3f}"))
+    assert script.compare(ROOT, tree, jobs, tmp_path / "reworded-out") == [
+        "oscillator.dt-past-limit.json.stderr"
     ]
 
 

@@ -21,7 +21,6 @@ from coopt.continuous import (
     effective_hamiltonian,
     evolve_coupled,
     evolve_linear,
-    largest_step,
     lowest_states,
     match_eigenvalue,
     write_trajectory_csv,
@@ -413,13 +412,14 @@ class TestEvolveLinear:
         op = build_grid_hamiltonian(-3.0, 3.0, 11, np.zeros(11))
         psi0 = np.full(11, 1.0 / math.sqrt(11.0))
         hbar = 1.7e308
-        dt = largest_step(op.scale(), hbar)
-        assert math.isfinite(dt) and dt * (op.scale() / hbar) < RK4_MONOTONE_LIMIT
+        dt = 4e307
+        assert math.isinf(dt * op.scale()) and dt / hbar * op.scale() < RK4_MONOTONE_LIMIT
         _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=3 * dt)
         assert report.time == 3 * dt
-        # The default step no longer overflows there: it is accepted.
+        # The default step no longer overflows there, although its product
+        # with scale does: it is accepted.
         default = default_step(op, hbar)
-        assert math.isfinite(default) and default <= dt
+        assert math.isfinite(default) and math.isinf(default * op.scale())
         # The default horizon 1000 * hbar overflows, as would the time of a
         # fourth step: the run ends at the third, as with the largest float.
         for t_max in (None, sys.float_info.max):
@@ -648,23 +648,39 @@ class TestDefaultStepIsProvablyRight:
         expected = jacobi_eigen(op).eigenvalues[:3]
         np.testing.assert_allclose(found, expected, rtol=0, atol=1e-8)
 
-    @pytest.mark.parametrize("scale,hbar", [
-        (1.0, 1.7e308), (1e-320, 1e-100), (1e300, 1e-300), (0.0, 1.0), (5e-324, 1e-300),
-    ])
-    def test_largest_step_ends_at_the_extremes_of_the_float_range(self, scale, hbar):
-        dt = largest_step(scale, hbar)
-        assert continuous._accepted(dt, scale, hbar)
-        assert not continuous._accepted(math.nextafter(dt, math.inf), scale, hbar)
+    @staticmethod
+    def assert_boundary(scale, hbar, under, at):
+        """A run on an operator of the given scale takes the step under (None
+        for no step) and refuses the step at, naming the monotone limit."""
+        op = Diagonal(np.array([scale, 0.0]))
+        assert op.scale() == scale
+        if under is not None:
+            assert under / hbar * scale < RK4_MONOTONE_LIMIT
+            evolve_linear(op, np.array([0.6, 0.8]), dt=under, hbar=hbar, t_max=under)
+        with pytest.raises(ValueError, match="monotone limit"):
+            evolve_linear(op, np.array([0.6, 0.8]), dt=at, hbar=hbar, t_max=at)
+
+    # Where the limit meets an end of the float range: every finite step, the
+    # steps whose dt / hbar is finite, or none.
+    @pytest.mark.parametrize("scale,hbar,under,at", [
+        (1.0, 1.7e308, sys.float_info.max, math.inf),  # dt / hbar <= 1.06
+        (1e-320, 1e-100, 1.79e208, 1.8e208),  # dt / hbar overflows past 1.79e208
+        (1e300, 1e-300, None, 5e-324),  # the smallest step is 4.9e276 times the limit
+        (0.0, 1.0, sys.float_info.max, math.inf),  # scale 0
+        (5e-324, 1e-300, 1.79e8, 1.8e8),  # dt / hbar overflows past 1.79e8
+    ], ids=["1.0-1.7e+308", "1e-320-1e-100", "1e+300-1e-300", "0.0-1.0", "5e-324-1e-300"])
+    def test_largest_step_ends_at_the_extremes_of_the_float_range(self, scale, hbar, under, at):
+        self.assert_boundary(scale, hbar, under, at)
 
     @pytest.mark.parametrize("scale,hbar", [(1.0, 1.0), (7.3, 0.5), (4.0e4, 2.0), (3.0, 1e-5)])
     def test_largest_step_is_the_last_one_accepted(self, scale, hbar):
-        dt = largest_step(scale, hbar)
-        op = Diagonal(np.array([scale, 0.0]))
-        assert op.scale() == scale
-        evolve_linear(op, np.array([0.6, 0.8]), dt=dt, hbar=hbar, t_max=dt)
-        with pytest.raises(ValueError, match=f"largest accepted step is {dt!r}"):
-            evolve_linear(op, np.array([0.6, 0.8]), dt=math.nextafter(dt, math.inf),
-                          hbar=hbar, t_max=dt)
+        # dt / hbar * scale rounds to within 2 ulps of the limit at the step
+        # limit * hbar / scale, itself rounded twice
+        limit = RK4_MONOTONE_LIMIT * hbar / scale
+        under, at = limit, limit
+        for _ in range(4):
+            under, at = math.nextafter(under, 0.0), math.nextafter(at, math.inf)
+        self.assert_boundary(scale, hbar, under, at)
 
 
 class TestGridHamiltonian:

@@ -325,6 +325,12 @@ class TestJacobi:
         with pytest.raises(ValueError):
             DenseSymmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_opposite_entries_near_the_float_limit_are_rejected_without_overflow(self):
+        # m - m.T overflows to inf here, which the RuntimeWarning filter
+        # would raise ahead of the refusal; the halves' difference does not.
+        with pytest.raises(ValueError, match="not symmetric within 1e-12"):
+            DenseSymmetric(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
 
 class TestRk4:
     def test_zero_derivative_keeps_state(self):
