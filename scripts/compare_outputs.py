@@ -18,7 +18,10 @@ which is refused, `coopt quantum` with a trace on a seeded
 diagonal Hamiltonian and on a seeded, exactly symmetric dense 12 x 12 one
 with entries off its bands, `solve`, `sweep` and `nash` on an
 anti-coordination game whose variables are listed in the reverse of its
-agents' order, and `coopt solve` on malformed problem files,
+agents' order, `solve` (with a trace), `sweep`, `verify` and `nash` on a
+seeded three-player utility game whose every dense table covers all three
+variables, so that its contraction plan has no edges, and `coopt solve` on
+malformed problem files,
 at least one per kind of problem `validate` words, one with a numeric
 string in a pairwise table, one with true or false in each numeric field
 and one that is UTF-16, not UTF-8, `coopt verify` on
@@ -239,6 +242,43 @@ def reversed_game_jobs(inputs: Path) -> list[list[str]]:
         ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
          "--out", "reversed.sweep.csv"],
         ["nash", *base, "--out", "reversed.nash.json"],
+    ]
+
+
+def dense_three_problem() -> dict:
+    """A seeded utility game of three agents over 2, 3 and 4 actions, each
+    paid by a dense table over all three variables listed from its own
+    variable on: no table is an edge of the contraction plan."""
+    from coopt.rng import SplitMix64
+
+    stream = SplitMix64(11)
+    cards = (2, 3, 4)
+    return {
+        "mode": "utility",
+        "variables": [{"name": f"x{i}", "cardinality": c} for i, c in enumerate(cards)],
+        "agents": [
+            {"name": f"p{i}", "acts_on": f"x{i}", "objective": {"dense": {
+                "order": [f"x{(i + k) % 3}" for k in range(3)],
+                "values": [stream.uniform() for _ in range(math.prod(cards))],
+            }}}
+            for i in range(3)
+        ],
+    }
+
+
+def dense_three_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for the three-player dense game; writes its problem
+    file to inputs."""
+    problem = inputs / "dense3.json"
+    problem.write_text(json.dumps(dense_three_problem()))
+    base = ["--problem", str(problem)]
+    return [
+        ["solve", *base, "--alpha", str(SOFT_ALPHA), "--trace", "dense3.soft.csv",
+         "--out", "dense3.soft.json"],
+        ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
+         "--max-iter", "200", "--out", "dense3.sweep.csv"],
+        ["verify", *base, "--profile", "dense3.soft.json", "--out", "dense3.verify.json"],
+        ["nash", *base, "--out", "dense3.nash.json"],
     ]
 
 
@@ -616,6 +656,7 @@ def main(argv=None) -> int:
         seeded, seeded_spectra = seeded_hamiltonian_jobs(inputs)
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
                 + quantum_jobs(inputs) + seeded + reversed_game_jobs(inputs)
+                + dense_three_jobs(inputs)
                 + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
                 + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,

@@ -163,8 +163,10 @@ def validate_profile(model: GameModel, profile: StrategyProfile) -> np.ndarray:
         problems = []
         for i in np.flatnonzero(~np.array(shaped) | ~finite | negative | near).tolist():
             name, dist = model.agents[i].name, profile.dists[i]
-            if not shaped[i]:
+            if not shaped[i] and dist.ndim == 1:
                 problems.append(f"agent {name!r}: distribution length {dist.size} != {cards[i]}")
+            elif not shaped[i]:
+                problems.append(f"agent {name!r}: distribution shape {dist.shape} != ({cards[i]},)")
             elif not finite[i]:
                 problems.append(f"agent {name!r}: non-finite probability")
             elif negative[i]:
@@ -359,13 +361,9 @@ class ContractionPlan:
     path.  Linear tables sit in one (edges, own, neighbour) array padded
     with 0; log tables in one (neighbour, edges, own) array padded with
     -inf, so the log-sum-exp over the neighbour's actions reduces over
-    contiguous (edges, own) slabs.  `slots[k]` gives each agent its k-th
-    edge in edge order, or the row appended after the last edge, which
-    holds zeros; summing per-edge results slot by slot adds each agent's
-    edges in edge order.  Those sums run row-major, as the rows gathered
-    for a slot are, and results are returned column-major: numpy adds a
-    row-major array into a column-major one on a slower path.  Other
-    dense tables are kept own axis first.
+    contiguous (edges, own) slabs.  One `np.add.at` at the flat positions
+    `at` adds every edge's result into its owner's row, each agent's edges
+    in edge order.  Other dense tables are kept own axis first.
     """
 
     def __init__(self, model: GameModel):
@@ -414,16 +412,9 @@ class ContractionPlan:
             self.edges[group, :rows, :cols] = stacked
             log_of(stacked, out=stacked)
             self.log_edges[:cols, group, :rows] = stacked.transpose(2, 0, 1)
-        # Edges are listed owner by owner, so an edge's slot is its rank
-        # among its owner's edges.
-        first = np.searchsorted(self.owner, self.owner)
-        rank = np.arange(len(tables)) - first
-        self.slots = []
-        for k in range(int(rank.max()) + 1 if len(tables) else 0):
-            slot = np.full(len(self.cards), len(tables), dtype=np.intp)
-            at = np.flatnonzero(rank == k)
-            slot[self.owner[at]] = at
-            self.slots.append(slot)
+        # where each entry of an (edges, width) result adds in a raveled
+        # column-major (agents, width) stack
+        self.at = (self.owner[:, None] + len(self.cards) * np.arange(width)).ravel()
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent vectors of a stacked array, padding dropped.
@@ -437,15 +428,13 @@ class ContractionPlan:
 
     def log_returns(self, p: np.ndarray) -> np.ndarray:
         """Log expected weight of each own action, from stacked marginals."""
-        out = self.log_one.copy()
+        # Column-major, so that ravel(order="F") is a view: a copy would
+        # drop the sums silently.
+        out = self.log_one.copy(order="F")
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
-            if self.owner.size:
-                combined = self.log_edges + log_p[self.neighbour].T[:, :, np.newaxis]
-                padded = np.zeros((self.owner.size + 1, combined.shape[2]))
-                log_sum_exp_first(combined, out=padded[:-1])
-                for slot in self.slots:
-                    out += padded[slot]
+            combined = self.log_edges + log_p[self.neighbour].T[:, :, np.newaxis]
+            np.add.at(out.ravel(order="F"), self.at, log_sum_exp_first(combined).ravel())
             for i, log_table, _, others in self.dense:
                 if others:
                     joint = functools.reduce(
@@ -455,19 +444,15 @@ class ContractionPlan:
                     # the transpose sums each row's contiguous memory in order
                     log_table = log_sum_exp_first(combined.reshape(combined.shape[0], -1).T)
                 out[i, : self.cards[i]] = log_table
-        return np.asfortranarray(out)
+        return out
 
     def expectations(self, p: np.ndarray) -> np.ndarray:
         """Expected objective value of each own action, from stacked marginals."""
-        out = np.zeros(p.shape)
-        if self.owner.size:
-            padded = np.zeros((self.owner.size + 1, p.shape[1]))
-            per_edge = padded[:-1, :, np.newaxis]
-            np.matmul(self.edges, p[self.neighbour][..., np.newaxis], out=per_edge)
-            for slot in self.slots:
-                out += padded[slot]
+        out = np.zeros(p.shape, order="F")  # column-major, as in log_returns
+        per_edge = np.matmul(self.edges, p[self.neighbour][..., np.newaxis])
+        np.add.at(out.ravel(order="F"), self.at, per_edge.ravel())
         for i, _, table, others in self.dense:
             for j in reversed(others):
                 table = table @ p[j, : self.cards[j]]
             out[i, : self.cards[i]] = table
-        return np.asfortranarray(out)
+        return out

@@ -127,15 +127,16 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def log_sum_exp_first(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """ln(sum(exp(values))) over the first axis, shift-stabilized, into out;
-    values is overwritten.  All -inf sums to -inf, never NaN; a +inf entry
-    gives +inf, a NaN NaN.  The caller suppresses log(0)'s divide warning."""
+def log_sum_exp_first(values: np.ndarray) -> np.ndarray:
+    """ln(sum(exp(values))) over the first axis, shift-stabilized; values is
+    overwritten.  All -inf sums to -inf, never NaN; a +inf entry gives +inf,
+    a NaN NaN.  The caller suppresses log(0)'s divide warning."""
     top = values.max(axis=0)
     # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
     top[~np.isfinite(top)] = 0.0
     values -= top
-    out = np.log(np.exp(values, out=values).sum(axis=0, out=out), out=out)
+    out = np.exp(values, out=values).sum(axis=0)
+    np.log(out, out=out)
     out += top
     return out
 

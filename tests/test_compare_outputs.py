@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from coopt.fileio import load_problem
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -275,6 +277,41 @@ def test_mixed_ring_covers_grouped_edges_and_escaped_names(tmp_path):
     text = (tmp_path / "new" / "mixed.verify.json").read_text()
     for escaped in ('agent \\"0\\"', "agent \\\\1", "ag\\u00e9nt 2", "\\u30a8"):
         assert escaped in text
+
+
+def test_dense_three_player_game_runs_the_plan_without_edges(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.dense_three_jobs(inputs)
+    assert [job[0] for job in jobs] == ["solve", "sweep", "verify", "nash"]
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [0, 0, 0, 0]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    written = sorted(p.name for p in new.iterdir())
+    outputs = ["dense3.nash.json", "dense3.soft.csv", "dense3.soft.json", "dense3.sweep.csv",
+               "dense3.verify.json"]
+    assert written == sorted(
+        outputs + [job[job.index("--out") + 1] + ".stderr" for job in jobs]
+    )
+    plan = load_problem(inputs / "dense3.json").plan
+    assert plan.owner.size == 0 and [entry[0] for entry in plan.dense] == [0, 1, 2]
+    assert json.loads((new / "dense3.nash.json").read_text())["count"] == 2
+
+    # A tree whose dense log returns move up by one ulp.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    model = tree / "src" / "coopt" / "model.py"
+    source = model.read_text()
+    line = "                out[i, : self.cards[i]] = log_table\n"
+    assert source.count(line) == 1
+    model.write_text(source.replace(
+        line, "                out[i, : self.cards[i]] = np.nextafter(log_table, np.inf)\n"
+    ))
+    # nash enumerates the tables and does not read the plan.
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
+        name for name in outputs if "nash" not in name
+    ]
 
 
 def test_differing_and_missing_files_are_listed(tmp_path):

@@ -343,9 +343,22 @@ class TestProfiles:
             "agent 'a1': non-finite probability",
             "agent 'a2': negative probability",
             "agent 'a3': probabilities sum to 0.90000000000000002, not 1",
-            "agent 'a5': distribution length 4 != 4",
+            "agent 'a5': distribution shape (2, 2) != (4,)",
             "agent 'a6': non-finite probability",
         ]
+
+    def test_a_misshapen_distribution_names_its_shape(self):
+        # A (1, 2) distribution has the right size for a two-action agent;
+        # its refusal must not read "length 2 != 2".
+        model = helpers.prisoners_dilemma()
+        dists = (np.array([[0.5, 0.5]]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError) as raised:
+            validate_profile(model, StrategyProfile(dists))
+        assert raised.value.problems == ["agent 'row': distribution shape (1, 2) != (2,)"]
+        dists = (np.array(0.5), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError) as raised:
+            validate_profile(model, StrategyProfile(dists))
+        assert raised.value.problems == ["agent 'row': distribution shape () != (2,)"]
 
     @given(
         st.lists(st.integers(1, 40), min_size=1, max_size=6),

@@ -198,8 +198,9 @@ def edge_models(draw):
 
 def edge_sums_by_add_at(plan, p):
     """Edge rows of log_returns and expectations, taken row-major with the
-    log tables (edges, neighbour, own) and np.add.at: the reference the
-    plan's slot sums must equal bit for bit."""
+    log tables (edges, neighbour, own) and a 2-D np.add.at over owner rows:
+    the reference the plan's flat column-major scatter must equal bit for
+    bit."""
     p = np.array(p, order="C")
     log_edges = plan.log_edges.transpose(1, 0, 2)
     log_returns = np.array(plan.log_one, order="C")
@@ -231,12 +232,14 @@ def test_edge_models_match_enumeration_in_column_major_stacks(model, seed):
     owners = np.unique(plan.owner)
     want_log, want_linear = edge_sums_by_add_at(plan, p)
     np.testing.assert_array_equal(log_returns[owners], want_log)
-    np.testing.assert_array_equal(plan.expectations(p)[owners], want_linear)
+    expectations = plan.expectations(p)
+    assert expectations.flags.f_contiguous
+    np.testing.assert_array_equal(expectations[owners], want_linear)
 
 
 def per_edge_fill(model):
-    """owner, neighbour, edges, log_edges and slots of the model's plan,
-    filled one edge at a time: the reference for the plan's grouped fill."""
+    """owner, neighbour, edges and log_edges of the model's plan, filled
+    one edge at a time: the reference for the plan's grouped fill."""
     agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
     found = []  # (owner, neighbour, log table, table), own axis first
     for i, agent in enumerate(model.agents):
@@ -261,13 +264,7 @@ def per_edge_fill(model):
         rows, cols = table.shape
         edges[e, :rows, :cols] = table
         log_edges[:cols, e, :rows] = log_table.T
-    slots, seen = [], [0] * len(model.agents)
-    for e, (i, *_) in enumerate(found):
-        if seen[i] == len(slots):
-            slots.append(np.full(len(model.agents), len(found), dtype=np.intp))
-        slots[seen[i]][i] = e
-        seen[i] += 1
-    return [e[0] for e in found], [e[1] for e in found], edges, log_edges, slots
+    return [e[0] for e in found], [e[1] for e in found], edges, log_edges
 
 
 def mixed_shape_model(mode):
@@ -311,13 +308,12 @@ def mixed_shape_model(mode):
 
 def assert_plan_is_the_per_edge_fill(model):
     plan = model.plan
-    owner, neighbour, edges, log_edges, slots = per_edge_fill(model)
+    owner, neighbour, edges, log_edges = per_edge_fill(model)
     assert plan.owner.tolist() == owner and plan.neighbour.tolist() == neighbour
     # bitwise, so signed zeros and -inf padding count too
     assert plan.edges.shape == edges.shape and plan.edges.tobytes() == edges.tobytes()
     assert plan.log_edges.shape == log_edges.shape
     assert plan.log_edges.tobytes() == log_edges.tobytes()
-    assert [slot.tolist() for slot in plan.slots] == [slot.tolist() for slot in slots]
 
 
 @pytest.mark.parametrize("mode", ["energy", "utility"])
