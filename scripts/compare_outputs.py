@@ -14,8 +14,9 @@ in JSON (quotes, backslashes, non-ASCII), and
 `coopt quantum` on the bundled oscillator at the default step (with a
 trace), for its three lowest states from a seeded random start, for its
 two lowest at hbar = 0.37 and with a `--dt` past the RK4 monotone limit,
-which is refused, `coopt quantum` with a trace on a seeded
-diagonal Hamiltonian and on a seeded, exactly symmetric dense 12 x 12 one
+which is refused, `coopt quantum` on the diagonal Hamiltonian
+[1000, 1001, 1002], whose spectrum lies far from 0, `coopt quantum` with a
+trace on a seeded diagonal Hamiltonian and on a seeded, exactly symmetric dense 12 x 12 one
 with entries off its bands, `solve`, `sweep` and `nash` on an
 anti-coordination game whose variables are listed in the reverse of its
 agents' order, `solve` (with a trace), `sweep`, `verify` and `nash` on a
@@ -503,9 +504,12 @@ def malformed_hamiltonian_jobs(inputs: Path) -> list[list[str]]:
 
 
 def quantum_jobs(inputs: Path) -> list[list[str]]:
-    """CLI argv lists for the oscillator; writes its Hamiltonian file to inputs."""
+    """CLI argv lists for the oscillator and for a diagonal spectrum far from
+    0; writes their Hamiltonian files to inputs."""
     hamiltonian = str(inputs / "harmonic_oscillator.json")
     shutil.copyfile(bundled_path("harmonic_oscillator"), hamiltonian)
+    shifted = inputs / "shifted-diagonal.json"
+    shifted.write_text(json.dumps({"diagonal": [1000.0, 1001.0, 1002.0]}))
     base = ["quantum", "--hamiltonian", hamiltonian]
     return [
         [*base, "--trace", "oscillator.trace.csv", "--out", "oscillator.json"],
@@ -513,6 +517,7 @@ def quantum_jobs(inputs: Path) -> list[list[str]]:
          "--out", "oscillator.states3.json"],
         [*base, "--hbar", str(HBAR), "--states", "2", "--out", f"oscillator.hbar{HBAR}.json"],
         [*base, "--dt", "1", "--out", "oscillator.dt-past-limit.json"],
+        ["quantum", "--hamiltonian", str(shifted), "--out", "shifted-diagonal.json"],
     ]
 
 

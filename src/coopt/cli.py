@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON file")
     p.add_argument(
         "--dt", type=float, default=None,
-        help=f"integrator step; must satisfy dt*scale/hbar < "
+        help=f"integrator step; must satisfy dt*half-width/hbar < "
         f"{continuous.RK4_MONOTONE_LIMIT:.4f} (the RK4 monotone limit); default 0.99 "
         "times that limit, a smaller step tracks the exact flow more closely",
     )

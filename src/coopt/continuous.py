@@ -21,27 +21,34 @@ from .numerics import Frozen
 from .rng import random_unit_vector
 
 # The default horizon, in units of hbar: the flow's time scale is
-# hbar / scale(H), so the horizon grows with hbar as the default step does.
+# hbar / half-width, so the horizon grows with hbar as the default step does.
 DEFAULT_T_MAX = 1000.0
 DEFAULT_STATIONARY_TOL = 1e-8
-# Renormalized RK4 multiplies each eigencomponent of H by R(-dt*lambda/hbar),
-# R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  R is positive everywhere and
-# increasing above the one real root of R'(z) = 1 + z + z^2/2 + z^3/6, so
-# while dt * scale(H) / hbar stays below RK4_MONOTONE_LIMIT = -root, lower
-# eigenvalues are amplified more and the flow converges to the lowest
-# eigenvector.  With z = y - 1, 6 R'(z) = 0 becomes y^3 + 3y + 2 = 0, whose
-# real root by Cardano's formula gives the limit 1.5961 in closed form.
-# RK4's stability boundary, where R returns to 1, lies further out near
-# -2.785, but past the monotone limit R decreases and higher eigenvalues can
-# outgrow lower ones, so stability alone would not select the lowest state.
+# The renormalized flow on H - sigma I is the flow on H, since the factor
+# e^(sigma t) cancels in the norm, so the linear flow steps on H - sigma I
+# with sigma the centre of the interval [lo, hi] holding H's spectrum and
+# w = (hi - lo) / 2 its half-width; the coupled flow steps on H itself, and
+# coupled_scale bounds |lambda| there, the half-width of an interval centred
+# on 0.  Renormalized RK4 multiplies each eigencomponent by
+# R(-dt*(lambda - sigma)/hbar), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.  R is
+# positive everywhere and increasing above the one real root of
+# R'(z) = 1 + z + z^2/2 + z^3/6, so while dt * w / hbar stays below
+# RK4_MONOTONE_LIMIT = -root, lower eigenvalues are amplified more and the
+# flow converges to the lowest eigenvector.  With z = y - 1, 6 R'(z) = 0
+# becomes y^3 + 3y + 2 = 0, whose real root by Cardano's formula gives the
+# limit 1.5961 in closed form.  RK4's stability boundary, where R returns to
+# 1, lies further out near -2.785, but past the monotone limit R decreases
+# and higher eigenvalues can outgrow lower ones, so stability alone would
+# not select the lowest state.
 RK4_MONOTONE_LIMIT = 1.0 + (math.sqrt(2.0) + 1.0) ** (1 / 3) - (math.sqrt(2.0) - 1.0) ** (1 / 3)
-# The default step, in characteristic times hbar / scale(H), sits 1% inside
-# the monotone limit.  scale(H) is a max-abs-row-sum bound on |lambda|, so
-# every mode has dt * |lambda| / hbar < 0.99 * 1.5961, and the 1% covers the
-# rounding of scale and of dt * scale many orders of magnitude over.  The
+# The default step, in characteristic times hbar / w, sits 1% inside the
+# monotone limit.  Every mode has |lambda - sigma| <= w, so
+# dt * |lambda - sigma| / hbar < 0.99 * 1.5961, and the 1% covers the
+# rounding of w, sigma and dt * w many orders of magnitude over.  The
 # coupled flow freezes each agent's diagonal operator within a step and
 # coupled_scale bounds them all, so the same holds step by step there.
-# Any dt with dt * scale / hbar < RK4_MONOTONE_LIMIT is accepted.
+# Any dt with dt * w / hbar < RK4_MONOTONE_LIMIT is accepted; w is at most
+# the largest absolute row sum, so every step that bound admits is too.
 DEFAULT_STEP_TIMES = 0.99 * RK4_MONOTONE_LIMIT
 _TRAJECTORY_POINTS = 1000
 
@@ -103,63 +110,74 @@ def _renormalized(v: np.ndarray, step: int) -> np.ndarray:
     return v / norm
 
 
-def _check_range(scale: float, hbar: float) -> None:
+def _check_range(half_width: float, hbar: float) -> None:
     if not (math.isfinite(hbar) and hbar > 0):
         raise ValueError(f"hbar must be positive and finite (got {hbar})")
-    if not math.isfinite(scale):
-        raise ValueError(f"the operator's scale {scale} is past the float range")
+    if not math.isfinite(half_width):
+        raise ValueError(f"the operator's scale {half_width} is past the float range")
 
 
-def _default_dt(scale: float, hbar: float) -> float:
-    scale = scale if scale > 0 else 1.0
-    dt = DEFAULT_STEP_TIMES * hbar / scale
+def _default_dt(half_width: float, hbar: float) -> float:
+    half_width = half_width if half_width > 0 else 1.0
+    dt = DEFAULT_STEP_TIMES * hbar / half_width
     # The product overflows for hbar above about 1.1e308; only then is the
     # quotient taken first, so every other hbar keeps the same bits.
-    return dt if math.isfinite(dt) else DEFAULT_STEP_TIMES * (hbar / scale)
+    return dt if math.isfinite(dt) else DEFAULT_STEP_TIMES * (hbar / half_width)
+
+
+def _centre(operator: HermitianOperator) -> tuple[float, float]:
+    """(sigma, w): the centre and half-width of operator.interval(), each
+    end halved first so that neither overflows."""
+    lo, hi = operator.interval()
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
 
 
 def default_step(operator: HermitianOperator, hbar: float = 1.0) -> float:
-    """Default integrator step: 0.99 * RK4_MONOTONE_LIMIT * hbar / scale(H).
+    """Default integrator step: 0.99 * RK4_MONOTONE_LIMIT * hbar / w, with
+    w the half-width of operator.interval().
 
-    Below RK4_MONOTONE_LIMIT * hbar / scale(H) every eigencomponent's RK4
-    factor is positive and decreasing in its eigenvalue, so the flow still
+    evolve_linear steps on H - sigma I, sigma the interval's centre, so
+    below RK4_MONOTONE_LIMIT * hbar / w every eigencomponent's RK4 factor
+    is positive and decreasing in its eigenvalue, and the flow still
     converges to the lowest eigenvector; a smaller step tracks the exact
     flow exp(-tH/hbar) psi0 more closely along the way.  Raises
     ValueError, as the flows do, for an hbar that is not positive and
-    finite or an operator whose scale is past the float range.
+    finite or an operator whose half-width is past the float range.
     """
-    scale = operator.scale()
-    _check_range(scale, hbar)
-    return _default_dt(scale, hbar)
+    half_width = _centre(operator)[1]
+    _check_range(half_width, hbar)
+    return _default_dt(half_width, hbar)
 
 
 def _schedule(
-    scale: float, hbar: float, dt: float | None, t_max: float | None, tol: float,
+    half_width: float, hbar: float, dt: float | None, t_max: float | None, tol: float,
     record_every: int | None,
 ) -> tuple[float, int, int]:
-    """(dt, max_steps, record_every) of a flow whose operators are bounded
-    by scale, once its stopping tol is checked: dt defaults to 0.99 *
-    RK4_MONOTONE_LIMIT * hbar / scale and must stay below the limit; t_max
-    defaults to DEFAULT_T_MAX * hbar, or the largest float where that
-    overflows; the default record_every spaces about 1000 points over
-    max_steps.  The last step's time, max_steps * dt, stays a float."""
+    """(dt, max_steps, record_every) of a flow whose operators' spectra lie
+    within half_width of the centre it steps about, once its stopping tol
+    is checked: dt defaults to 0.99 * RK4_MONOTONE_LIMIT * hbar /
+    half_width and must stay below the limit; t_max defaults to
+    DEFAULT_T_MAX * hbar, or the largest float where that overflows; the
+    default record_every spaces about 1000 points over max_steps.  The
+    last step's time, max_steps * dt, stays a float."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (got {tol})")
-    _check_range(scale, hbar)
+    _check_range(half_width, hbar)
     if t_max is None:
         t_max = min(DEFAULT_T_MAX * hbar, sys.float_info.max)
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     if dt is None:
-        dt = _default_dt(scale, hbar)
+        dt = _default_dt(half_width, hbar)
     if not dt / hbar > 0:
         raise ValueError(f"dt must be positive, and dt / hbar nonzero (got dt={dt}, hbar={hbar})")
-    # dt / hbar is the size of the step RK4 takes on H; it is monotone in dt
-    # and overflows only where that step does.
-    if not dt / hbar * scale < RK4_MONOTONE_LIMIT:
+    # dt / hbar is the size of the step RK4 takes on the operator; it is
+    # monotone in dt and overflows only where that step does.
+    if not dt / hbar * half_width < RK4_MONOTONE_LIMIT:
         raise ValueError(
             f"dt={dt} is not below the RK4 monotone limit {RK4_MONOTONE_LIMIT:.4f} "
-            f"times the characteristic time {hbar / scale if scale else math.inf}"
+            f"times the characteristic time hbar / half-width "
+            f"{hbar / half_width if half_width else math.inf}"
         )
     steps = t_max / dt
     if not math.isfinite(steps):
@@ -200,7 +218,8 @@ def effective_hamiltonian(model: GameModel, state: WaveState, index: int) -> Dia
 
 
 def coupled_scale(model: GameModel) -> float:
-    """Bound on scale() of every agent's effective Hamiltonian at any state.
+    """Bound on |entry| of every agent's effective Hamiltonian at any state,
+    the half-width about 0 that evolve_coupled's step is sized from.
 
     The entries are expectations of the agent's energies under unit-norm
     weights, so an agent's are bounded by the sum over its edge tables of
@@ -230,11 +249,15 @@ def evolve_linear(
     Stops when ||H psi - lambda psi|| <= tol (projected out of the deflated
     subspace when `deflate` vectors are given) or when t_max (by default
     DEFAULT_T_MAX * hbar) is reached.
-    The default step is 0.99 * RK4_MONOTONE_LIMIT * hbar / scale(H) (see
-    default_step); any dt with dt * scale(H) / hbar < RK4_MONOTONE_LIMIT =
-    1.5961 is accepted, and steps at or past it are rejected.
+    The flow steps on H - sigma I, with sigma the centre and w the
+    half-width of operator.interval(): the same renormalized flow, whose
+    residual is the same and whose Rayleigh quotient is sigma less.  The
+    default step is 0.99 * RK4_MONOTONE_LIMIT * hbar / w (see
+    default_step); any dt with dt * w / hbar < RK4_MONOTONE_LIMIT = 1.5961
+    is accepted, and steps at or past it are rejected.
     """
-    dt, max_steps, record_every = _schedule(operator.scale(), hbar, dt, t_max, tol, record_every)
+    sigma, half_width = _centre(operator)
+    dt, max_steps, record_every = _schedule(half_width, hbar, dt, t_max, tol, record_every)
     psi = np.asarray(psi0, dtype=float)
     if psi.shape != (operator.dimension,):
         raise ValueError("initial state does not match the operator dimension")
@@ -248,15 +271,22 @@ def evolve_linear(
             raise ValueError("initial state lies in the deflated subspace")
         psi = psi / norm
 
-    # d(psi)/dt = -(H psi)/hbar is a step of -dt/hbar on H itself
+    def shifted(v: np.ndarray) -> np.ndarray:
+        # (H - sigma I) v, with no shifted copy of H
+        out = operator.matvec(v)
+        out -= sigma * v
+        return out
+
+    # d(psi)/dt = -((H - sigma I) psi)/hbar is a step of -dt/hbar on H - sigma I
     step_size = -dt / hbar
     points: list[TrajectoryPoint] = []
     step = 0
     while True:
         t = step * dt
-        h_psi = operator.matvec(psi)
-        rayleigh = float(psi @ h_psi)
-        r = h_psi - rayleigh * psi
+        h_psi = shifted(psi)
+        centred = float(psi @ h_psi)
+        rayleigh = centred + sigma
+        r = h_psi - centred * psi
         if basis is not None:
             r = r - basis @ (basis.T @ r)
         residual = _norm(r)
@@ -266,7 +296,7 @@ def evolve_linear(
             points.append(TrajectoryPoint(t, (psi.copy(),), (rayleigh,), (residual,)))
         if done:
             break
-        psi = rk4_step(operator.matvec, psi, step_size, k1=h_psi)
+        psi = rk4_step(shifted, psi, step_size, k1=h_psi)
         if basis is not None:
             psi = psi - basis @ (basis.T @ psi)
         psi = _renormalized(psi, step + 1)
@@ -334,8 +364,9 @@ def evolve_coupled(
     operator is <= tol, or at t_max (by default DEFAULT_T_MAX times the
     model's hbar).  The step is sized and checked against
     coupled_scale(model), which bounds the effective operators over the
-    whole run.  Reduces exactly to evolve_linear when the model has a
-    single agent.
+    whole run.  With a single agent the operator is fixed: on energies
+    E - sigma, sigma the centre of E's range, this flow takes exactly the
+    steps evolve_linear takes on Diagonal(E).
     """
     _require_energy(model)
     hbar = model.hbar

@@ -8,10 +8,13 @@ linear within a step, y -> A y with A frozen, so `rk4_step` is for linear
 derivatives: it evaluates classical RK4 as the polynomial R(dt A) y in
 Horner form, three stage products plus the residual product the caller
 already took, which it must pass as k1.  The step is signed, so the flows
-step on H itself with dt = -(time step)/hbar and no scaled copy of H is
-made.  A dense operator holds its own copy of the symmetric part of its
-input, the one matrix that the flows and the oracle read; one whose
-entries off its three central bands are all zero, as every grid
+step with dt = -(time step)/hbar, the coupled flow on H itself and the
+linear flow on H - sigma I by one product and one subtraction, and no
+scaled or shifted copy of H is made.
+Each operator gives an interval holding its spectrum, from which the linear
+flow sizes its step.  A dense operator holds its own copy of the symmetric
+part of its input, the one matrix that the flows and the oracle read; one
+whose entries off its three central bands are all zero, as every grid
 Hamiltonian's are, is multiplied on those bands in O(n).  The eigensolver
 `jacobi_eigen` is the self-contained oracle used to certify stationary
 states.  It calls no LAPACK (only norms come from numpy's linear algebra):
@@ -61,9 +64,10 @@ class Diagonal(Frozen):
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.entries * v
 
-    def scale(self) -> float:
-        """Spectral-radius estimate used for default step sizing (exact here)."""
-        return float(np.abs(self.entries).max())
+    def interval(self) -> tuple[float, float]:
+        """(lo, hi) holding every eigenvalue, the linear flow's step sizing:
+        the exact least and greatest entries."""
+        return float(self.entries.min()), float(self.entries.max())
 
 
 class DenseSymmetric(Frozen):
@@ -75,7 +79,7 @@ class DenseSymmetric(Frozen):
     takes `matrix @ v`.
     """
 
-    __slots__ = ("matrix", "_bands", "_scale")
+    __slots__ = ("matrix", "_bands", "_interval")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -95,9 +99,16 @@ class DenseSymmetric(Frozen):
         tridiagonal = np.count_nonzero(h) == np.count_nonzero(d) + 2 * np.count_nonzero(e)
         object.__setattr__(self, "_bands", (d, e) if tridiagonal else None)
         # Taken once here: the reduction allocates a matrix the size of h.
-        # Rows past the float range sum to inf, which evolve_linear refuses.
+        # Row i's Gershgorin interval is [d - r, d + r], r = s - |d| for its
+        # absolute row sum s.  Added in this order, d + r is s itself where
+        # d >= 0 and s + 2d where d < 0 (d - r likewise), so no end passes
+        # -s or s and none overflows.  Rows past the float range sum to
+        # inf, which evolve_linear refuses.
         with np.errstate(over="ignore"):
-            object.__setattr__(self, "_scale", float(np.abs(h).sum(axis=1).max()))
+            s = np.abs(h).sum(axis=1)
+        low, high = np.minimum(d, 0.0), np.maximum(d, 0.0)
+        interval = (float(((high - s) + high).min()), float(((s + low) + low).max()))
+        object.__setattr__(self, "_interval", interval)
 
     @property
     def dimension(self) -> int:
@@ -112,9 +123,11 @@ class DenseSymmetric(Frozen):
         out[1:] += e * v[:-1]
         return out
 
-    def scale(self) -> float:
-        """Max absolute row sum, an upper bound on the spectral radius."""
-        return self._scale
+    def interval(self) -> tuple[float, float]:
+        """(lo, hi) holding every eigenvalue, the linear flow's step sizing:
+        the union of the rows' Gershgorin intervals, within the largest
+        absolute row sum on either side."""
+        return self._interval
 
 
 HermitianOperator = Diagonal | DenseSymmetric

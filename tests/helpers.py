@@ -17,6 +17,7 @@ from coopt.model import (
     GameModel,
     PairwiseEnergy,
 )
+from coopt.numerics import Diagonal
 from coopt.rng import SplitMix64
 
 
@@ -86,6 +87,20 @@ def scalar_rk4(rate, y, dt):
     """Fourth-order Taylor truncation for y' = -rate * y."""
     z = rate * dt
     return y * (1.0 - z + z * z / 2.0 - z**3 / 6.0 + z**4 / 24.0)
+
+
+def centre(op):
+    """(sigma, w): centre and half-width of op.interval(), each end halved
+    first, as the linear flow takes them."""
+    lo, hi = op.interval()
+    return 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+
+
+def row_sum_bound(op):
+    """Largest absolute row sum of the operator, a bound on every
+    |eigenvalue|, taken from its entries."""
+    matrix = np.diag(op.entries) if isinstance(op, Diagonal) else op.matrix
+    return float(np.abs(matrix).sum(axis=1).max())
 
 
 # ------------------------------------------------------------- generators

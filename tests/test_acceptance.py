@@ -140,7 +140,7 @@ def test_criterion_5_stationary_values_are_eigenvalues():
             op = DenseSymmetric(h)
             eig = jacobi_eigen(op)
             psi0 = random_unit_vector(8, seed)
-            dt = 0.9 / op.scale()
+            dt = 0.9 / helpers.row_sum_bound(op)
             results = lowest_states(op, 2, psi0, dt=dt, tol=1e-8, seed=seed)
             (_, ground, _), (_, excited, _) = results
             assert ground.converged and ground.states[0].residual <= 1e-8
@@ -198,7 +198,8 @@ def test_criterion_8_conservation_and_invariance():
         # norm conservation along both evolutions
         op = DenseSymmetric(helpers.random_symmetric_matrix(77, 10, span=1.5))
         psi0 = random_unit_vector(10, 78)
-        points, _ = evolve_linear(op, psi0, dt=0.5 / op.scale(), t_max=15.0, record_every=1)
+        points, _ = evolve_linear(op, psi0, dt=0.5 / helpers.row_sum_bound(op), t_max=15.0,
+                                  record_every=1)
         for p in points:
             assert abs(np.linalg.norm(p.amplitudes[0]) - 1.0) <= 1e-12
         c_points, _ = evolve_coupled(chain, t_max=5.0, record_every=1)

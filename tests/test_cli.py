@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import helpers
 from coopt import bundled_path, fileio
 from coopt.continuous import RK4_MONOTONE_LIMIT, default_step
 from coopt.numerics import jacobi_eigen
@@ -382,7 +383,7 @@ class TestQuantum:
 
     def test_step_at_the_monotone_limit_exits_one(self):
         operator = fileio.load_hamiltonian(HARMONIC)
-        dt = RK4_MONOTONE_LIMIT / operator.scale()
+        dt = RK4_MONOTONE_LIMIT / helpers.centre(operator)[1]
         proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--dt", repr(dt))
         assert proc.returncode == 1
         assert "monotone limit" in proc.stderr and "Traceback" not in proc.stderr
@@ -407,21 +408,21 @@ class TestQuantum:
         assert proc.returncode == 2, proc.stderr
         doc = json.loads(out.read_text())
         dt = default_step(fileio.load_hamiltonian(HARMONIC), 1.7e308)
-        assert doc["dt"] == dt and 7e305 < dt < 8e305
+        assert doc["dt"] == dt and 1.5e306 < dt < 1.6e306
         time = doc["states"][0]["time"]
         assert time == round(time / dt) * dt and math.isinf(time + dt)
 
     @pytest.mark.parametrize("hbar", ["1e4", "0.01"])
     def test_default_horizon_grows_with_hbar(self, tmp_path, hbar):
-        # The flow's time unit is hbar / scale, so the default run takes
-        # the same 2045 steps at every hbar.
+        # The flow's time unit is hbar / half-width, so the default run
+        # takes the same 1080 steps at every hbar.
         out = tmp_path / "q.json"
         proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--hbar", hbar,
                        "--out", str(out), timeout=60)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(out.read_text())
         assert doc["states"][0]["converged"]
-        assert round(doc["states"][0]["time"] / doc["dt"]) == 2045
+        assert round(doc["states"][0]["time"] / doc["dt"]) == 1080
 
     def test_empty_diagonal_exits_one_naming_the_file(self, tmp_path):
         h = tmp_path / "h.json"

@@ -41,7 +41,7 @@ def test_quantum_outputs_are_compared(tmp_path):
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     jobs = script.quantum_jobs(inputs)
-    assert [job[0] for job in jobs] == ["quantum"] * 4
+    assert [job[0] for job in jobs] == ["quantum"] * 5
     assert [job[job.index("--hbar") + 1] for job in jobs if "--hbar" in job] == ["0.37"]
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     written = sorted(p.name for p in (tmp_path / "same" / "new").iterdir())
@@ -49,7 +49,8 @@ def test_quantum_outputs_are_compared(tmp_path):
                        "oscillator.hbar0.37.json", "oscillator.hbar0.37.json.stderr",
                        "oscillator.json", "oscillator.json.stderr",
                        "oscillator.states3.json", "oscillator.states3.json.stderr",
-                       "oscillator.trace.csv"]
+                       "oscillator.trace.csv",
+                       "shifted-diagonal.json", "shifted-diagonal.json.stderr"]
     refusal = (tmp_path / "same" / "new" / "oscillator.dt-past-limit.json.stderr").read_text()
     assert refusal.startswith("error: dt=1.0 is not below the RK4 monotone limit 1.5961 ")
     assert refusal.count("\n") == 1

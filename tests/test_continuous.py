@@ -52,18 +52,18 @@ def classical_rk4(derivative, y, dt):
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def linear_replay(matrix, psi, dt, hbar, tol):
+def linear_replay(matrix, sigma, psi, dt, hbar, tol, max_steps):
     """Steps and final Rayleigh quotient of evolve_linear's loop, replayed
-    with classical RK4 on the unscaled matrix."""
-    step = 0
-    while True:
-        h_psi = matrix @ psi
+    with classical RK4 on matrix - sigma I; fails past max_steps steps."""
+    shifted = matrix - sigma * np.eye(len(matrix))
+    for step in range(max_steps + 1):
+        h_psi = shifted @ psi
         rayleigh = psi @ h_psi
         if np.linalg.norm(h_psi - rayleigh * psi) <= tol:
-            return step, rayleigh
-        psi = classical_rk4(lambda y: -(matrix @ y) / hbar, psi, dt)
+            return step, rayleigh + sigma
+        psi = classical_rk4(lambda y: -(shifted @ y) / hbar, psi, dt)
         psi = psi / np.linalg.norm(psi)
-        step += 1
+    pytest.fail(f"the replay is not stationary after {max_steps} steps")
 
 
 def coupled_replay(model, steps, dt):
@@ -234,7 +234,7 @@ class TestEvolveLinear:
         psi0 = helpers.random_profile_arrays(seed + 1, [8])[0]
         psi0 = np.sqrt(psi0)  # positive, generic against the ground state
         psi0 /= np.linalg.norm(psi0)
-        dt = 0.9 / op.scale()
+        dt = 0.9 / helpers.row_sum_bound(op)
         _, report = evolve_linear(op, psi0, dt=dt, tol=1e-8)
         assert report.converged
         assert abs(report.states[0].rayleigh - eig.eigenvalues[0]) <= 1e-6
@@ -254,21 +254,25 @@ class TestEvolveLinear:
         op = DenseSymmetric(h)
         psi0 = np.sqrt(helpers.random_profile_arrays(304, [8])[0])
         psi0 /= np.linalg.norm(psi0)
-        points, _ = evolve_linear(op, psi0, dt=0.5 / op.scale(), t_max=20.0, record_every=1)
+        points, _ = evolve_linear(op, psi0, dt=0.5 / helpers.row_sum_bound(op), t_max=20.0,
+                                  record_every=1)
         values = [p.rayleigh[0] for p in points]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_norm_preserved_at_every_recorded_step(self):
         op = DenseSymmetric(helpers.random_symmetric_matrix(305, 6, span=1.5))
         psi0 = np.full(6, 1.0 / math.sqrt(6.0))
-        points, _ = evolve_linear(op, psi0, dt=0.5 / op.scale(), t_max=10.0, record_every=1)
+        points, _ = evolve_linear(op, psi0, dt=0.5 / helpers.row_sum_bound(op), t_max=10.0,
+                                  record_every=1)
         for p in points:
             assert abs(np.linalg.norm(p.amplitudes[0]) - 1.0) <= 1e-12
 
     def test_oversized_dt_rejected(self):
+        # half-width 4.5: 0.35 * 4.5 is inside the monotone limit, 0.4 * 4.5 past it
         op = Diagonal(np.array([1.0, 10.0]))
-        with pytest.raises(ValueError, match="characteristic"):
-            evolve_linear(op, np.array([1.0, 0.0]), dt=0.2)
+        evolve_linear(op, np.array([1.0, 0.0]), dt=0.35)
+        with pytest.raises(ValueError, match="characteristic time hbar / half-width"):
+            evolve_linear(op, np.array([1.0, 0.0]), dt=0.4)
 
     def test_non_unit_initial_state_rejected(self):
         with pytest.raises(ValueError, match="unit"):
@@ -281,14 +285,27 @@ class TestEvolveLinear:
             evolve_linear(op, e0, deflate=(e0,))
 
     def test_default_step_is_just_inside_the_monotone_limit(self):
+        # the spectrum [-5, 2] has half-width 3.5 about its centre -1.5
         op = Diagonal(np.array([2.0, -5.0]))
-        assert default_step(op, hbar=1.0) == 0.99 * RK4_MONOTONE_LIMIT * 1.0 / 5.0
-        assert default_step(op, hbar=2.0) == 0.99 * RK4_MONOTONE_LIMIT * 2.0 / 5.0
+        assert default_step(op, hbar=1.0) == 0.99 * RK4_MONOTONE_LIMIT * 1.0 / 3.5
+        assert default_step(op, hbar=2.0) == 0.99 * RK4_MONOTONE_LIMIT * 2.0 / 3.5
+
+    def test_default_step_is_shift_invariant(self):
+        # The renormalized flow on H + c I is the flow on H; so are its steps.
+        psi0 = np.full(3, 1.0 / math.sqrt(3.0))
+        runs = []
+        for shift in (0.0, 1000.0, -1000.0):
+            op = Diagonal(np.array([0.0, 1.0, 2.0]) + shift)
+            _, report = evolve_linear(op, psi0)
+            assert report.converged
+            assert report.states[0].rayleigh == pytest.approx(shift, abs=1e-9)
+            runs.append((report.time / default_step(op), report.time))
+        assert runs == [(12.0, runs[0][1])] * 3
 
     def test_default_step_refuses_a_scale_past_the_float_range(self):
         # every row sums to inf, which would make the step 0.0
         op = DenseSymmetric(np.full((2, 2), 1e308))
-        assert op.scale() == math.inf
+        assert op.interval() == (-math.inf, math.inf)
         message = "the operator's scale inf is past the float range"
         for call in (lambda: default_step(op), lambda: evolve_linear(op, np.array([1.0, 0.0]))):
             with pytest.raises(ValueError) as refused:
@@ -311,12 +328,13 @@ class TestEvolveLinear:
     def test_steps_just_inside_the_stability_limit_converge(self):
         op = Diagonal(np.array([-1.0, 0.5, 1.0]))
         psi0 = np.full(3, 1.0 / math.sqrt(3.0))
-        dt = 0.99 * RK4_MONOTONE_LIMIT / op.scale()
+        half_width = helpers.centre(op)[1]
+        dt = 0.99 * RK4_MONOTONE_LIMIT / half_width
         _, report = evolve_linear(op, psi0, dt=dt, tol=1e-10)
         assert report.converged
         assert report.states[0].rayleigh == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ValueError, match="monotone limit"):
-            evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / op.scale())
+            evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / half_width)
 
     def test_each_step_takes_four_products(self, monkeypatch):
         # The invariants perfbench's traced oscillator run checks against the
@@ -380,7 +398,9 @@ class TestEvolveLinear:
         hbar = 0.37
         _, report = evolve_linear(op, psi0, hbar=hbar)
         dt = default_step(op, hbar)
-        steps, rayleigh = linear_replay(op.matrix, psi0, dt, hbar, continuous.DEFAULT_STATIONARY_TOL)
+        steps, rayleigh = linear_replay(op.matrix, helpers.centre(op)[0], psi0, dt, hbar,
+                                        continuous.DEFAULT_STATIONARY_TOL,
+                                        round(report.time / dt) + 100)
         assert report.converged
         assert report.time == steps * dt
         assert report.states[0].rayleigh == pytest.approx(rayleigh, abs=1e-12)
@@ -408,23 +428,25 @@ class TestEvolveLinear:
             evolve_linear(op, np.array([0.6, 0.8]), dt=0.1, hbar=hbar)
 
     def test_huge_hbar_is_decided_at_once(self):
-        # Here dt * scale overflows although dt / hbar * scale is about 1.6.
+        # Here dt * half-width overflows although dt / hbar * half-width is
+        # about 1.3.
         op = build_grid_hamiltonian(-3.0, 3.0, 11, np.zeros(11))
+        half_width = helpers.centre(op)[1]
         psi0 = np.full(11, 1.0 / math.sqrt(11.0))
         hbar = 1.7e308
-        dt = 4e307
-        assert math.isinf(dt * op.scale()) and dt / hbar * op.scale() < RK4_MONOTONE_LIMIT
-        _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=3 * dt)
-        assert report.time == 3 * dt
+        dt = 8e307
+        assert math.isinf(dt * half_width) and dt / hbar * half_width < RK4_MONOTONE_LIMIT
+        _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=2 * dt)
+        assert report.time == 2 * dt
         # The default step no longer overflows there, although its product
-        # with scale does: it is accepted.
+        # with the half-width does: it is accepted.
         default = default_step(op, hbar)
-        assert math.isfinite(default) and math.isinf(default * op.scale())
+        assert math.isfinite(default) and math.isinf(default * half_width)
         # The default horizon 1000 * hbar overflows, as would the time of a
-        # fourth step: the run ends at the third, as with the largest float.
+        # second step: the run ends at the first, as with the largest float.
         for t_max in (None, sys.float_info.max):
             _, report = evolve_linear(op, psi0, hbar=hbar, t_max=t_max)
-            assert report.time == 3 * default and math.isinf(4 * default)
+            assert report.time == default and math.isinf(2 * default)
             assert not report.converged
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
@@ -444,8 +466,11 @@ class TestEvolveLinear:
 
 class TestEvolveCoupled:
     def test_single_agent_reduces_to_linear_evolution(self):
+        # evolve_linear steps on H - 1.0 I, the energies centred on 0, whose
+        # coupled_scale 0.5 is the linear flow's half-width
         energies = np.array([0.5, 1.5, 1.0])
-        model = helpers.single_agent_energy(energies)
+        model = helpers.single_agent_energy(energies - 1.0)
+        assert coupled_scale(model) == helpers.centre(Diagonal(energies))[1] == 0.5
         state0 = WaveState((np.array([0.8, 0.36, 0.48]),))
         c_points, c_report = evolve_coupled(model, state0, t_max=40.0)
         l_points, l_report = evolve_linear(
@@ -457,8 +482,9 @@ class TestEvolveCoupled:
         for cp, lp in zip(c_points, l_points):
             assert cp.time == lp.time
             np.testing.assert_allclose(cp.amplitudes[0], lp.amplitudes[0], atol=1e-10)
-        assert c_report.states[0].rayleigh == pytest.approx(
-            l_report.states[0].rayleigh, abs=1e-10
+            assert lp.rayleigh[0] == pytest.approx(cp.rayleigh[0] + 1.0, abs=1e-10)
+        assert l_report.states[0].rayleigh == pytest.approx(
+            c_report.states[0].rayleigh + 1.0, abs=1e-10
         )
 
     def test_zero_energies_keep_the_state_constant(self):
@@ -521,7 +547,8 @@ class TestEvolveCoupled:
         for point in points:
             state = WaveState(point.amplitudes)
             for i in range(len(model.agents)):
-                assert effective_hamiltonian(model, state, i).scale() <= bound
+                lo, hi = effective_hamiltonian(model, state, i).interval()
+                assert max(-lo, hi) <= bound
 
     @pytest.mark.parametrize(
         "model",
@@ -597,8 +624,8 @@ class TestEvolveCoupled:
 def operators(draw):
     """Diagonal, grid and dense symmetric operators whose eigenvalues may be
     negative or repeated.  Distinct eigenvalues keep a gap of at least 1.6%
-    of scale(H) (exhaustively so for the grids' potentials), so the flow
-    converges in a few hundred steps."""
+    of the largest absolute row sum (exhaustively so for the grids'
+    potentials), so the flow converges in a few hundred steps."""
     kind = draw(st.sampled_from(["diagonal", "grid", "dense"]))
     if kind == "grid":
         n = draw(st.integers(3, 8))
@@ -624,14 +651,15 @@ class TestDefaultStepIsProvablyRight:
     @given(operators(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_default_step_converges_to_the_lowest_eigenvalue(self, op, hbar, seed):
-        dt, scale = default_step(op, hbar), op.scale()
-        assert dt * scale / hbar < RK4_MONOTONE_LIMIT
+        (sigma, half_width), dt = helpers.centre(op), default_step(op, hbar)
+        assert dt * half_width / hbar < RK4_MONOTONE_LIMIT
         dense = np.diag(op.entries) if isinstance(op, Diagonal) else op.matrix
         eigenvalues = np.linalg.eigvalsh(dense)
-        factors = np.array([helpers.scalar_rk4(lam / hbar, 1.0, dt) for lam in eigenvalues])
+        factors = np.array([helpers.scalar_rk4((lam - sigma) / hbar, 1.0, dt)
+                            for lam in eigenvalues])
         assert (factors > 0).all()
         # eigvalsh may split a repeated eigenvalue by a few ulps
-        distinct = np.diff(eigenvalues) > 1e-9 * max(1.0, scale)
+        distinct = np.diff(eigenvalues) > 1e-9 * max(1.0, helpers.row_sum_bound(op))
         assert (np.diff(factors)[distinct] < 0).all()
 
         psi0 = random_unit_vector(op.dimension, seed)
@@ -649,38 +677,41 @@ class TestDefaultStepIsProvablyRight:
         np.testing.assert_allclose(found, expected, rtol=0, atol=1e-8)
 
     @staticmethod
-    def assert_boundary(scale, hbar, under, at):
-        """A run on an operator of the given scale takes the step under (None
-        for no step) and refuses the step at, naming the monotone limit."""
-        op = Diagonal(np.array([scale, 0.0]))
-        assert op.scale() == scale
+    def assert_boundary(op, hbar, under, at):
+        """A run on the operator takes the step under (None for no step) and
+        refuses the step at, naming the monotone limit."""
+        half_width = helpers.centre(op)[1]
         if under is not None:
-            assert under / hbar * scale < RK4_MONOTONE_LIMIT
+            assert under / hbar * half_width < RK4_MONOTONE_LIMIT
             evolve_linear(op, np.array([0.6, 0.8]), dt=under, hbar=hbar, t_max=under)
         with pytest.raises(ValueError, match="monotone limit"):
             evolve_linear(op, np.array([0.6, 0.8]), dt=at, hbar=hbar, t_max=at)
 
     # Where the limit meets an end of the float range: every finite step, the
-    # steps whose dt / hbar is finite, or none.
+    # steps whose dt / hbar is finite, or none.  Diagonal([scale, 0]) has
+    # half-width scale / 2.
     @pytest.mark.parametrize("scale,hbar,under,at", [
         (1.0, 1.7e308, sys.float_info.max, math.inf),  # dt / hbar <= 1.06
         (1e-320, 1e-100, 1.79e208, 1.8e208),  # dt / hbar overflows past 1.79e208
-        (1e300, 1e-300, None, 5e-324),  # the smallest step is 4.9e276 times the limit
-        (0.0, 1.0, sys.float_info.max, math.inf),  # scale 0
+        (1e300, 1e-300, None, 5e-324),  # the smallest step takes z = 2.5e276
+        (0.0, 1.0, sys.float_info.max, math.inf),  # half-width 0
         (5e-324, 1e-300, 1.79e8, 1.8e8),  # dt / hbar overflows past 1.79e8
     ], ids=["1.0-1.7e+308", "1e-320-1e-100", "1e+300-1e-300", "0.0-1.0", "5e-324-1e-300"])
     def test_largest_step_ends_at_the_extremes_of_the_float_range(self, scale, hbar, under, at):
-        self.assert_boundary(scale, hbar, under, at)
+        self.assert_boundary(Diagonal(np.array([scale, 0.0])), hbar, under, at)
 
     @pytest.mark.parametrize("scale,hbar", [(1.0, 1.0), (7.3, 0.5), (4.0e4, 2.0), (3.0, 1e-5)])
     def test_largest_step_is_the_last_one_accepted(self, scale, hbar):
-        # dt / hbar * scale rounds to within 2 ulps of the limit at the step
-        # limit * hbar / scale, itself rounded twice
+        # The spectrum [0, 2 scale] has half-width scale, exactly, about the
+        # centre scale.  dt / hbar * scale rounds to within 2 ulps of the
+        # limit at the step limit * hbar / scale, itself rounded twice.
+        op = Diagonal(np.array([0.0, 2.0 * scale]))
+        assert helpers.centre(op) == (scale, scale)
         limit = RK4_MONOTONE_LIMIT * hbar / scale
         under, at = limit, limit
         for _ in range(4):
             under, at = math.nextafter(under, 0.0), math.nextafter(at, math.inf)
-        self.assert_boundary(scale, hbar, under, at)
+        self.assert_boundary(op, hbar, under, at)
 
 
 class TestGridHamiltonian:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from coopt import bundled_path, tridiagonal
+from coopt.continuous import build_grid_hamiltonian
 from coopt.fileio import load_hamiltonian
 from coopt.numerics import (
     DenseSymmetric,
@@ -411,16 +412,26 @@ class TestRk4:
         np.testing.assert_allclose(rk4_step(derivative, y, dt, derivative(y)), expected, rtol=1e-13)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Seeded symmetric matrices of 1 to 12 rows, entries up to 1e-300, 1 or
+    1e300 in size."""
+    n, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+    size = draw(st.sampled_from([1e-300, 1.0, 1e300]))
+    m = size * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    return 0.5 * m + 0.5 * m.T
+
+
 class TestOperators:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_diagonal_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):
             Diagonal(np.array([1.0, bad]))
 
-    def test_diagonal_matvec_and_scale(self):
+    def test_diagonal_matvec_and_interval(self):
         op = Diagonal(np.array([1.0, -4.0, 2.0]))
         np.testing.assert_array_equal(op.matvec(np.ones(3)), [1.0, -4.0, 2.0])
-        assert op.scale() == 4.0
+        assert op.interval() == (-4.0, 2.0)
         assert op.dimension == 3
 
     @given(st.data())
@@ -468,9 +479,9 @@ class TestOperators:
                 m[0, 4] = m[4, 0] = 0.25
             op, written = DenseSymmetric(m), m
         v = np.linspace(-1.0, 2.0, op.dimension)
-        before = (op.matvec(v), op.scale(), jacobi_eigen(op).eigenvalues)
+        before = (op.matvec(v), op.interval(), jacobi_eigen(op).eigenvalues)
         written[0] = -10.0  # the first row, or the first entry
-        after = (op.matvec(v), op.scale(), jacobi_eigen(op).eigenvalues)
+        after = (op.matvec(v), op.interval(), jacobi_eigen(op).eigenvalues)
         assert before[0].tobytes() == after[0].tobytes()
         assert before[1] == after[1]
         assert before[2].tobytes() == after[2].tobytes()
@@ -488,11 +499,39 @@ class TestOperators:
         # a symmetric input is kept bit for bit
         assert DenseSymmetric(op.matrix).matrix.tobytes() == op.matrix.tobytes()
 
-    def test_dense_scale_bounds_spectral_radius(self):
-        h = helpers.random_symmetric_matrix(7, 6, span=2.0)
-        op = DenseSymmetric(h)
-        top = np.abs(jacobi_eigen(op).eigenvalues).max()
-        assert op.scale() >= top
+    @given(st.sampled_from(["dense", "diagonal", "grid"]), st.integers(1, 12),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+    @settings(deadline=None)
+    def test_interval_contains_the_spectrum(self, kind, n, seed, size):
+        rng = np.random.default_rng(seed)
+        if kind == "diagonal":
+            op = Diagonal(size * rng.standard_normal(n))
+            matrix = np.diag(op.entries)
+        else:
+            if kind == "dense":
+                m = size * rng.standard_normal((n, n))
+                op = DenseSymmetric(0.5 * m + 0.5 * m.T)
+            else:
+                n = max(n, 3)
+                x = np.linspace(-2.0, 2.0, n)
+                op = build_grid_hamiltonian(-2.0, 2.0, n,
+                                            size * (x * x + rng.standard_normal(n)))
+            matrix = op.matrix
+        lo, hi = op.interval()
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        # eigvalsh is backward stable: within a few ulps of the matrix's norm
+        slack = 8 * n * np.finfo(float).eps * helpers.row_sum_bound(op)
+        assert lo - slack <= eigenvalues.min() and eigenvalues.max() <= hi + slack
+
+    @given(symmetric_matrices())
+    # d + (s - |d|) rounds to 1.4660000000000002 on the third row
+    @example(np.array([[-0.579, 0.383, 0.37], [0.383, 0.37, -0.713], [0.37, -0.713, 0.338]]))
+    @settings(deadline=None)
+    def test_interval_never_exceeds_the_largest_row_sum(self, m):
+        for op in (DenseSymmetric(m), Diagonal(np.diag(m))):
+            bound = helpers.row_sum_bound(op)
+            lo, hi = op.interval()
+            assert -bound <= lo <= hi <= bound
 
 
 def test_uniform_signed_block_continues_the_scalar_stream():
