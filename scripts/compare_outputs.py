@@ -47,8 +47,9 @@ matrix).  Both trees read the same input files.
 Exits 1 listing every output file whose bytes differ, or every job whose
 exit code differs; 0 when all match.  A differing .json or .csv file is
 listed with the largest absolute difference between its corresponding
-numbers, or with "structure differs" when anything else in it differs, so
-that a change at rounding level reads as one.
+numbers under each top-level JSON key or in each CSV column that moved, or
+with "structure differs" when anything else in it differs, so that a change
+at rounding level reads as one even beside a larger change elsewhere.
 
 Usage: python scripts/compare_outputs.py OLD_ROOT NEW_ROOT
 """
@@ -249,7 +250,8 @@ def reversed_game_jobs(inputs: Path) -> list[list[str]]:
 def dense_three_problem() -> dict:
     """A seeded utility game of three agents over 2, 3 and 4 actions, each
     paid by a dense table over all three variables listed from its own
-    variable on: no table is an edge of the contraction plan."""
+    variable on: every table of the contraction plan is over two other
+    agents."""
     from coopt.rng import SplitMix64
 
     stream = SplitMix64(11)
@@ -605,33 +607,48 @@ def _largest(old, new) -> float:
     return math.inf if math.isnan(difference) else float(difference)
 
 
-def largest_difference(old: Path, new: Path) -> float | None:
+def _columns(text: str) -> dict:
+    """A CSV's cells by the column names of its first line."""
+    header, *rows = [[_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("ragged rows")
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+def largest_differences(old: Path, new: Path) -> dict[str, float] | None:
     """Largest absolute difference between corresponding numbers of two .json
-    files, or of two .csv files cell by cell; None when they differ in
-    anything but numbers."""
-    def parse(path: Path):
+    files under each top-level key, or of two .csv files in each column;
+    None when they differ in anything but numbers."""
+    def parse(path: Path) -> dict:
         text = path.read_text()
-        if path.suffix == ".json":
-            return json.loads(text)
-        return [[_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
+        if path.suffix == ".csv":
+            return _columns(text)
+        doc = json.loads(text)
+        return doc if isinstance(doc, dict) else {"": doc}
 
     try:
-        return _largest(parse(old), parse(new))
+        old_doc, new_doc = parse(old), parse(new)
+        if old_doc.keys() != new_doc.keys():
+            return None
+        return {key: _largest(old_doc[key], new_doc[key]) for key in old_doc}
     except ValueError:
         return None
 
 
 def describe(name: str, old: Path, new: Path) -> str:
-    """name, with the size of its difference when it is a .json or .csv file
-    present in both directories."""
+    """name, with the size of its difference under each top-level key or
+    column that differs when it is a .json or .csv file present in both
+    directories."""
     if Path(name).suffix not in (".json", ".csv") or not (
         (old / name).is_file() and (new / name).is_file()
     ):
         return name
-    largest = largest_difference(old / name, new / name)
+    largest = largest_differences(old / name, new / name)
     if largest is None:
         return f"{name} (structure differs)"
-    return f"{name} (largest absolute difference {largest:.3g})"
+    moved = ", ".join(f"{key} {value:.3g}" for key, value in largest.items() if value) or "none"
+    unit = "column" if Path(name).suffix == ".csv" else "key"
+    return f"{name} (largest absolute difference by {unit}: {moved})"
 
 
 def compare(

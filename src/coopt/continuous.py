@@ -222,16 +222,14 @@ def coupled_scale(model: GameModel) -> float:
     the half-width about 0 that evolve_coupled's step is sized from.
 
     The entries are expectations of the agent's energies under unit-norm
-    weights, so an agent's are bounded by the sum over its edge tables of
-    max|table|, added in term order, and a dense agent's by max|table|.
+    weights, so an agent's are bounded by the sum over its tables of
+    max|table|, added in the plan's table order; a dense agent has one.
     """
     plan = model.plan
-    # padding is 0, below every |entry|; _schedule refuses an infinite bound
-    per_edge = np.abs(plan.edges).max(axis=(1, 2))
-    bounds = np.bincount(plan.owner, per_edge, len(plan.cards)).astype(float)
-    for i, _, table, _ in plan.dense:
-        bounds[i] = np.abs(table).max()
-    return float(bounds.max())
+    owner = [np.zeros(0, np.intp)] + [group.owner for group in plan.groups]
+    largest = [np.zeros(0)] + [abs(g.tables).reshape(g.owner.size, -1).max(1) for g in plan.groups]
+    # _schedule refuses an infinite bound
+    return float(np.bincount(np.concatenate(owner), np.concatenate(largest), len(plan.cards)).max())
 
 
 def evolve_linear(

@@ -346,6 +346,14 @@ def stack(rows, fill: float) -> np.ndarray:
     return out
 
 
+class TableGroup(NamedTuple):  # a plan's tables of one shape (own, c1, ..., ck)
+    owner: np.ndarray  # (g,) the agent each table pays
+    others: tuple[np.ndarray, ...]  # per other axis, (g,) the agent on it
+    tables: np.ndarray  # (g, own, c1, ..., ck)
+    log_tables: np.ndarray  # (c1 * ... * ck, g, own), contiguous
+    at: np.ndarray  # (g * own,) positions in a raveled column-major stack
+
+
 class ContractionPlan:
     """A model's objectives compiled for contraction against marginals.
 
@@ -353,68 +361,42 @@ class ContractionPlan:
     in the log domain (expected Boltzmann weight or utility, as a log: the
     discrete map's returns and energy models' payoffs) or in the linear
     domain (expected energy or utility: utility payoffs and effective
-    Hamiltonians).  Marginals and results
-    are stacked one agent per row, column-major as `stack` lays them out,
-    padded to the widest agent with zero probability and -inf log return.
-    Every table over the own variable and one neighbour (a pairwise term,
-    or a dense table) is an edge, so mixed cardinalities take the same
-    path.  Linear tables sit in one (edges, own, neighbour) array padded
-    with 0; log tables in one (neighbour, edges, own) array padded with
-    -inf, so the log-sum-exp over the neighbour's actions reduces over
-    contiguous (edges, own) slabs.  One `np.add.at` at the flat positions
-    `at` adds every edge's result into its owner's row, each agent's edges
-    in edge order.  Other dense tables are kept own axis first.
+    Hamiltonians).  Marginals and results are stacked one agent per row,
+    column-major as `stack` lays them out, padded to the widest agent with
+    zero probability and -inf log return.  Every table (a pairwise term, or
+    a dense table over any number of other agents) is kept own axis first
+    and unpadded, in one group per table shape.  Log tables put the other
+    agents' joint action first, so the log-sum-exp over it reduces over
+    contiguous (tables, own) slabs.  One `np.add.at` per group at its flat
+    positions `at` adds each table's result into its owner's row.
     """
 
     def __init__(self, model: GameModel):
         agent_of = model.agent_of
         self.cards = model.agent_cardinalities()
-        width = max(self.cards)
-        # log 1 for every action, -inf for padding: where edge sums start
-        self.log_one = np.where(np.arange(width) < np.array(self.cards)[:, None], 0.0, -np.inf)
-        energy = model.mode == "energy"
-
-        def log_of(table, out=None):  # -E/hbar in energy mode, log u in utility mode
-            if energy:
-                return np.divide(np.negative(table, out=out), model.hbar, out=out)
-            with np.errstate(divide="ignore"):
-                return np.log(table, out=out)
-
-        self.dense = []  # (agent, log table, table, neighbour agents)
-        owner, neighbour, tables = [], [], []  # per edge; tables own axis first
+        # log 1 for every action, -inf for padding: where table sums start
+        self.log_one = stack([np.zeros(card) for card in self.cards], -np.inf)
+        shapes: dict[tuple[int, ...], list] = {}  # shape -> [(owner, others, table)]
         for i, agent in enumerate(model.agents):
             obj = agent.objective
             if isinstance(obj, PairwiseEnergy):
-                for other, table in obj.terms:
-                    owner.append(i)
-                    neighbour.append(agent_of[other])
-                    tables.append(table)
-                continue
-            own_axis = obj.order.index(agent.acts_on)
-            table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
-            others = [agent_of[v] for v in obj.order if v != agent.acts_on]
-            if len(others) == 1:
-                owner.append(i)
-                neighbour.append(others[0])
-                tables.append(table)
+                found = [((agent_of[other],), table) for other, table in obj.terms]
             else:
-                self.dense.append((i, log_of(table), table, others))
-        self.owner = np.array(owner, dtype=np.intp)
-        self.neighbour = np.array(neighbour, dtype=np.intp)
-        self.edges = np.zeros((len(tables), width, width))
-        self.log_edges = np.full((width, len(tables), width), -np.inf)
-        # one stacked fill per table shape
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for e, table in enumerate(tables):
-            groups.setdefault(table.shape, []).append(e)
-        for (rows, cols), group in groups.items():
-            stacked = np.array([tables[e] for e in group])
-            self.edges[group, :rows, :cols] = stacked
-            log_of(stacked, out=stacked)
-            self.log_edges[:cols, group, :rows] = stacked.transpose(2, 0, 1)
-        # where each entry of an (edges, width) result adds in a raveled
-        # column-major (agents, width) stack
-        self.at = (self.owner[:, None] + len(self.cards) * np.arange(width)).ravel()
+                own_axis = obj.order.index(agent.acts_on)
+                table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
+                found = [(tuple(agent_of[v] for v in obj.order if v != agent.acts_on), table)]
+            for others, table in found:
+                shapes.setdefault(table.shape, []).append((i, others, table))
+        self.groups = []
+        for (own, *_), entries in shapes.items():
+            owner = np.array([entry[0] for entry in entries], dtype=np.intp)
+            others = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(e[1] for e in entries)))
+            tables = np.array([entry[2] for entry in entries])
+            with np.errstate(divide="ignore"):  # -E/hbar in energy mode, log u in utility mode
+                logs = -tables / model.hbar if model.mode == "energy" else np.log(tables)
+            log_tables = logs.reshape(len(entries), own, -1).transpose(2, 0, 1).copy()
+            at = (owner[:, None] + len(self.cards) * np.arange(own)).ravel()
+            self.groups.append(TableGroup(owner, others, tables, log_tables, at))
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent vectors of a stacked array, padding dropped.
@@ -433,26 +415,27 @@ class ContractionPlan:
         out = self.log_one.copy(order="F")
         with np.errstate(divide="ignore"):
             log_p = np.log(p)
-            combined = self.log_edges + log_p[self.neighbour].T[:, :, np.newaxis]
-            np.add.at(out.ravel(order="F"), self.at, log_sum_exp_first(combined).ravel())
-            for i, log_table, _, others in self.dense:
-                if others:
-                    joint = functools.reduce(
-                        np.add.outer, [log_p[j, : self.cards[j]] for j in others]
-                    )
-                    combined = log_table + joint[np.newaxis, ...]
-                    # the transpose sums each row's contiguous memory in order
-                    log_table = log_sum_exp_first(combined.reshape(combined.shape[0], -1).T)
-                out[i, : self.cards[i]] = log_table
+            for group in self.groups:
+                result = group.log_tables[0]  # as it is, with no other axis
+                if group.others:
+                    # the other agents' joint log marginal (joint, tables)
+                    joint = None
+                    for j, c in zip(group.others, group.tables.shape[2:]):
+                        term = log_p[j][:, :c].T
+                        joint = term if joint is None else (
+                            (joint[:, None] + term).reshape(-1, j.size))
+                    result = log_sum_exp_first(group.log_tables + joint[:, :, np.newaxis])
+                np.add.at(out.ravel(order="F"), group.at, result.ravel())
         return out
 
     def expectations(self, p: np.ndarray) -> np.ndarray:
         """Expected objective value of each own action, from stacked marginals."""
         out = np.zeros(p.shape, order="F")  # column-major, as in log_returns
-        per_edge = np.matmul(self.edges, p[self.neighbour][..., np.newaxis])
-        np.add.at(out.ravel(order="F"), self.at, per_edge.ravel())
-        for i, _, table, others in self.dense:
-            for j in reversed(others):
-                table = table @ p[j, : self.cards[j]]
-            out[i, : self.cards[i]] = table
+        for group in self.groups:
+            result = group.tables
+            for j in reversed(group.others):  # the last axis first
+                marginal = p[j][:, : result.shape[-1]]
+                ones = (1,) * (result.ndim - 3)
+                result = np.matmul(result, marginal.reshape(j.size, *ones, -1, 1))[..., 0]
+            np.add.at(out.ravel(order="F"), group.at, result.ravel())
         return out

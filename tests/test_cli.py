@@ -513,43 +513,55 @@ class TestOneErrorLine:
             f"error: {h}: grid: spacing 5e-301 leaves h**2 or 1/h**2 past the float range\n"
         )
 
-    @pytest.mark.parametrize(
-        "command, doc, shape",
-        [
-            # build_grid_hamiltonian's n x n matrix
-            ("quantum", {"grid": {"xmin": -1, "xmax": 1, "n": 10**6, "potential": [0] * 10**6}},
-             "(1000000, 1000000)"),
-            # the plan's edge tables, padded to the widest cardinality
-            ("solve", {
-                "mode": "energy",
-                "variables": [{"name": "x", "cardinality": 30000},
-                              {"name": "y", "cardinality": 2}],
-                "agents": [
-                    {"name": "A", "acts_on": "x", "objective": {"pairwise": [
-                        {"with": "y", "table": [[0, 1]] * 30000}]}},
-                    {"name": "B", "acts_on": "y", "objective": {"pairwise": [
-                        {"with": "x", "table": [[0] * 30000, [1] * 30000]}]}},
-                ],
-            }, "(2, 30000, 30000)"),
-        ],
-        ids=["grid", "wide-variable"],
-    )
-    def test_an_allocation_that_is_refused_exits_one(self, tmp_path, command, doc, shape):
+    @staticmethod
+    def run_capped(tmp_path, doc, *argv):
+        """coopt on doc, in a process whose address space is capped at
+        2 GiB, so that an array past the cap is never given memory,
+        whatever the machine has."""
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
-        argv = {"quantum": ["--hamiltonian"], "solve": ["--alpha", "1", "--problem"]}[command]
-        # The address space is capped at 2 GiB, so the refused array is
-        # never given memory, whatever the machine has.
         limited = ("import resource, sys; "
                    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                    "from coopt.cli import main; sys.exit(main())")
-        proc = subprocess.run(
-            [sys.executable, "-c", limited, command, *argv, str(path)],
+        return subprocess.run(
+            [sys.executable, "-c", limited, *argv, str(path), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         )
+
+    @pytest.mark.parametrize(
+        "argv, doc, shape",
+        [
+            # build_grid_hamiltonian's n x n matrix
+            (["quantum", "--hamiltonian"],
+             {"grid": {"xmin": -1, "xmax": 1, "n": 10**6, "potential": [0] * 10**6}},
+             "(1000000, 1000000)"),
+        ],
+        ids=["grid"],
+    )
+    def test_an_allocation_that_is_refused_exits_one(self, tmp_path, argv, doc, shape):
+        proc = self.run_capped(tmp_path, doc, *argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert shape in proc.stderr
+
+    def test_a_wide_variable_beside_a_narrow_one_solves_within_the_cap(self, tmp_path):
+        # The plan stores each table unpadded: two tables of 60,000 entries,
+        # not two of 30,000**2.
+        doc = {
+            "mode": "energy",
+            "variables": [{"name": "x", "cardinality": 30000},
+                          {"name": "y", "cardinality": 2}],
+            "agents": [
+                {"name": "A", "acts_on": "x", "objective": {"pairwise": [
+                    {"with": "y", "table": [[0, 1]] * 30000}]}},
+                {"name": "B", "acts_on": "y", "objective": {"pairwise": [
+                    {"with": "x", "table": [[0] * 30000, [1] * 30000]}]}},
+            ],
+        }
+        proc = self.run_capped(tmp_path, doc, "solve", "--alpha", "1", "--problem")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads((tmp_path / "out").read_text())
+        assert [len(dist) for dist in out["profile"].values()] == [30000, 2]
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -296,7 +296,8 @@ def test_dense_three_player_game_runs_the_plan_without_edges(tmp_path):
         outputs + [job[job.index("--out") + 1] + ".stderr" for job in jobs]
     )
     plan = load_problem(inputs / "dense3.json").plan
-    assert plan.owner.size == 0 and [entry[0] for entry in plan.dense] == [0, 1, 2]
+    # every table is over both other agents
+    assert [(g.owner.tolist(), len(g.others)) for g in plan.groups] == [([i], 2) for i in range(3)]
     assert json.loads((new / "dense3.nash.json").read_text())["count"] == 2
 
     # A tree whose dense log returns move up by one ulp.
@@ -304,10 +305,11 @@ def test_dense_three_player_game_runs_the_plan_without_edges(tmp_path):
     shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     model = tree / "src" / "coopt" / "model.py"
     source = model.read_text()
-    line = "                out[i, : self.cards[i]] = log_table\n"
+    line = "                result = log_sum_exp_first(group.log_tables + joint[:, :, np.newaxis])\n"
     assert source.count(line) == 1
     model.write_text(source.replace(
-        line, "                out[i, : self.cards[i]] = np.nextafter(log_table, np.inf)\n"
+        line, line.replace("= log_sum_exp_first(", "= np.nextafter(log_sum_exp_first(")
+        .replace("])\n", "]), np.inf)\n")
     ))
     # nash enumerates the tables and does not read the plan.
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
@@ -335,6 +337,13 @@ def test_differing_files_are_described_by_their_largest_number_difference(tmp_pa
         "rounded.json": ('{"a": [1.0, 2.5], "name": "x", "ok": true, "n": 3}',
                          '{"a": [1.0000000000000002, 2.5], "name": "x", "ok": true, "n": 3}'),
         "rounded.csv": ("t,agent,psi\n0.5,a,0.25\n", "t,agent,psi\n0.5,a,0.2500001\n"),
+        # a large move beside a rounding-level one shows both
+        "stepped.json": ('{"time": 9.397, "rayleigh": 0.5, "psi": [0.1, 0.2]}',
+                         '{"time": 9.926, "rayleigh": 0.5000000000000364, "psi": [0.1, 0.2]}'),
+        "stepped.csv": ("t,psi,r\n1,0.5,2\n2,0.5,3\n", "t,psi,r\n1.5,0.5,2\n2,0.5,3.25\n"),
+        "equal.json": ('{"a": 1.0}', '{"a": 1.00}'),
+        "headless.csv": ("t,psi\n", "t,r\n"),
+        "ragged.csv": ("t,psi\n1\n", "t,psi\n2\n"),
         "renamed.json": ('{"a": 1.0}', '{"b": 1.0}'),
         "flipped.json": ('{"ok": true}', '{"ok": false}'),
         "longer.csv": ("t\n1\n", "t\n1\n2\n"),
@@ -346,11 +355,22 @@ def test_differing_files_are_described_by_their_largest_number_difference(tmp_pa
         (new / name).write_text(after)
     (old / "gone.json").write_text("{}\n")
 
-    assert script.largest_difference(old / "rounded.json", new / "rounded.json") == 2.0**-52
+    assert script.largest_differences(old / "rounded.json", new / "rounded.json") == {
+        "a": 2.0**-52, "name": 0.0, "ok": 0.0, "n": 0.0,
+    }
+    assert script.largest_differences(old / "stepped.csv", new / "stepped.csv") == {
+        "t": 0.5, "psi": 0.0, "r": 0.25,
+    }
     described = {name: script.describe(name, old, new) for name in [*files, "gone.json"]}
     assert described == {
-        "rounded.json": "rounded.json (largest absolute difference 2.22e-16)",
-        "rounded.csv": "rounded.csv (largest absolute difference 1e-07)",
+        "rounded.json": "rounded.json (largest absolute difference by key: a 2.22e-16)",
+        "rounded.csv": "rounded.csv (largest absolute difference by column: psi 1e-07)",
+        "stepped.json": "stepped.json (largest absolute difference by key: time 0.529, "
+                        "rayleigh 3.64e-14)",
+        "stepped.csv": "stepped.csv (largest absolute difference by column: t 0.5, r 0.25)",
+        "equal.json": "equal.json (largest absolute difference by key: none)",
+        "headless.csv": "headless.csv (structure differs)",
+        "ragged.csv": "ragged.csv (structure differs)",
         "renamed.json": "renamed.json (structure differs)",
         "flipped.json": "flipped.json (structure differs)",
         "longer.csv": "longer.csv (structure differs)",

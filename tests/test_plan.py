@@ -1,7 +1,7 @@
 """The compiled contraction plan: models that mix dense and pairwise agents
 of different cardinalities, whose stacked arrays are padded, checked
 against the brute-force oracles; the stacks' memory layout and the
-bitwise order of the per-agent edge sums; and the calls per iteration and
+bitwise order of the per-agent table sums; and the calls per iteration and
 per step that the benchmark's tracer counts."""
 
 import math
@@ -139,12 +139,14 @@ def one_neighbour_model(seed, cards=(2, 3, 2, 3)):
 @pytest.mark.parametrize("cards", [(2, 3, 2, 3), (9, 10, 2, 8)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_neighbour_dense_agents_match_enumeration(seed, cards):
-    # Dense tables over one neighbour join the pairwise terms on the edge
-    # path; the wide case sums more than 8 terms, where numpy's summation
-    # order depends on the layout.
+    # Dense tables over one neighbour and over two take the same path, one
+    # group per table shape; the wide case sums more than 8 terms, where
+    # numpy's summation order depends on the layout.
     model = one_neighbour_model(seed, cards)
-    assert [entry[0] for entry in model.plan.dense] == [2]
-    assert sorted(model.plan.owner.tolist()) == [0, 1, 3]
+    want = {}
+    for i, axes in enumerate([(0, 1), (1, 2), (2, 0, 3), (3, 0)]):
+        want.setdefault(tuple(cards[v] for v in axes), []).append(i)
+    assert {g.tables.shape[1:]: g.owner.tolist() for g in model.plan.groups} == want
     profile = seeded_profile(model, seed + 4)
     result = iterate_to_fixed_point(model, 1.0, profile, max_iter=1)
     assert_close(result.field.values, helpers.returns_by_enumeration(model, profile))
@@ -196,22 +198,50 @@ def edge_models(draw):
     return GameModel(variables, tuple(agents), hbar=0.5 + stream.uniform(), mode=mode)
 
 
-def edge_sums_by_add_at(plan, p):
-    """Edge rows of log_returns and expectations, taken row-major with the
-    log tables (edges, neighbour, own) and a 2-D np.add.at over owner rows:
-    the reference the plan's flat column-major scatter must equal bit for
-    bit."""
+def model_tables(model):
+    """(owner, other agents, table own axis first) for every table of the
+    model: each pairwise term, and each dense table.  The tables are
+    contiguous, as the plan stacks them, so that products with them round
+    as the plan's do."""
+    agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
+    for i, agent in enumerate(model.agents):
+        obj = agent.objective
+        if isinstance(obj, PairwiseEnergy):
+            for other, table in obj.terms:
+                yield i, [agent_of[other]], table
+        else:
+            table = obj.values.reshape(model.shape_of(obj.order))
+            table = np.moveaxis(table, obj.order.index(agent.acts_on), 0).copy()
+            yield i, [agent_of[v] for v in obj.order if v != agent.acts_on], table
+
+
+def table_sums(model, p):
+    """log_returns and expectations taken one table over at most one other
+    agent at a time, each added into its owner's row in the plan's order
+    (tables of a shape seen first in the model come first): the reference
+    the plan's grouped contraction must equal bit for bit."""
     p = np.array(p, order="C")
-    log_edges = plan.log_edges.transpose(1, 0, 2)
-    log_returns = np.array(plan.log_one, order="C")
-    with np.errstate(divide="ignore"):
-        combined = log_edges + np.log(p)[plan.neighbour][:, :, np.newaxis]
-        np.add.at(log_returns, plan.owner, log_sum_exp_first(np.moveaxis(combined, 1, 0)))
+    cards = np.array(model.agent_cardinalities())
+    log_returns = np.where(np.arange(p.shape[1]) < cards[:, np.newaxis], 0.0, -np.inf)
     expectations = np.zeros(p.shape)
-    per_edge = np.matmul(plan.edges, p[plan.neighbour][..., np.newaxis])
-    np.add.at(expectations, plan.owner, per_edge[..., 0])
-    owners = np.unique(plan.owner)
-    return log_returns[owners], expectations[owners]
+    found = list(model_tables(model))
+    first = {}
+    for _, _, table in found:
+        first.setdefault(table.shape, len(first))
+    for i, others, table in sorted(found, key=lambda entry: first[entry[2].shape]):
+        if model.mode == "energy":
+            log_table = -table / model.hbar
+        else:
+            with np.errstate(divide="ignore"):
+                log_table = np.log(table)
+        with np.errstate(divide="ignore"):
+            for j in others:  # at most one
+                marginal = p[j, : table.shape[1]]
+                log_table = log_sum_exp_first(log_table.T + np.log(marginal)[:, np.newaxis])
+                table = table @ marginal
+        log_returns[i, : table.size] += log_table
+        expectations[i, : table.size] += table
+    return log_returns, expectations
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,42 +259,11 @@ def test_edge_models_match_enumeration_in_column_major_stacks(model, seed):
     assert stacked.flags.f_contiguous
     assert all(row.flags.c_contiguous for row in plan.rows(log_returns))
 
-    owners = np.unique(plan.owner)
-    want_log, want_linear = edge_sums_by_add_at(plan, p)
-    np.testing.assert_array_equal(log_returns[owners], want_log)
+    want_log, want_linear = table_sums(model, p)
+    np.testing.assert_array_equal(log_returns, want_log)
     expectations = plan.expectations(p)
     assert expectations.flags.f_contiguous
-    np.testing.assert_array_equal(expectations[owners], want_linear)
-
-
-def per_edge_fill(model):
-    """owner, neighbour, edges and log_edges of the model's plan, filled
-    one edge at a time: the reference for the plan's grouped fill."""
-    agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
-    found = []  # (owner, neighbour, log table, table), own axis first
-    for i, agent in enumerate(model.agents):
-        obj = agent.objective
-        if isinstance(obj, PairwiseEnergy):
-            found += [(i, agent_of[v], -t / model.hbar, t) for v, t in obj.terms]
-            continue
-        own_axis = obj.order.index(agent.acts_on)
-        table = np.moveaxis(obj.values.reshape(model.shape_of(obj.order)), own_axis, 0)
-        if isinstance(obj, DenseEnergy):
-            log_table = -table / model.hbar
-        else:
-            with np.errstate(divide="ignore"):
-                log_table = np.log(table)
-        others = [agent_of[v] for v in obj.order if v != agent.acts_on]
-        if len(others) == 1:
-            found.append((i, others[0], log_table, table))
-    width = max(model.agent_cardinalities())
-    edges = np.zeros((len(found), width, width))
-    log_edges = np.full((width, len(found), width), -np.inf)
-    for e, (_, _, log_table, table) in enumerate(found):
-        rows, cols = table.shape
-        edges[e, :rows, :cols] = table
-        log_edges[:cols, e, :rows] = log_table.T
-    return [e[0] for e in found], [e[1] for e in found], edges, log_edges
+    np.testing.assert_array_equal(expectations, want_linear)
 
 
 def mixed_shape_model(mode):
@@ -306,30 +305,32 @@ def mixed_shape_model(mode):
     return GameModel(variables, tuple(agents), hbar=0.37, mode=mode)
 
 
-def assert_plan_is_the_per_edge_fill(model):
-    plan = model.plan
-    owner, neighbour, edges, log_edges = per_edge_fill(model)
-    assert plan.owner.tolist() == owner and plan.neighbour.tolist() == neighbour
-    # bitwise, so signed zeros and -inf padding count too
-    assert plan.edges.shape == edges.shape and plan.edges.tobytes() == edges.tobytes()
-    assert plan.log_edges.shape == log_edges.shape
-    assert plan.log_edges.tobytes() == log_edges.tobytes()
-
-
 @pytest.mark.parametrize("mode", ["energy", "utility"])
-def test_grouped_fill_is_the_per_edge_fill(mode):
+def test_the_plan_holds_the_model_tables_and_no_padding(mode):
+    # One 30,000-action variable beside a 2-action one must not cost
+    # 30,000**2 entries per table.
     model = mixed_shape_model(mode)
+    groups = model.plan.groups
+    assert len(groups) >= 5
+    entries = sum(table.size for _, _, table in model_tables(model))
+    assert sum(group.tables.size for group in groups) == entries
+    assert sum(group.log_tables.size for group in groups) == entries
+    assert sum(group.at.size for group in groups) == sum(
+        table.shape[0] for _, _, table in model_tables(model)
+    )
+
+
+def test_a_model_without_tables_contracts_to_nothing():
+    model = GameModel(
+        (DomainSpec("x", 2), DomainSpec("y", 3)),
+        (Agent("a", "x", PairwiseEnergy(())), Agent("b", "y", PairwiseEnergy(()))),
+    )
     plan = model.plan
-    shapes = {(plan.cards[i], plan.cards[j]) for i, j in zip(plan.owner, plan.neighbour)}
-    assert len(shapes) >= 4
-    assert [entry[0] for entry in plan.dense] == [4]
-    assert_plan_is_the_per_edge_fill(model)
-
-
-@settings(max_examples=40, deadline=None)
-@given(edge_models())
-def test_grouped_fill_is_the_per_edge_fill_on_edge_models(model):
-    assert_plan_is_the_per_edge_fill(model)
+    p = stack([np.full(2, 0.5), np.full(3, 1 / 3)], 0.0)
+    assert plan.groups == []
+    np.testing.assert_array_equal(plan.log_returns(p), plan.log_one)
+    np.testing.assert_array_equal(plan.expectations(p), np.zeros((2, 3)))
+    assert continuous.coupled_scale(model) == 0.0
 
 
 def test_epsilon_of_a_solved_profile_matches_contiguous_copies_bitwise():

@@ -118,4 +118,6 @@ def test_replacing_a_game_model_field_recompiles_its_plan():
     plan = model.plan
     hotter = dataclasses.replace(model, hbar=2.0)
     assert hotter.plan is not plan and model.plan is plan
-    np.testing.assert_array_equal(hotter.plan.log_edges, plan.log_edges / 2.0)
+    assert len(hotter.plan.groups) == len(plan.groups)
+    for hot, cold in zip(hotter.plan.groups, plan.groups):
+        np.testing.assert_array_equal(hot.log_tables, cold.log_tables / 2.0)
