@@ -21,8 +21,10 @@ with entries off its bands, `solve`, `sweep` and `nash` on an
 anti-coordination game whose variables are listed in the reverse of its
 agents' order, `solve` (with a trace), `sweep`, `verify` and `nash` on a
 seeded three-player utility game whose every dense table covers all three
-variables, so that its contraction plan has no edges, and `coopt solve` on
-malformed problem files,
+variables, so that its contraction plan has no edges, `solve` (with a
+trace), `sweep` and `nash` on a seeded four-agent energy game whose agent 0
+holds pairwise terms of two shapes, which its contraction plan adds in
+another order than the terms, and `coopt solve` on malformed problem files,
 at least one per kind of problem `validate` words, one with a numeric
 string in a pairwise table, one with true or false in each numeric field
 and one that is UTF-16, not UTF-8, `coopt verify` on
@@ -35,9 +37,11 @@ the map or its output leaves the float range or an agent's returns are all
 zero (`pairwise_chain` at hbar = 1e-4 and 1e-320, and a generated utility
 game), once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
-output file too, so error messages are compared byte for byte.  It also
-runs `continuous.evolve_coupled` on `pairwise_chain` to convergence, at
-its own hbar = 1 and at hbar = 0.37, and on the seed-1 ring and the mixed
+output file too, so error messages are compared byte for byte.  Then, in
+a second fresh interpreter that runs no CLI job, so that no digest depends
+on what ran before it, it runs `continuous.evolve_coupled` on
+`pairwise_chain` to convergence, at its own hbar = 1 and at hbar = 0.37,
+and on the seed-1 ring and the mixed
 ring to t = 5, recording every step, and writes a sha256 over every
 trajectory point's time, amplitudes, Rayleigh values and residuals, and a
 sha256 of the eigenvalues from `numerics.jacobi_eigen` of the bundled
@@ -79,9 +83,9 @@ RING_T_MAX = 5.0
 # Every other job runs at hbar = 1, where 1/hbar is exact.
 HBAR = 0.37
 
-# Runs every CLI job, then every trajectory job and every spectrum job in
-# one interpreter; each CLI job's stderr goes to its --out file name plus
-# ".stderr", and the jobs' exit codes go to stdout as JSON.
+# Runs the CLI jobs, then the trajectory jobs and the spectrum jobs it is
+# given; each CLI job's stderr goes to its --out file name plus ".stderr",
+# and the jobs' exit codes go to stdout as JSON.
 RUNNER = textwrap.dedent("""\
     import contextlib, hashlib, json, sys
     import numpy as np
@@ -282,6 +286,46 @@ def dense_three_jobs(inputs: Path) -> list[list[str]]:
          "--max-iter", "200", "--out", "dense3.sweep.csv"],
         ["verify", *base, "--profile", "dense3.soft.json", "--out", "dense3.verify.json"],
         ["nash", *base, "--out", "dense3.nash.json"],
+    ]
+
+
+def term_order_problem() -> dict:
+    """A seeded energy game over x0..x3 with 2, 3, 2 and 3 actions and
+    energies in (-3, 3).  Agent 0 holds pairwise terms with x1, x2 and x3,
+    in that order, of two shapes, so the contraction plan adds its tables
+    in another order than its terms; agents 1-3 each hold one term back to
+    x0."""
+    from coopt.rng import SplitMix64
+
+    stream = SplitMix64(3)
+    cards = (2, 3, 2, 3)
+
+    def term(i, j):
+        table = [[3.0 * stream.uniform_signed() for _ in range(cards[j])] for _ in range(cards[i])]
+        return {"with": f"x{j}", "table": table}
+
+    terms = {0: [term(0, j) for j in (1, 2, 3)]}
+    terms.update({i: [term(i, 0)] for i in (1, 2, 3)})
+    return {
+        "mode": "energy",
+        "variables": [{"name": f"x{i}", "cardinality": c} for i, c in enumerate(cards)],
+        "agents": [{"name": f"agent{i}", "acts_on": f"x{i}", "objective": {"pairwise": terms[i]}}
+                   for i in range(4)],
+    }
+
+
+def term_order_jobs(inputs: Path) -> list[list[str]]:
+    """CLI argv lists for the game whose plan adds agent 0's tables out of
+    term order; writes its problem file to inputs."""
+    problem = inputs / "terms.json"
+    problem.write_text(json.dumps(term_order_problem()))
+    base = ["--problem", str(problem)]
+    return [
+        ["solve", *base, "--alpha", str(SOFT_ALPHA), "--trace", "terms.soft.csv",
+         "--out", "terms.soft.json"],
+        ["sweep", *base, "--alpha-grid", "0.5:8:log:3", "--restarts", "2", "--seed", "3",
+         "--out", "terms.sweep.csv"],
+        ["nash", *base, "--out", "terms.nash.json"],
     ]
 
 
@@ -555,16 +599,20 @@ def spectrum_jobs(inputs: Path) -> list[list[str]]:
 def run_tree(
     root: Path, jobs: list[list[str]], outdir: Path, trajectories=(), spectra=()
 ) -> list[int]:
-    """Run the jobs, trajectory jobs and spectrum jobs with root's coopt,
-    in outdir; returns the jobs' exit codes."""
+    """Run the jobs with root's coopt in outdir, then the trajectory jobs and
+    spectrum jobs in a second, fresh interpreter; returns the jobs' exit
+    codes."""
     outdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", RUNNER],
-        input=json.dumps([jobs, list(trajectories), list(spectra)]),
-        cwd=outdir, env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
+    codes = []
+    for work in ([jobs, [], []], [[], list(trajectories), list(spectra)]):
+        if any(work):
+            done = subprocess.run(
+                [sys.executable, "-c", RUNNER], input=json.dumps(work),
+                cwd=outdir, env=env, capture_output=True, text=True, check=True,
+            )
+            codes += json.loads(done.stdout)
+    return codes
 
 
 def differences(old: Path, new: Path) -> list[str]:
@@ -678,7 +726,7 @@ def main(argv=None) -> int:
         seeded, seeded_spectra = seeded_hamiltonian_jobs(inputs)
         jobs = (game_jobs(inputs) + ring_jobs(inputs) + cycle_jobs(inputs) + mixed_jobs(inputs)
                 + quantum_jobs(inputs) + seeded + reversed_game_jobs(inputs)
-                + dense_three_jobs(inputs)
+                + dense_three_jobs(inputs) + term_order_jobs(inputs)
                 + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
                 + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,

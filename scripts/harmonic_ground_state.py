@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from coopt.continuous import build_grid_hamiltonian, default_step, lowest_states
+from coopt.continuous import build_grid_hamiltonian, lowest_states
 from coopt.numerics import jacobi_eigen
 
 
@@ -24,13 +24,11 @@ def main():
 
     xs = np.linspace(-8.0, 8.0, args.points)
     operator = build_grid_hamiltonian(-8.0, 8.0, args.points, xs**2 / 2.0)
-    dt = args.dt if args.dt is not None else default_step(operator)
-
     psi0 = np.full(args.points, 1.0)
     psi0[: args.points // 2] += np.linspace(0.3, 0.0, args.points // 2)  # break symmetry
     psi0 /= np.linalg.norm(psi0)
 
-    results = lowest_states(operator, args.states, psi0, dt=dt, tol=1e-9)
+    results = lowest_states(operator, args.states, psi0, dt=args.dt, tol=1e-9)
     reference = jacobi_eigen(operator).eigenvalues
 
     print(f"{'state':>5} {'evolved':>12} {'eigensolver':>12} {'analytic':>9}")

@@ -23,9 +23,7 @@ from .discrete import (
 )
 from .model import (
     GameModel,
-    PairwiseEnergy,
     StrategyProfile,
-    densify,
     to_utility_model,  # noqa: F401  perfbench/tracing.py patches this name here
     validate,
     validate_profile,
@@ -141,27 +139,13 @@ def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCer
     return EpsilonCertificate(max(gains), tuple(gains), tuple(deviations), tuple(payoffs))
 
 
-def _full_domain_tensor(model: GameModel, agent) -> np.ndarray:
-    """An agent's objective as a dense table over the joint domain, one axis
-    per agent in agent order, in broadcast shape (length 1 along the agents
-    whose variables it does not read)."""
-    obj = agent.objective
-    if isinstance(obj, PairwiseEnergy):
-        obj = densify(obj, model, agent.acts_on)
-    shape = model.shape_of(obj.order)
-    axes = [model.agent_of[v] for v in obj.order]
-    full = [1] * len(model.agents)
-    for axis, size in zip(axes, shape):
-        full[axis] = size
-    return np.transpose(obj.values.reshape(shape), np.argsort(axes)).reshape(full)
-
-
 def enumerate_pure_nash(model: GameModel) -> list[tuple[int, ...]]:
     """All pure profiles with no strictly improving unilateral deviation.
 
-    Exhaustive over the joint domain; ties count as equilibria.  Energies
-    are compared directly (lower is better), so the result does not depend
-    on hbar.  Profiles come back as per-agent action tuples in the model's
+    Exhaustive over the joint domain, one agent's joint table from the
+    contraction plan at a time; ties count as equilibria.  Energies are
+    compared directly (lower is better), so the result does not depend on
+    hbar.  Profiles come back as per-agent action tuples in the model's
     agent order, listed in lexicographic order.
     """
     full_shape = model.agent_cardinalities()
@@ -171,8 +155,8 @@ def enumerate_pure_nash(model: GameModel) -> list[tuple[int, ...]]:
             f"{MAX_ENUMERATION_SIZE} assignments"
         )
     mask = np.ones(full_shape, dtype=bool)
-    for own_axis, agent in enumerate(model.agents):
-        tensor = _full_domain_tensor(model, agent)
+    for own_axis in range(len(full_shape)):
+        tensor = model.plan.joint_table(own_axis)
         if model.mode == "energy":
             tensor = -tensor  # exact, so the max test orders energies
         best = tensor.max(axis=own_axis, keepdims=True)
@@ -202,11 +186,11 @@ def alpha_sweep(
 
     The first restart of each alpha starts uniform; later restarts start
     from seeded random profiles.  Epsilon is recorded for utility models,
-    the global-minimum hit flag for energy models (against the exhaustive
-    minimum of the summed energies; left empty when the joint domain
-    exceeds MAX_ENUMERATION_SIZE); welfare always, using the Boltzmann
-    weights for energy models (left empty when their mean underflows to 0
-    or overflows).  Cell failures are recorded, not raised.
+    the global-minimum hit flag for energy models (against the minimum of
+    the plan's joint tables, summed one agent at a time; empty when the
+    joint domain exceeds MAX_ENUMERATION_SIZE); welfare always, using the
+    Boltzmann weights for energy models (left empty when their mean
+    underflows to 0 or overflows).  Cell failures are recorded, not raised.
     """
     validate(model)
     alphas = [float(a) for a in alpha_grid]
@@ -217,7 +201,7 @@ def alpha_sweep(
 
     total = None
     if model.mode == "energy" and math.prod(model.agent_cardinalities()) <= MAX_ENUMERATION_SIZE:
-        total = sum(_full_domain_tensor(model, a) for a in model.agents)
+        total = sum(model.plan.joint_table(i) for i in range(len(model.agents)))
         global_min = float(total.min())
 
     rows = []

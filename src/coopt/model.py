@@ -291,48 +291,17 @@ def validate(model: GameModel) -> GameModel:
     return model
 
 
-def energy_to_utility(objective: DenseEnergy, hbar: float) -> DenseUtility:
-    """Boltzmann map u = exp(-E / hbar); strictly positive, order-reversing."""
-    if not (hbar > 0):
-        raise ValueError("hbar must be positive")
-    return DenseUtility(objective.order, np.exp(-objective.values / hbar))
-
-
-def densify(objective: PairwiseEnergy, model: GameModel, own: str) -> DenseEnergy:
-    """Expand a pairwise objective into the equivalent dense energy table.
-
-    The output order is the model's variable order restricted to the own
-    variable plus every referenced neighbor; each entry is the sum of the
-    pairwise tables at that joint assignment.
-    """
-    referenced = {other for other, _ in objective.terms}
-    for other in referenced:
-        model.cardinality(other)  # raises KeyError for unknown references
-    order = sorted(referenced | {own}, key=model._position_of.__getitem__)
-    shape = model.shape_of(order)
-    total = np.zeros(shape)
-    own_axis = order.index(own)
-    for other, table in objective.terms:
-        other_axis = order.index(other)
-        expand = [None] * len(order)
-        expand[own_axis] = slice(None)
-        expand[other_axis] = slice(None)
-        view = table if own_axis < other_axis else table.T
-        total = total + view[tuple(expand)]
-    return DenseEnergy(tuple(order), total.ravel())
-
-
 def to_utility_model(model: GameModel) -> GameModel:
-    """Equivalent utility-maximizing model, u_i = exp(-E_i / hbar).  The
+    """Equivalent utility-maximizing model: agent i's utility is exp(-E/hbar)
+    of plan.joint_table(i), over the variables it reads in agent order.  The
     library certifies energy models directly; this is a reference."""
     if model.mode == "utility":
         return model
     agents = []
-    for agent in model.agents:
-        obj = agent.objective
-        if isinstance(obj, PairwiseEnergy):
-            obj = densify(obj, model, agent.acts_on)
-        agents.append(agent._replace(objective=energy_to_utility(obj, model.hbar)))
+    for i, agent in enumerate(model.agents):
+        table = model.plan.joint_table(i)
+        order = [a.acts_on for j, a in enumerate(model.agents) if table.shape[j] > 1 or j == i]
+        agents.append(agent._replace(objective=DenseUtility(order, np.exp(-table / model.hbar))))
     return replace(model, agents=tuple(agents), mode="utility")
 
 
@@ -368,7 +337,8 @@ class ContractionPlan:
     and unpadded, in one group per table shape.  Log tables put the other
     agents' joint action first, so the log-sum-exp over it reduces over
     contiguous (tables, own) slabs.  One `np.add.at` per group at its flat
-    positions `at` adds each table's result into its owner's row.
+    positions `at` adds each table's result into its owner's row, and
+    `joint_table` lays one agent's tables out for enumeration.
     """
 
     def __init__(self, model: GameModel):
@@ -392,11 +362,27 @@ class ContractionPlan:
             owner = np.array([entry[0] for entry in entries], dtype=np.intp)
             others = tuple(np.array(axis, dtype=np.intp) for axis in zip(*(e[1] for e in entries)))
             tables = np.array([entry[2] for entry in entries])
-            with np.errstate(divide="ignore"):  # -E/hbar in energy mode, log u in utility mode
+            with np.errstate(divide="ignore", over="ignore"):  # -E/hbar or log u; users check inf
                 logs = -tables / model.hbar if model.mode == "energy" else np.log(tables)
             log_tables = logs.reshape(len(entries), own, -1).transpose(2, 0, 1).copy()
             at = (owner[:, None] + len(self.cards) * np.arange(own)).ravel()
             self.groups.append(TableGroup(owner, others, tables, log_tables, at))
+
+    def joint_table(self, agent: int) -> np.ndarray:
+        """One agent's tables summed over the joint domain: one axis per
+        agent in agent order, the agent's own at full length and length 1
+        along every agent it does not read, in broadcast shape.  The tables
+        are added to zeros in the plan's group order."""
+        total = np.zeros([card if j == agent else 1 for j, card in enumerate(self.cards)])
+        for group in self.groups:
+            for k in [k for k, owner in enumerate(group.owner.tolist()) if owner == agent]:
+                axes = [agent, *(int(j[k]) for j in group.others)]
+                shape = [1] * len(self.cards)
+                for axis, size in zip(axes, group.tables.shape[1:]):
+                    shape[axis] = size
+                in_agent_order = sorted(range(len(axes)), key=axes.__getitem__)
+                total = total + group.tables[k].transpose(in_agent_order).reshape(shape)
+        return total
 
     def rows(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-agent vectors of a stacked array, padding dropped.

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
+from dense_expansion import densify
 from coopt import bundled_path
 from coopt.continuous import evolve_coupled, evolve_linear, lowest_states
 from coopt.discrete import iterate_to_fixed_point, random_profile
@@ -24,7 +25,6 @@ from coopt.model import (
     DenseUtility,
     GameModel,
     StrategyProfile,
-    densify,
 )
 from coopt.numerics import DenseSymmetric, jacobi_eigen
 from coopt.rng import random_unit_vector

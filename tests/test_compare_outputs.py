@@ -311,10 +311,61 @@ def test_dense_three_player_game_runs_the_plan_without_edges(tmp_path):
         line, line.replace("= log_sum_exp_first(", "= np.nextafter(log_sum_exp_first(")
         .replace("])\n", "]), np.inf)\n")
     ))
-    # nash enumerates the tables and does not read the plan.
+    # nash reads the plan's joint tables, not its log returns.
     assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
         name for name in outputs if "nash" not in name
     ]
+
+
+def test_tables_added_out_of_term_order_are_compared(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.term_order_jobs(inputs)
+    assert [job[0] for job in jobs] == ["solve", "sweep", "nash"]
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [0, 0, 0]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    outputs = ["terms.nash.json", "terms.soft.csv", "terms.soft.json", "terms.sweep.csv"]
+    assert sorted(p.name for p in new.iterdir()) == sorted(
+        outputs + [job[job.index("--out") + 1] + ".stderr" for job in jobs]
+    )
+    model = load_problem(inputs / "terms.json")
+    # agent 0's terms are with x1, x2 and x3; the plan adds x1, x3, then x2
+    assert [(g.owner.tolist(), g.others[0].tolist()) for g in model.plan.groups] == [
+        ([0, 0], [1, 3]), ([0, 2], [2, 0]), ([1, 3], [0, 0])
+    ]
+    assert json.loads((new / "terms.nash.json").read_text())["count"] == 1
+    hits = {line.rsplit(",", 1)[1] for line in (new / "terms.sweep.csv").read_text().split()[1:]}
+    assert hits == {"true", "false"}
+
+    # A tree whose joint tables hold only the first table of each group.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = tree / "src" / "coopt" / "model.py"
+    source = module.read_text()
+    line = "enumerate(group.owner.tolist()) if owner == agent]:\n"
+    assert source.count(line) == 1
+    module.write_text(source.replace(line, line.replace("group.owner", "group.owner[:1]")))
+    # solve reads the plan's log returns, not its joint tables
+    assert script.compare(ROOT, tree, jobs, tmp_path / "moved") == [
+        "terms.nash.json", "terms.sweep.csv"
+    ]
+
+
+def test_digests_do_not_depend_on_the_cli_jobs_run_before_them(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.mixed_jobs(inputs) + script.term_order_jobs(inputs)
+    trajectories, spectra = script.trajectory_jobs(inputs), script.spectrum_jobs(inputs)
+    codes = script.run_tree(ROOT, jobs, tmp_path / "with", trajectories, spectra)
+    assert len(codes) == len(jobs)
+    assert script.run_tree(ROOT, [], tmp_path / "without", trajectories, spectra) == []
+    digests = sorted(p.name for p in (tmp_path / "without").iterdir())
+    assert len(digests) == len(trajectories) + len(spectra)
+    for name in digests:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
 
 
 def test_differing_and_missing_files_are_listed(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from dense_expansion import densify
 from coopt import bundled_path, continuous, fileio
 from coopt.continuous import (
     RK4_MONOTONE_LIMIT,
@@ -151,8 +152,6 @@ class TestEffectiveHamiltonian:
         cards = model.agent_cardinalities()
         dists = helpers.random_profile_arrays(22, cards)
         state = WaveState(tuple(np.sqrt(d) for d in dists))
-        from coopt.model import densify
-
         dense_model = GameModel(
             model.variables,
             tuple(

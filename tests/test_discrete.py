@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from dense_expansion import densify
 from coopt import bundled_path, fileio
 from coopt.cli import parse_alpha_grid
 from coopt.discrete import (
@@ -26,7 +27,6 @@ from coopt.model import (
     GameModel,
     PairwiseEnergy,
     StrategyProfile,
-    densify,
     stack,
 )
 from coopt.rng import derive_seed

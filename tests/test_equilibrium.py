@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from coopt.discrete import iterate_to_fixed_point
+from coopt.discrete import iterate_to_fixed_point, random_profile
 from coopt.equilibrium import (
     EnumerationTooLargeError,
     alpha_sweep,
@@ -24,6 +24,7 @@ from coopt.model import (
     to_utility_model,
     validate,
 )
+from coopt.rng import SplitMix64
 
 
 def coordination_game():
@@ -74,6 +75,47 @@ def agreement_energy(shift=0.0, hbar=1.0):
         ),
         hbar=hbar,
     )
+
+
+def term_order_game(seed):
+    """Energy game over x0..x3 with 2, 3, 2 and 3 actions and energies in
+    (-3, 3), whose three-term sums round by their order.  Agent 0 holds
+    pairwise terms with x1, x2 and x3, in that order, of two shapes, so the
+    contraction plan adds its tables in another order than its terms;
+    agents 1-3 each hold one term back to x0."""
+    cards = (2, 3, 2, 3)
+    stream = SplitMix64(seed)
+
+    def table(i, j):
+        return np.array([[3.0 * stream.uniform_signed() for _ in range(cards[j])]
+                         for _ in range(cards[i])])
+
+    terms = tuple((f"x{j}", table(0, j)) for j in (1, 2, 3))
+    agents = [Agent("agent0", "x0", PairwiseEnergy(terms))]
+    agents += [Agent(f"agent{i}", f"x{i}", PairwiseEnergy((("x0", table(i, 0)),)))
+               for i in (1, 2, 3)]
+    return GameModel(tuple(DomainSpec(f"x{i}", c) for i, c in enumerate(cards)), tuple(agents))
+
+
+def energies_by_enumeration(model):
+    """Each pairwise agent's energy at every joint assignment, in
+    lexicographic order, summed term by term in Python floats."""
+    energies = {}
+    for joint in itertools.product(*map(range, model.agent_cardinalities())):
+        assignment = {a.acts_on: action for a, action in zip(model.agents, joint)}
+        energies[joint] = [helpers.pairwise_sum(a.objective.terms, joint[i], assignment)
+                           for i, a in enumerate(model.agents)]
+    return energies
+
+
+def pure_nash_by_enumeration(model):
+    """The joint assignments where no agent lowers its energy alone."""
+    energies = energies_by_enumeration(model)
+    return [
+        joint for joint, values in energies.items()
+        if all(values[i] <= energies[joint[:i] + (a,) + joint[i + 1:]][i]
+               for i, card in enumerate(model.agent_cardinalities()) for a in range(card))
+    ]
 
 
 def binary_chain(n):
@@ -222,8 +264,15 @@ class TestPureNashEnumeration:
         model = replace(helpers.random_pairwise_model(seed), hbar=1.0)
         listed = enumerate_pure_nash(model)
         assert listed == enumerate_pure_nash(to_utility_model(model))
-        for hbar in (1e-3, 1e3):
+        for hbar in (1e-320, 1e-3, 1e3):
             assert enumerate_pure_nash(replace(model, hbar=hbar)) == listed
+
+    @pytest.mark.parametrize("seed", range(280, 292))
+    def test_tables_added_out_of_term_order_list_the_enumerated_equilibria(self, seed):
+        model = term_order_game(seed)
+        first = model.plan.groups[0]
+        assert first.owner.tolist() == [0, 0] and first.others[0].tolist() == [1, 3]
+        assert enumerate_pure_nash(model) == pure_nash_by_enumeration(model)
 
     @pytest.mark.parametrize("seed", range(230, 260))
     def test_soundness_and_completeness_on_random_games(self, seed):
@@ -334,6 +383,20 @@ class TestAlphaSweep:
         report = alpha_sweep(model, grid, restarts=3, base_seed=seed)
         assert alpha_sweep(shuffled, grid, restarts=3, base_seed=seed) == report
         assert {row.global_hit for row in report.rows} == {True, False}
+
+    @pytest.mark.parametrize("seed", range(280, 292))
+    def test_tables_added_out_of_term_order_hit_the_enumerated_minimum(self, seed):
+        model = term_order_game(seed)
+        totals = {joint: sum(values) for joint, values in energies_by_enumeration(model).items()}
+        lowest = min(totals.values())
+        grid, restarts = [0.5, 2.0, 8.0], 3
+        report = alpha_sweep(model, grid, restarts=restarts, base_seed=seed)
+        cells = itertools.product(grid, range(restarts))
+        for row, (alpha, r) in zip(report.rows, cells, strict=True):
+            init = None if r == 0 else random_profile(model, row.seed)
+            profile = iterate_to_fixed_point(model, alpha, init).profile
+            value = totals[decode_assignment(profile)]
+            assert row.global_hit == (value <= lowest + 1e-12 * (1.0 + abs(lowest)))
 
     def test_energy_model_beyond_the_enumeration_cap_leaves_global_hit_empty(self):
         report = alpha_sweep(binary_chain(21), [1.0, 8.0], restarts=2)  # 2**21 assignments

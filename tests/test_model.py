@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from dense_expansion import densify
 from coopt.model import (
     PROBABILITY_TOL,
     Agent,
@@ -16,8 +17,6 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
     ValidationError,
-    densify,
-    energy_to_utility,
     stack,
     to_utility_model,
     validate,
@@ -214,15 +213,20 @@ class TestValidate:
         assert [m for m in raised.value.problems if "non-finite" in m] == want
 
 
+def boltzmann_utilities(energies, hbar):
+    """The utilities to_utility_model gives a single agent's energies."""
+    model = to_utility_model(helpers.single_agent_energy(energies, hbar))
+    assert model.mode == "utility" and model.agents[0].objective.order == ("x",)
+    return model.agents[0].objective.values
+
+
 class TestEnergyToUtility:
     def test_zero_energy_gives_unit_utility(self):
-        obj = DenseEnergy(("x",), [0.0, 0.0])
-        np.testing.assert_array_equal(energy_to_utility(obj, 0.37).values, [1.0, 1.0])
+        np.testing.assert_array_equal(boltzmann_utilities([0.0, 0.0], 0.37), [1.0, 1.0])
 
     def test_energy_equal_hbar(self):
-        obj = DenseEnergy(("x",), [2.5])
-        assert energy_to_utility(obj, 2.5).values[0] == pytest.approx(math.exp(-1.0))
-        assert energy_to_utility(obj, 2.5).values[0] == pytest.approx(0.367879, abs=1e-6)
+        assert boltzmann_utilities([2.5], 2.5)[0] == pytest.approx(math.exp(-1.0))
+        assert boltzmann_utilities([2.5], 2.5)[0] == pytest.approx(0.367879, abs=1e-6)
 
     @given(
         st.lists(st.floats(min_value=-20, max_value=20), min_size=1, max_size=6),
@@ -230,8 +234,8 @@ class TestEnergyToUtility:
         st.floats(min_value=0.1, max_value=3.0),
     )
     def test_constant_shift_scales_utilities(self, energies, c, hbar):
-        base = energy_to_utility(DenseEnergy(("x",), energies), hbar).values
-        shifted = energy_to_utility(DenseEnergy(("x",), np.array(energies) + c), hbar).values
+        base = boltzmann_utilities(energies, hbar)
+        shifted = boltzmann_utilities(np.array(energies) + c, hbar)
         np.testing.assert_allclose(shifted, base * math.exp(-c / hbar), rtol=1e-12)
 
     @given(
@@ -239,12 +243,11 @@ class TestEnergyToUtility:
         st.floats(min_value=0.1, max_value=3.0),
     )
     def test_log_round_trip(self, energies, hbar):
-        u = energy_to_utility(DenseEnergy(("x",), energies), hbar)
-        recovered = -hbar * np.log(u.values)
+        recovered = -hbar * np.log(boltzmann_utilities(energies, hbar))
         np.testing.assert_allclose(recovered, energies, atol=1e-12 * (1 + hbar * 25))
 
     def test_order_reversing(self):
-        u = energy_to_utility(DenseEnergy(("x",), [0.0, 1.0, 2.0]), 1.0).values
+        u = boltzmann_utilities([0.0, 1.0, 2.0], 1.0)
         assert u[0] > u[1] > u[2] > 0
 
 

@@ -1,9 +1,11 @@
 """The compiled contraction plan: models that mix dense and pairwise agents
 of different cardinalities, whose stacked arrays are padded, checked
 against the brute-force oracles; the stacks' memory layout and the
-bitwise order of the per-agent table sums; and the calls per iteration and
-per step that the benchmark's tracer counts."""
+bitwise order of the per-agent table sums; each agent's joint table, which
+enumeration reads; and the calls per iteration and per step that the
+benchmark's tracer counts."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from dense_expansion import densify, full_domain_table
 from coopt import bundled_path, continuous, discrete, fileio
 from coopt.continuous import WaveState, effective_hamiltonian, evolve_coupled
 from coopt.discrete import (
@@ -30,7 +33,6 @@ from coopt.model import (
     GameModel,
     PairwiseEnergy,
     StrategyProfile,
-    densify,
     stack,
     to_utility_model,
 )
@@ -331,6 +333,55 @@ def test_a_model_without_tables_contracts_to_nothing():
     np.testing.assert_array_equal(plan.log_returns(p), plan.log_one)
     np.testing.assert_array_equal(plan.expectations(p), np.zeros((2, 3)))
     assert continuous.coupled_scale(model) == 0.0
+
+
+def reversed_dense_orders(model):
+    """The model with each dense table's variables listed last to first."""
+    agents = []
+    for agent in model.agents:
+        obj = agent.objective
+        values = obj.values.reshape(model.shape_of(obj.order)).T
+        agents.append(agent._replace(objective=type(obj)(obj.order[::-1], values)))
+    return replace(model, agents=tuple(agents))
+
+
+JOINT_TABLE_MODELS = {
+    **{name: lambda name=name: fileio.load_problem(bundled_path(name))
+       for name in ("coordination", "matching_pennies", "pairwise_chain", "prisoners_dilemma")},
+    "mixed-energy": lambda: mixed_shape_model("energy"),
+    "mixed-utility": lambda: mixed_shape_model("utility"),
+    **{f"pairwise{seed}": lambda seed=seed: helpers.random_pairwise_model(seed)
+       for seed in range(300, 312)},
+    **{f"dense{seed}-{mode}": lambda seed=seed, mode=mode: helpers.random_dense_model(
+        seed, n_agents=2 + seed % 3, card=2 + seed % 2, mode=mode)
+       for seed in range(312, 318) for mode in ("energy", "utility")},
+    **{f"dense{seed}-reversed": lambda seed=seed: reversed_dense_orders(
+        helpers.random_dense_model(seed, n_agents=seed % 3 + 2, card=3, mode="energy"))
+       for seed in range(318, 321)},
+}
+
+
+@pytest.mark.parametrize("build", JOINT_TABLE_MODELS.values(), ids=JOINT_TABLE_MODELS.keys())
+def test_joint_tables_match_enumeration_and_the_densified_tables(build):
+    model = build()
+    cards = model.agent_cardinalities()
+    for i, agent in enumerate(model.agents):
+        obj = agent.objective
+        table = model.plan.joint_table(i)
+        pairwise = isinstance(obj, PairwiseEnergy)
+        read = {model.agent_of[v] for v in ([v for v, _ in obj.terms] if pairwise else obj.order)}
+        assert table.shape == tuple(c if j in read | {i} else 1 for j, c in enumerate(cards))
+        want = np.empty(cards)
+        for joint in itertools.product(*map(range, cards)):
+            assignment = {a.acts_on: action for a, action in zip(model.agents, joint)}
+            want[joint] = (
+                helpers.pairwise_sum(obj.terms, joint[i], assignment) if pairwise
+                else helpers.dense_value(model, obj, assignment)
+            )
+        assert_close([np.broadcast_to(table, cards)], [want])
+        # With one table shape, the plan's group order is the terms' order.
+        if not pairwise or len({t.shape for _, t in obj.terms}) == 1:
+            np.testing.assert_array_equal(table, full_domain_table(model, i), strict=True)
 
 
 def test_epsilon_of_a_solved_profile_matches_contiguous_copies_bitwise():
