@@ -24,9 +24,7 @@ def main():
 
     xs = np.linspace(-8.0, 8.0, args.points)
     operator = build_grid_hamiltonian(-8.0, 8.0, args.points, xs**2 / 2.0)
-    psi0 = np.full(args.points, 1.0)
-    psi0[: args.points // 2] += np.linspace(0.3, 0.0, args.points // 2)  # break symmetry
-    psi0 /= np.linalg.norm(psi0)
+    psi0 = np.ones(args.points)  # the uniform start; lowest_states normalizes it
 
     results = lowest_states(operator, args.states, psi0, dt=args.dt, tol=1e-9)
     reference = jacobi_eigen(operator).eigenvalues

@@ -238,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=continuous.DEFAULT_STATIONARY_TOL)
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--states", type=int, default=1, help="number of lowest states")
-    p.add_argument("--init", choices=("uniform", "random"), default="uniform")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--init", choices=("uniform", "random"), default="uniform",
+                   help="start of state 0; state k >= 1 starts from a seeded random vector")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of --init random; state k >= 1 starts from seed + k")
     p.add_argument("--out", default=None, help="report JSON (stdout when omitted)")
     p.add_argument("--trace", default=None, help="trajectory CSV")
     p.set_defaults(func=_cmd_quantum)

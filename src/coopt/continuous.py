@@ -318,9 +318,9 @@ def lowest_states(
 ) -> list[tuple[list[TrajectoryPoint], StationaryReport, np.ndarray]]:
     """Ground state plus the next count-1 states via repeated deflation.
 
-    Each later run starts from psi0 projected out of the states found so
-    far, falling back to a seeded random direction when psi0 lies inside
-    their span.
+    State 0 starts from psi0 and state k >= 1 from the seed + k random unit
+    vector, which no symmetry of psi0 confines; evolve_linear projects each
+    start off the states found so far.  State 0 never depends on count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -331,12 +331,8 @@ def lowest_states(
     found: list[np.ndarray] = []
     results = []
     for k in range(count):
-        start = np.asarray(psi0, dtype=float)
-        basis = _orthonormalize(found)
-        if basis is not None:
-            projected = start - basis @ (basis.T @ start)
-            if float(np.linalg.norm(projected)) < 1e-8:
-                start = random_unit_vector(operator.dimension, seed + k)
+        start = psi0 if k == 0 else random_unit_vector(operator.dimension, seed + k)
+        start = np.asarray(start, dtype=float)
         start = start / float(np.linalg.norm(start))
         points, report = evolve_linear(
             operator, start, dt=dt, t_max=t_max, tol=tol, hbar=hbar, deflate=tuple(found)

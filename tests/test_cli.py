@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import helpers
@@ -367,6 +368,16 @@ class TestQuantum:
         assert lines[0] == "t,agent,action,psi,lambda,residual"
         labels = {row.split(",")[1] for row in lines[1:]}
         assert labels == {"0", "1"}
+
+    def test_default_init_writes_the_oscillator_states_in_spectral_order(self, tmp_path):
+        # the uniform start is even; later states start from seeded random vectors
+        out = tmp_path / "q.json"
+        proc = run_cli("quantum", "--hamiltonian", HARMONIC, "--states", "5", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        states = json.loads(out.read_text())["states"]
+        assert all(s["converged"] for s in states)
+        expected = np.linalg.eigvalsh(fileio.load_hamiltonian(HARMONIC).matrix)[:5]
+        np.testing.assert_allclose([s["rayleigh"] for s in states], expected, rtol=0, atol=1e-6)
 
     def test_default_step_reaches_the_oracle_ground_state(self, tmp_path):
         operator = fileio.load_hamiltonian(HARMONIC)

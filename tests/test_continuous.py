@@ -463,6 +463,43 @@ class TestEvolveLinear:
             evolve_linear(op, psi0, record_every=every)
 
 
+class TestLowestStates:
+    @staticmethod
+    def assert_in_spectral_order(results, eigenvalues):
+        assert all(report.converged for _, report, _ in results)
+        found = [report.states[0].rayleigh for _, report, _ in results]
+        np.testing.assert_allclose(found, eigenvalues[: len(found)], rtol=0, atol=1e-6)
+
+    def test_a_level_the_start_misses_is_found_in_order(self):
+        # psi0 has no weight on level 1; state 1 must reach it all the same
+        op = Diagonal(np.array([0.0, 1.0, 2.0, 3.0]))
+        psi0 = np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3.0)
+        self.assert_in_spectral_order(lowest_states(op, 4, psi0), op.entries)
+
+    def test_a_persymmetric_operator_is_climbed_in_order_from_the_uniform_start(self):
+        # h commutes with the reversal, so the even uniform start stays
+        # even; its lowest level is even, so state 0 is reachable from it
+        h = helpers.random_symmetric_matrix(4, 12, span=2.0)
+        h = 0.5 * (h + h[::-1, ::-1])
+        psi0 = np.full(12, 1.0 / math.sqrt(12.0))
+        results = lowest_states(DenseSymmetric(h), 5, psi0)
+        self.assert_in_spectral_order(results, np.linalg.eigvalsh(h))
+
+    def test_state_zero_is_the_flow_from_psi0_whatever_the_count(self):
+        op = DenseSymmetric(helpers.random_symmetric_matrix(306, 8, span=2.0))
+        psi0 = 3.0 * np.sqrt(helpers.random_profile_arrays(307, [8])[0])
+        (points, report, psi), *_ = lowest_states(op, 3, psi0)
+        expected_points, expected_report = evolve_linear(op, psi0 / np.linalg.norm(psi0))
+        assert report == expected_report
+        assert len(points) == len(expected_points)
+        for point, expected in zip(points, expected_points):
+            assert (point.time, point.rayleigh, point.residual) == (
+                expected.time, expected.rayleigh, expected.residual
+            )
+            assert np.array_equal(point.amplitudes[0], expected.amplitudes[0])
+        assert np.array_equal(psi, expected_points[-1].amplitudes[0])
+
+
 class TestEvolveCoupled:
     def test_single_agent_reduces_to_linear_evolution(self):
         # evolve_linear steps on H - 1.0 I, the energies centred on 0, whose

@@ -29,10 +29,11 @@ def test_pd_alpha_sweep_writes_the_report_csv(tmp_path):
 
 
 def test_harmonic_ground_state_matches_the_eigensolver():
-    proc = run_script("harmonic_ground_state.py", "--points", "51", "--states", "2")
+    # the script starts from the even uniform vector, and state 1 is odd
+    proc = run_script("harmonic_ground_state.py", "--points", "51", "--states", "3")
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["state", "evolved", "eigensolver", "analytic"]
-    assert len(rows) == 2
+    assert len(rows) == 3
     for k, row in enumerate(rows):
         state, evolved, eigensolver, analytic = row.split()
         assert (int(state), float(analytic)) == (k, k + 0.5)
