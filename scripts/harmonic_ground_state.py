@@ -30,11 +30,11 @@ def main():
     reference = jacobi_eigen(operator).eigenvalues
 
     print(f"{'state':>5} {'evolved':>12} {'eigensolver':>12} {'analytic':>9}")
-    for k, (_, report, _) in enumerate(results):
+    for k, (points, converged) in enumerate(results):
         analytic = k + 0.5
         print(
-            f"{k:5d} {report.states[0].rayleigh:12.8f} {reference[k]:12.8f} {analytic:9.1f}"
-            + ("" if report.converged else "  (not stationary)")
+            f"{k:5d} {points[-1].rayleigh[0]:12.8f} {reference[k]:12.8f} {analytic:9.1f}"
+            + ("" if converged else "  (not stationary)")
         )
 
 

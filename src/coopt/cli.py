@@ -155,8 +155,8 @@ def _cmd_quantum(args) -> int:
         seed=args.seed,
     )
     entries = [
-        fileio.quantum_state_entry(k, report, psi)
-        for k, (_, report, psi) in enumerate(results)
+        fileio.quantum_state_entry(k, points[-1], converged)
+        for k, (points, converged) in enumerate(results)
     ]
     fileio.write_document(
         fileio.quantum_document(entries, dt=dt, tol=args.tol, hbar=args.hbar), args.out
@@ -164,9 +164,9 @@ def _cmd_quantum(args) -> int:
     if args.trace is not None:
         continuous.write_trajectory_csv(
             args.trace,
-            ((points, [str(k)]) for k, (points, _, _) in enumerate(results)),
+            ((points, [str(k)]) for k, (points, _) in enumerate(results)),
         )
-    all_converged = all(report.converged for _, report, _ in results)
+    all_converged = all(converged for _, converged in results)
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
 
 

@@ -72,18 +72,6 @@ class WaveState(Frozen):
         )
 
 
-class StationaryState(NamedTuple):
-    rayleigh: float
-    residual: float
-    matched_index: int | None = None
-
-
-class StationaryReport(NamedTuple):
-    states: tuple[StationaryState, ...]
-    time: float
-    converged: bool
-
-
 class TrajectoryPoint(NamedTuple):
     time: float
     amplitudes: tuple[np.ndarray, ...]
@@ -241,12 +229,13 @@ def evolve_linear(
     hbar: float = 1.0,
     deflate: tuple[np.ndarray, ...] = (),
     record_every: int | None = None,
-) -> tuple[list[TrajectoryPoint], StationaryReport]:
+) -> tuple[list[TrajectoryPoint], bool]:
     """Evolve one unit vector under a fixed operator until stationary.
 
     Stops when ||H psi - lambda psi|| <= tol (projected out of the deflated
     subspace when `deflate` vectors are given) or when t_max (by default
-    DEFAULT_T_MAX * hbar) is reached.
+    DEFAULT_T_MAX * hbar) is reached.  Returns (points, converged): the
+    stop is always recorded, so points[-1] is the stationary state.
     The flow steps on H - sigma I, with sigma the centre and w the
     half-width of operator.interval(): the same renormalized flow, whose
     residual is the same and whose Rayleigh quotient is sigma less.  The
@@ -291,19 +280,14 @@ def evolve_linear(
         converged = residual <= tol
         done = converged or step >= max_steps
         if done or step % record_every == 0:
-            points.append(TrajectoryPoint(t, (psi.copy(),), (rayleigh,), (residual,)))
+            points.append(TrajectoryPoint(t, (psi,), (rayleigh,), (residual,)))
         if done:
-            break
+            return points, converged
         psi = rk4_step(shifted, psi, step_size, k1=h_psi)
         if basis is not None:
             psi = psi - basis @ (basis.T @ psi)
-        psi = _renormalized(psi, step + 1)
+        psi = _renormalized(psi, step + 1)  # a new array: the points keep theirs
         step += 1
-
-    report = StationaryReport(
-        states=(StationaryState(rayleigh, residual),), time=t, converged=converged
-    )
-    return points, report
 
 
 def lowest_states(
@@ -315,12 +299,14 @@ def lowest_states(
     tol: float = DEFAULT_STATIONARY_TOL,
     hbar: float = 1.0,
     seed: int = 0,
-) -> list[tuple[list[TrajectoryPoint], StationaryReport, np.ndarray]]:
-    """Ground state plus the next count-1 states via repeated deflation.
+) -> list[tuple[list[TrajectoryPoint], bool]]:
+    """Ground state plus the next count-1 states via repeated deflation:
+    one evolve_linear (points, converged) pair per state.
 
     State 0 starts from psi0 and state k >= 1 from the seed + k random unit
     vector, which no symmetry of psi0 confines; evolve_linear projects each
-    start off the states found so far.  State 0 never depends on count.
+    start off the last points of the states found so far.  State 0 never
+    depends on count.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -334,12 +320,11 @@ def lowest_states(
         start = psi0 if k == 0 else random_unit_vector(operator.dimension, seed + k)
         start = np.asarray(start, dtype=float)
         start = start / float(np.linalg.norm(start))
-        points, report = evolve_linear(
+        points, converged = evolve_linear(
             operator, start, dt=dt, t_max=t_max, tol=tol, hbar=hbar, deflate=tuple(found)
         )
-        psi = points[-1].amplitudes[0]
-        found.append(psi)
-        results.append((points, report, psi))
+        found.append(points[-1].amplitudes[0])
+        results.append((points, converged))
     return results
 
 
@@ -350,17 +335,18 @@ def evolve_coupled(
     t_max: float | None = None,
     tol: float = DEFAULT_STATIONARY_TOL,
     record_every: int | None = None,
-) -> tuple[list[TrajectoryPoint], StationaryReport]:
+) -> tuple[list[TrajectoryPoint], bool]:
     """Evolve all agents together, rebuilding every effective operator from
     the same state snapshot each step.
 
     Stops when every agent's residual against its current effective
     operator is <= tol, or at t_max (by default DEFAULT_T_MAX times the
-    model's hbar).  The step is sized and checked against
-    coupled_scale(model), which bounds the effective operators over the
-    whole run.  With a single agent the operator is fixed: on energies
-    E - sigma, sigma the centre of E's range, this flow takes exactly the
-    steps evolve_linear takes on Diagonal(E).
+    model's hbar).  Returns (points, converged), as evolve_linear does:
+    points[-1] holds every agent's stationary state.  The step is sized
+    and checked against coupled_scale(model), which bounds the effective
+    operators over the whole run.  With a single agent the operator is
+    fixed: on energies E - sigma, sigma the centre of E's range, this flow
+    takes exactly the steps evolve_linear takes on Diagonal(E).
     """
     _require_energy(model)
     hbar = model.hbar
@@ -389,24 +375,12 @@ def evolve_coupled(
                 t, plan.rows(amplitudes), tuple(rayleighs.tolist()), tuple(residuals.tolist())
             ))
         if done:
-            break
-        stepped = np.zeros_like(amplitudes)
-        slopes, rates = plan.rows(h_psi), plan.rows(energies)
-        for i, psi in enumerate(plan.rows(amplitudes)):
-            # the agent's frozen diagonal operator y -> rates[i] * y
-            stepped[i, : psi.size] = _renormalized(
-                rk4_step(rates[i].__mul__, psi, step_size, k1=slopes[i]), step + 1
-            )
-        amplitudes = stepped
+            return points, converged
+        for i, card in enumerate(plan.cards):
+            # the agent's row in place, on its frozen operator y -> rates * y
+            psi, rates, slope = amplitudes[i, :card], energies[i, :card], h_psi[i, :card]
+            psi[:] = _renormalized(rk4_step(rates.__mul__, psi, step_size, k1=slope), step + 1)
         step += 1
-
-    states = zip(rayleighs.tolist(), residuals.tolist())
-    report = StationaryReport(
-        states=tuple(StationaryState(l, r) for l, r in states),
-        time=t,
-        converged=converged,
-    )
-    return points, report
 
 
 def build_grid_hamiltonian(

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .continuous import StationaryReport, build_grid_hamiltonian
+from .continuous import TrajectoryPoint, build_grid_hamiltonian
 from .discrete import FixedPointResult
 from .equilibrium import EpsilonCertificate
 from .model import (
@@ -308,16 +308,14 @@ def quantum_document(
     }
 
 
-def quantum_state_entry(
-    index: int, report: StationaryReport, psi: np.ndarray
-) -> dict:
-    state = report.states[0]
+def quantum_state_entry(index: int, last: TrajectoryPoint, converged: bool) -> dict:
+    """State index's entry: its flow's last point and converged flag."""
     return {
         "index": index,
-        "rayleigh": float(state.rayleigh),
-        "residual": float(state.residual),
-        "matched_eigenvalue_index": state.matched_index,
-        "time": float(report.time),
-        "converged": bool(report.converged),
-        "amplitudes": psi.tolist(),
+        "rayleigh": float(last.rayleigh[0]),
+        "residual": float(last.residual[0]),
+        "matched_eigenvalue_index": None,
+        "time": float(last.time),
+        "converged": bool(converged),
+        "amplitudes": last.amplitudes[0].tolist(),
     }

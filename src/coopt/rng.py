@@ -84,7 +84,7 @@ def random_unit_vector(dimension: int, seed: int) -> np.ndarray:
     """Unit-norm vector with components uniform in (-1, 1) before scaling."""
     stream = SplitMix64(seed)
     while True:
-        v = np.array([stream.uniform_signed() for _ in range(dimension)])
+        v = stream.uniform_signed_block(dimension)
         norm = float(np.linalg.norm(v))
         if norm > 1e-6:
             return v / norm

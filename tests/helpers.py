@@ -131,6 +131,30 @@ def random_pairwise_model(seed, max_agents=4, max_card=4):
     return GameModel(variables, tuple(agents), hbar=hbar, mode="energy")
 
 
+def rounding_pairwise_model(seed):
+    """Seeded random pairwise energy model whose sums depend on their order.
+
+    The entries are 3.0 * uniform_signed(), which are not all multiples of
+    one power of two, so a sum of three tables rounds differently in another
+    order; random_pairwise_model's draws add exactly.  Four or five agents
+    share one cardinality, and each holds a table against every other agent,
+    so each agent's tables are three or more of one shape.
+    """
+    s = SplitMix64(seed)
+    n = 4 + s.next_u64() % 2
+    card = 2 + s.next_u64() % 2
+    variables = tuple(DomainSpec(f"v{i}", card) for i in range(n))
+    agents = []
+    for i in range(n):
+        terms = tuple(
+            (f"v{j}", np.array([[3.0 * s.uniform_signed() for _ in range(card)]
+                                for _ in range(card)]))
+            for j in range(n) if j != i
+        )
+        agents.append(Agent(f"agent{i}", f"v{i}", PairwiseEnergy(terms)))
+    return GameModel(variables, tuple(agents), hbar=0.5 + 1.5 * s.uniform(), mode="energy")
+
+
 def random_dense_model(seed, n_agents, card, mode="utility", value_span=1.0):
     """Seeded random dense model; utilities in [0, span), energies in (-span, span)."""
     s = SplitMix64(seed)

@@ -142,11 +142,12 @@ def test_criterion_5_stationary_values_are_eigenvalues():
             psi0 = random_unit_vector(8, seed)
             dt = 0.9 / helpers.row_sum_bound(op)
             results = lowest_states(op, 2, psi0, dt=dt, tol=1e-8, seed=seed)
-            (_, ground, _), (_, excited, _) = results
-            assert ground.converged and ground.states[0].residual <= 1e-8
-            assert abs(ground.states[0].rayleigh - eig.eigenvalues[0]) <= 1e-6
-            assert excited.converged
-            assert abs(excited.states[0].rayleigh - eig.eigenvalues[1]) <= 1e-5
+            (ground_points, ground_converged), (excited_points, excited_converged) = results
+            ground, excited = ground_points[-1], excited_points[-1]
+            assert ground_converged and ground.residual[0] <= 1e-8
+            assert abs(ground.rayleigh[0] - eig.eigenvalues[0]) <= 1e-6
+            assert excited_converged
+            assert abs(excited.rayleigh[0] - eig.eigenvalues[1]) <= 1e-5
     report(5, "20 random operators: ground and deflated first-excited values match", budget)
 
 
@@ -155,9 +156,9 @@ def test_criterion_6_harmonic_oscillator_ground_state():
         operator = load_hamiltonian(bundled_path("harmonic_oscillator"))
         n = operator.dimension
         psi0 = np.full(n, 1.0 / np.sqrt(n))
-        _, evolved = evolve_linear(operator, psi0, tol=1e-8)
-        assert evolved.converged
-        lam = evolved.states[0].rayleigh
+        points, converged = evolve_linear(operator, psi0, tol=1e-8)
+        assert converged
+        lam = points[-1].rayleigh[0]
         reference = jacobi_eigen(operator).eigenvalues[0]
         assert abs(lam - reference) <= 1e-8 * abs(reference)
         assert abs(lam - 0.5) < 5e-3

@@ -444,14 +444,17 @@ def test_trajectory_digests_catch_a_last_bit_change(tmp_path):
                                          "ring1.coupled.sha256"]
     assert all(len(p.read_text().strip()) == 64 for p in digests)
 
-    # A tree whose renormalized amplitudes move by one ulp after each step.
+    # A tree whose renormalized amplitudes move by one ulp after each step:
+    # each agent's row, once written in place, is moved.
     tree = tmp_path / "tree"
     shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     continuous = tree / "src" / "coopt" / "continuous.py"
     source = continuous.read_text()
-    assert source.count("        amplitudes = stepped\n") == 1
+    write = ("            psi[:] = _renormalized("
+             "rk4_step(rates.__mul__, psi, step_size, k1=slope), step + 1)\n")
+    assert source.count(write) == 1
     continuous.write_text(source.replace(
-        "        amplitudes = stepped\n", "        amplitudes = np.nextafter(stepped, 2.0)\n"
+        write, write + "            psi[:] = np.nextafter(psi, 2.0)\n"
     ))
     found = script.compare(ROOT, tree, [], tmp_path / "moved", trajectories)
     assert found == [p.name for p in digests]

@@ -211,18 +211,18 @@ class TestStationarityCheck:
 class TestEvolveLinear:
     def test_zero_operator_is_stationary_immediately(self):
         psi0 = np.array([0.6, 0.8])
-        points, report = evolve_linear(Diagonal(np.zeros(2)), psi0)
-        assert report.converged and report.time == 0.0
-        assert report.states[0].rayleigh == 0.0
-        assert report.states[0].residual == 0.0
+        points, converged = evolve_linear(Diagonal(np.zeros(2)), psi0)
+        assert converged and points[-1].time == 0.0
+        assert points[-1].rayleigh[0] == 0.0
+        assert points[-1].residual[0] == 0.0
         np.testing.assert_array_equal(points[-1].amplitudes[0], psi0)
 
     def test_two_level_system_selects_the_ground_state(self):
         op = Diagonal(np.array([1.0, 2.0]))
         psi0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        points, report = evolve_linear(op, psi0, tol=1e-10)
-        assert report.converged
-        assert report.states[0].rayleigh == pytest.approx(1.0, abs=1e-9)
+        points, converged = evolve_linear(op, psi0, tol=1e-10)
+        assert converged
+        assert points[-1].rayleigh[0] == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(np.abs(points[-1].amplitudes[0]), [1.0, 0.0], atol=1e-8)
 
     @pytest.mark.parametrize("seed", [201, 202, 203])
@@ -234,17 +234,17 @@ class TestEvolveLinear:
         psi0 = np.sqrt(psi0)  # positive, generic against the ground state
         psi0 /= np.linalg.norm(psi0)
         dt = 0.9 / helpers.row_sum_bound(op)
-        _, report = evolve_linear(op, psi0, dt=dt, tol=1e-8)
-        assert report.converged
-        assert abs(report.states[0].rayleigh - eig.eigenvalues[0]) <= 1e-6
-        assert match_eigenvalue(report.states[0].rayleigh, eig) == 0
+        points, converged = evolve_linear(op, psi0, dt=dt, tol=1e-8)
+        assert converged
+        assert abs(points[-1].rayleigh[0] - eig.eigenvalues[0]) <= 1e-6
+        assert match_eigenvalue(points[-1].rayleigh[0], eig) == 0
 
     def test_deflation_reaches_the_second_state(self):
         op = Diagonal(np.array([1.0, 2.0, 3.0]))
         psi0 = np.array([3.0, 2.0, 1.0])
         psi0 /= np.linalg.norm(psi0)
         results = lowest_states(op, 2, psi0, tol=1e-9)
-        assert [r.states[0].rayleigh for _, r, _ in results] == pytest.approx(
+        assert [points[-1].rayleigh[0] for points, _ in results] == pytest.approx(
             [1.0, 2.0], abs=1e-5
         )
 
@@ -295,10 +295,10 @@ class TestEvolveLinear:
         runs = []
         for shift in (0.0, 1000.0, -1000.0):
             op = Diagonal(np.array([0.0, 1.0, 2.0]) + shift)
-            _, report = evolve_linear(op, psi0)
-            assert report.converged
-            assert report.states[0].rayleigh == pytest.approx(shift, abs=1e-9)
-            runs.append((report.time / default_step(op), report.time))
+            points, converged = evolve_linear(op, psi0)
+            assert converged
+            assert points[-1].rayleigh[0] == pytest.approx(shift, abs=1e-9)
+            runs.append((points[-1].time / default_step(op), points[-1].time))
         assert runs == [(12.0, runs[0][1])] * 3
 
     def test_default_step_refuses_a_scale_past_the_float_range(self):
@@ -329,9 +329,9 @@ class TestEvolveLinear:
         psi0 = np.full(3, 1.0 / math.sqrt(3.0))
         half_width = helpers.centre(op)[1]
         dt = 0.99 * RK4_MONOTONE_LIMIT / half_width
-        _, report = evolve_linear(op, psi0, dt=dt, tol=1e-10)
-        assert report.converged
-        assert report.states[0].rayleigh == pytest.approx(-1.0, abs=1e-12)
+        points, converged = evolve_linear(op, psi0, dt=dt, tol=1e-10)
+        assert converged
+        assert points[-1].rayleigh[0] == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ValueError, match="monotone limit"):
             evolve_linear(op, psi0, dt=RK4_MONOTONE_LIMIT / half_width)
 
@@ -348,12 +348,12 @@ class TestEvolveLinear:
         monkeypatch.setattr(continuous, "rk4_step",
                             lambda *args, **kw: steps.append(args) or rk4_step(*args, **kw))
         dt, k = 2.0**-5, 16
-        _, report = evolve_linear(op, np.full(11, 1.0 / math.sqrt(11.0)), dt=dt,
-                                  t_max=k * dt, tol=1e-15)
-        assert not report.converged
+        points, converged = evolve_linear(op, np.full(11, 1.0 / math.sqrt(11.0)), dt=dt,
+                                          t_max=k * dt, tol=1e-15)
+        assert not converged
         assert len(steps) == k
         assert len(products) == 4 * k + 1
-        assert report.time / dt == k
+        assert points[-1].time / dt == k
 
     @pytest.mark.parametrize("tridiagonal", [True, False])
     def test_small_hbar_accepts_an_asymmetry_the_loader_accepts(self, tridiagonal):
@@ -366,12 +366,13 @@ class TestEvolveLinear:
         op = DenseSymmetric(h)
         assert (op._bands is not None) == tridiagonal
         psi0 = np.full(7, 1.0 / math.sqrt(7.0))
-        _, small = evolve_linear(op, psi0, hbar=1e-3)
-        _, unit = evolve_linear(op, psi0, hbar=1.0)
-        assert small.converged and unit.converged
+        small, small_converged = evolve_linear(op, psi0, hbar=1e-3)
+        unit, unit_converged = evolve_linear(op, psi0, hbar=1.0)
+        assert small_converged and unit_converged
+        small, unit = small[-1], unit[-1]
         # dt scales with hbar, so both runs take the same steps of dt * H / hbar
         assert round(small.time / default_step(op, 1e-3)) == round(unit.time / default_step(op))
-        assert small.states[0].rayleigh == pytest.approx(unit.states[0].rayleigh, abs=1e-12)
+        assert small.rayleigh[0] == pytest.approx(unit.rayleigh[0], abs=1e-12)
 
     @pytest.mark.parametrize("tridiagonal", [True, False])
     def test_an_asymmetric_input_evolves_as_the_matrix_the_oracle_solves(self, tridiagonal):
@@ -381,12 +382,12 @@ class TestEvolveLinear:
         h[3, 2] -= 9e-13
         op = DenseSymmetric(h)
         tol = 1e-10
-        points, report = evolve_linear(op, np.full(8, 1.0 / math.sqrt(8.0)), tol=tol)
-        assert report.converged
+        points, converged = evolve_linear(op, np.full(8, 1.0 / math.sqrt(8.0)), tol=tol)
+        assert converged
         psi = points[-1].amplitudes[0]
         h_psi = op.matrix @ psi
         assert np.linalg.norm(h_psi - (psi @ h_psi) * psi) <= tol
-        assert report.states[0].rayleigh == pytest.approx(
+        assert points[-1].rayleigh[0] == pytest.approx(
             jacobi_eigen(op).eigenvalues[0], abs=1e-12
         )
 
@@ -395,14 +396,15 @@ class TestEvolveLinear:
         op = build_grid_hamiltonian(-4.0, 4.0, 15, 0.5 * x * x)
         psi0 = np.sqrt(helpers.random_profile_arrays(42, [15])[0])
         hbar = 0.37
-        _, report = evolve_linear(op, psi0, hbar=hbar)
+        points, converged = evolve_linear(op, psi0, hbar=hbar)
+        last = points[-1]
         dt = default_step(op, hbar)
         steps, rayleigh = linear_replay(op.matrix, helpers.centre(op)[0], psi0, dt, hbar,
                                         continuous.DEFAULT_STATIONARY_TOL,
-                                        round(report.time / dt) + 100)
-        assert report.converged
-        assert report.time == steps * dt
-        assert report.states[0].rayleigh == pytest.approx(rayleigh, abs=1e-12)
+                                        round(last.time / dt) + 100)
+        assert converged
+        assert last.time == steps * dt
+        assert last.rayleigh[0] == pytest.approx(rayleigh, abs=1e-12)
 
     def test_a_short_run_allocates_nothing_the_size_of_the_operator(self):
         n = 1024
@@ -435,8 +437,8 @@ class TestEvolveLinear:
         hbar = 1.7e308
         dt = 8e307
         assert math.isinf(dt * half_width) and dt / hbar * half_width < RK4_MONOTONE_LIMIT
-        _, report = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=2 * dt)
-        assert report.time == 2 * dt
+        points, _ = evolve_linear(op, psi0, dt=dt, hbar=hbar, t_max=2 * dt)
+        assert points[-1].time == 2 * dt
         # The default step no longer overflows there, although its product
         # with the half-width does: it is accepted.
         default = default_step(op, hbar)
@@ -444,9 +446,9 @@ class TestEvolveLinear:
         # The default horizon 1000 * hbar overflows, as would the time of a
         # second step: the run ends at the first, as with the largest float.
         for t_max in (None, sys.float_info.max):
-            _, report = evolve_linear(op, psi0, hbar=hbar, t_max=t_max)
-            assert report.time == default and math.isinf(2 * default)
-            assert not report.converged
+            points, converged = evolve_linear(op, psi0, hbar=hbar, t_max=t_max)
+            assert points[-1].time == default and math.isinf(2 * default)
+            assert not converged
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tol_that_is_not_positive_and_finite_rejected(self, tol):
@@ -463,11 +465,65 @@ class TestEvolveLinear:
             evolve_linear(op, psi0, record_every=every)
 
 
+def last_point_flows():
+    """name -> run(**keywords) of each flow on a small seeded instance."""
+    op = DenseSymmetric(helpers.random_symmetric_matrix(51, 8, span=2.0))
+    psi0 = np.full(8, 1.0 / math.sqrt(8.0))
+    model = helpers.random_pairwise_model(52)
+    return {"linear": lambda **kw: evolve_linear(op, psi0, **kw),
+            "coupled": lambda **kw: evolve_coupled(model, **kw)}
+
+
+class TestTheLastPointIsWhereTheFlowRests:
+    """A flow returns (points, converged): its stop is recorded whatever
+    record_every is, so points[-1] is the state it came to rest in."""
+
+    @pytest.mark.parametrize("stop", ["converged", "t_max"])
+    @pytest.mark.parametrize("flow", ["linear", "coupled"])
+    def test_the_last_point_is_where_the_flow_stopped(self, flow, stop):
+        run, tol = last_point_flows()[flow], 1e-8
+        every_step, _ = run(tol=tol, record_every=1)
+        dt = every_step[1].time
+        t_max = None if stop == "converged" else 30.5 * dt
+        every_step, converged = run(tol=tol, t_max=t_max, record_every=1)
+        steps = len(every_step) - 1
+        assert steps % 7 != 0 and converged == (stop == "converged")
+        points, converged = run(tol=tol, t_max=t_max, record_every=7)
+        assert len(points) == steps // 7 + 2
+        last = points[-1]
+        assert last.time == steps * dt
+        assert converged == (max(last.residual) <= tol)
+        expected = every_step[-1]
+        assert (last.time, last.rayleigh, last.residual) == (
+            expected.time, expected.rayleigh, expected.residual
+        )
+        for psi, want in zip(last.amplitudes, expected.amplitudes, strict=True):
+            assert np.array_equal(psi, want)
+
+    @pytest.mark.parametrize("t_max", [None, 0.5])
+    def test_each_state_is_deflated_against_the_last_points_before_it(self, monkeypatch, t_max):
+        op = DenseSymmetric(helpers.random_symmetric_matrix(53, 6, span=2.0))
+        deflated = []
+        evolve = continuous.evolve_linear
+
+        def spy(*args, **kw):
+            deflated.append(kw["deflate"])
+            return evolve(*args, **kw)
+
+        monkeypatch.setattr(continuous, "evolve_linear", spy)
+        results = lowest_states(op, 3, np.full(6, 1.0), t_max=t_max)
+        assert all(converged == (t_max is None) for _, converged in results)
+        lasts = [points[-1].amplitudes[0] for points, _ in results]
+        assert [len(d) for d in deflated] == [0, 1, 2]
+        for k, vectors in enumerate(deflated):
+            assert all(v is last for v, last in zip(vectors, lasts[:k], strict=True))
+
+
 class TestLowestStates:
     @staticmethod
     def assert_in_spectral_order(results, eigenvalues):
-        assert all(report.converged for _, report, _ in results)
-        found = [report.states[0].rayleigh for _, report, _ in results]
+        assert all(converged for _, converged in results)
+        found = [points[-1].rayleigh[0] for points, _ in results]
         np.testing.assert_allclose(found, eigenvalues[: len(found)], rtol=0, atol=1e-6)
 
     def test_a_level_the_start_misses_is_found_in_order(self):
@@ -488,16 +544,15 @@ class TestLowestStates:
     def test_state_zero_is_the_flow_from_psi0_whatever_the_count(self):
         op = DenseSymmetric(helpers.random_symmetric_matrix(306, 8, span=2.0))
         psi0 = 3.0 * np.sqrt(helpers.random_profile_arrays(307, [8])[0])
-        (points, report, psi), *_ = lowest_states(op, 3, psi0)
-        expected_points, expected_report = evolve_linear(op, psi0 / np.linalg.norm(psi0))
-        assert report == expected_report
+        (points, converged), *_ = lowest_states(op, 3, psi0)
+        expected_points, expected_converged = evolve_linear(op, psi0 / np.linalg.norm(psi0))
+        assert converged == expected_converged
         assert len(points) == len(expected_points)
         for point, expected in zip(points, expected_points):
             assert (point.time, point.rayleigh, point.residual) == (
                 expected.time, expected.rayleigh, expected.residual
             )
             assert np.array_equal(point.amplitudes[0], expected.amplitudes[0])
-        assert np.array_equal(psi, expected_points[-1].amplitudes[0])
 
 
 class TestEvolveCoupled:
@@ -508,20 +563,16 @@ class TestEvolveCoupled:
         model = helpers.single_agent_energy(energies - 1.0)
         assert coupled_scale(model) == helpers.centre(Diagonal(energies))[1] == 0.5
         state0 = WaveState((np.array([0.8, 0.36, 0.48]),))
-        c_points, c_report = evolve_coupled(model, state0, t_max=40.0)
-        l_points, l_report = evolve_linear(
+        c_points, c_converged = evolve_coupled(model, state0, t_max=40.0)
+        l_points, l_converged = evolve_linear(
             Diagonal(energies), np.array([0.8, 0.36, 0.48]), t_max=40.0
         )
-        assert c_report.converged == l_report.converged
-        assert c_report.time == l_report.time
+        assert c_converged == l_converged
         assert len(c_points) == len(l_points)
         for cp, lp in zip(c_points, l_points):
             assert cp.time == lp.time
             np.testing.assert_allclose(cp.amplitudes[0], lp.amplitudes[0], atol=1e-10)
             assert lp.rayleigh[0] == pytest.approx(cp.rayleigh[0] + 1.0, abs=1e-10)
-        assert l_report.states[0].rayleigh == pytest.approx(
-            c_report.states[0].rayleigh + 1.0, abs=1e-10
-        )
 
     def test_zero_energies_keep_the_state_constant(self):
         model = GameModel(
@@ -533,24 +584,23 @@ class TestEvolveCoupled:
             mode="energy",
         )
         state0 = WaveState((np.array([0.6, 0.8]), np.array([1.0, 0.0])))
-        points, report = evolve_coupled(model, state0)
-        assert report.converged and report.time == 0.0
+        points, converged = evolve_coupled(model, state0)
+        assert converged and points[-1].time == 0.0
         np.testing.assert_array_equal(points[-1].amplitudes[0], [0.6, 0.8])
 
     def test_agreement_game_collapses_to_the_favored_action(self):
         model = agreement_energy_pair()
         lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
         state0 = WaveState((lean, lean))
-        points, report = evolve_coupled(model, state0, tol=1e-9)
-        assert report.converged
+        points, converged = evolve_coupled(model, state0, tol=1e-9)
+        assert converged
         for psi in points[-1].amplitudes:
             assert abs(psi[0]) > 0.999
-        for state in report.states:
-            assert state.rayleigh == pytest.approx(0.0, abs=1e-6)
+        assert points[-1].rayleigh == pytest.approx((0.0, 0.0), abs=1e-6)
 
     def test_pairwise_model_evolves(self):
         model = helpers.random_pairwise_model(77, max_agents=3, max_card=3)
-        points, report = evolve_coupled(model, t_max=200.0)
+        points, _ = evolve_coupled(model, t_max=200.0)
         for psi in points[-1].amplitudes:
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
@@ -699,16 +749,16 @@ class TestDefaultStepIsProvablyRight:
         assert (np.diff(factors)[distinct] < 0).all()
 
         psi0 = random_unit_vector(op.dimension, seed)
-        _, report = evolve_linear(op, psi0, hbar=hbar, t_max=1e5)
-        assert report.converged
+        points, converged = evolve_linear(op, psi0, hbar=hbar, t_max=1e5)
+        assert converged
         lowest = eigenvalues[0]
-        assert abs(report.states[0].rayleigh - lowest) <= 1e-8 * max(1.0, abs(lowest))
+        assert abs(points[-1].rayleigh[0] - lowest) <= 1e-8 * max(1.0, abs(lowest))
 
     def test_lowest_states_of_the_bundled_oscillator_match_the_oracle(self):
         op = fileio.load_hamiltonian(bundled_path("harmonic_oscillator"))
         results = lowest_states(op, 3, random_unit_vector(op.dimension, 1))
-        assert all(report.converged for _, report, _ in results)
-        found = [report.states[0].rayleigh for _, report, _ in results]
+        assert all(converged for _, converged in results)
+        found = [points[-1].rayleigh[0] for points, _ in results]
         expected = jacobi_eigen(op).eigenvalues[:3]
         np.testing.assert_allclose(found, expected, rtol=0, atol=1e-8)
 

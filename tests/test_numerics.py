@@ -16,7 +16,7 @@ from coopt.numerics import (
     log_sum_exp_first,
     rk4_step,
 )
-from coopt.rng import SplitMix64
+from coopt.rng import SplitMix64, random_unit_vector
 
 
 def tridiagonal_matrix(d, e):
@@ -540,3 +540,12 @@ def test_uniform_signed_block_continues_the_scalar_stream():
         expected = [scalar.uniform_signed() for _ in range(count)]
         assert block.uniform_signed_block(count).tolist() == expected
     assert block.uniform_signed() == scalar.uniform_signed()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 5, 12, 201])
+def test_random_unit_vector_is_the_normalized_scalar_stream(dimension):
+    for seed in range(40):
+        stream = SplitMix64(seed)
+        v = np.array([stream.uniform_signed() for _ in range(dimension)])
+        expected = v / float(np.linalg.norm(v))
+        assert random_unit_vector(dimension, seed).tobytes() == expected.tobytes()

@@ -352,6 +352,9 @@ JOINT_TABLE_MODELS = {
     "mixed-utility": lambda: mixed_shape_model("utility"),
     **{f"pairwise{seed}": lambda seed=seed: helpers.random_pairwise_model(seed)
        for seed in range(300, 312)},
+    # sums of these tables round differently in another order
+    **{f"rounding{seed}": lambda seed=seed: helpers.rounding_pairwise_model(seed)
+       for seed in range(321, 327)},
     **{f"dense{seed}-{mode}": lambda seed=seed, mode=mode: helpers.random_dense_model(
         seed, n_agents=2 + seed % 3, card=2 + seed % 2, mode=mode)
        for seed in range(312, 318) for mode in ("energy", "utility")},

@@ -13,7 +13,7 @@ import pytest
 
 import coopt
 import helpers
-from coopt.continuous import WaveState, evolve_coupled, evolve_linear
+from coopt.continuous import WaveState, evolve_linear
 from coopt.discrete import iterate_to_fixed_point
 from coopt.equilibrium import alpha_sweep, epsilon_of_profile
 from coopt.model import (
@@ -54,7 +54,7 @@ def records():
     model = helpers.prisoners_dilemma()
     energy = helpers.random_pairwise_model(3)
     result = iterate_to_fixed_point(model, 2.0, keep_trace=True)
-    points, report = evolve_linear(Diagonal(np.array([1.0, 2.0])), np.array([0.6, 0.8]))
+    points, _ = evolve_linear(Diagonal(np.array([1.0, 2.0])), np.array([0.6, 0.8]))
     sweep = alpha_sweep(model, [1.0])
     return [
         (DomainSpec("x", 2), "cardinality"),
@@ -68,9 +68,6 @@ def records():
         (DenseSymmetric(np.eye(2)), "matrix"),
         (jacobi_eigen(DenseSymmetric(np.eye(2))), "eigenvalues"),
         (points[-1], "time"),
-        (report, "converged"),
-        (report.states[0], "residual"),
-        (evolve_coupled(energy)[1], "time"),
         (result, "profile"),
         (result.field, "log_values"),
         (result.trace, "steps"),
