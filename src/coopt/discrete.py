@@ -36,6 +36,14 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+class NonFiniteReturnError(RuntimeError):
+    """An expected return of the agent in row `index` is +inf or NaN."""
+
+    def __init__(self, index: int):
+        super().__init__(f"index {index}: non-finite expected return")
+        self.index = index
+
+
 class AllZeroReturnsError(RuntimeError):
     """Every action of the agent in row `index` has zero expected return."""
 
@@ -139,14 +147,20 @@ def normalize_policy(log_returns: np.ndarray, alpha: float) -> np.ndarray:
     capped at 1e6 (the practical best-response limit).  The output keeps
     the input's memory order; on a column-major stack, as `stack` and the
     contraction plan lay them out, every per-agent reduction adds whole
-    columns.
+    columns.  Raises NonFiniteReturnError naming the first row that holds
+    +inf or NaN, or else AllZeroReturnsError naming the first row of -inf
+    only; a finite maximum in every row rules out both.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     scaled = min(alpha, ALPHA_CAP) * log_returns
     top = scaled.max(axis=1)
-    if (top == -np.inf).any():
-        raise AllZeroReturnsError(int(np.argmax(top == -np.inf)))
+    if not np.isfinite(top).all():
+        below_inf = (log_returns < np.inf).all(axis=1)
+        if not below_inf.all():
+            raise NonFiniteReturnError(int(np.argmin(below_inf)))
+        if (top == -np.inf).any():
+            raise AllZeroReturnsError(int(np.argmax(top == -np.inf)))
     sums = np.exp(scaled - top[:, np.newaxis]).sum(axis=1)
     # math.log, not np.log: numpy's vectorized log rounds differently in
     # about 0.1% of inputs, which would move results' last bits.
@@ -182,21 +196,21 @@ def iterate_to_fixed_point(
         raise ValueError(f"tol must be positive and finite (got {tol})")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    p = validate_profile(model, StrategyProfile.uniform(model) if init is None else init)
     plan = model.plan
+    p = plan.uniform if init is None else validate_profile(model, init)
     steps: list[TraceStep] = []
     converged = False
     cycle_period = None
     saved, saved_at = None, 0
     for t in range(1, max_iter + 1):
         log_returns = plan.log_returns(p)
-        if not (log_returns < np.inf).all():
-            agent = model.agents[int(np.argmin((log_returns < np.inf).all(axis=1)))]
-            # in an energy model only -E/hbar past the float range does this
-            hint = f" at hbar={model.hbar!r}; use a larger hbar" if model.mode == "energy" else ""
-            raise DivergenceError(t, f"agent {agent.name!r}: non-finite expected return{hint}")
         try:
             new_p = normalize_policy(log_returns, alpha)
+        except NonFiniteReturnError as e:
+            # in an energy model only -E/hbar past the float range does this
+            hint = f" at hbar={model.hbar!r}; use a larger hbar" if model.mode == "energy" else ""
+            name = model.agents[e.index].name
+            raise DivergenceError(t, f"agent {name!r}: non-finite expected return{hint}") from None
         except AllZeroReturnsError as e:
             raise AllZeroReturnsError(e.index, model.agents[e.index].name) from None
         change = float(np.abs(new_p - p).max())

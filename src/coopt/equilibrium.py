@@ -190,7 +190,8 @@ def alpha_sweep(
     the plan's joint tables, summed one agent at a time; empty when the
     joint domain exceeds MAX_ENUMERATION_SIZE); welfare always, using the
     Boltzmann weights for energy models (left empty when their mean
-    underflows to 0 or overflows).  Cell failures are recorded, not raised.
+    underflows to 0 or overflows) and, for utility models, the payoffs of
+    the epsilon certificate.  Cell failures are recorded, not raised.
     """
     validate(model)
     alphas = [float(a) for a in alpha_grid]
@@ -214,15 +215,17 @@ def alpha_sweep(
             except (DivergenceError, AllZeroReturnsError):
                 rows.append(SweepRow(alpha, seed, False, 0, None, None, None))
                 continue
-            epsilon = (
-                epsilon_of_profile(model, result.profile).epsilon
-                if model.mode == "utility"
-                else None
-            )
-            try:
-                welfare = social_welfare(model, result.profile)
-            except ValueError:  # the weights left the float range at this hbar
-                welfare = None
+            epsilon = None
+            if model.mode == "utility":
+                # the certificate's payoffs are the ones social_welfare averages
+                certificate = epsilon_of_profile(model, result.profile)
+                epsilon = certificate.epsilon
+                welfare = float(np.mean(certificate.payoffs))
+            else:
+                try:
+                    welfare = social_welfare(model, result.profile)
+                except ValueError:  # the weights left the float range at this hbar
+                    welfare = None
             hit = None
             if total is not None:
                 value = float(total[decode_assignment(result.profile)])

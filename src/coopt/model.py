@@ -321,6 +321,7 @@ class TableGroup(NamedTuple):  # a plan's tables of one shape (own, c1, ..., ck)
     tables: np.ndarray  # (g, own, c1, ..., ck)
     log_tables: np.ndarray  # (c1 * ... * ck, g, own), contiguous
     at: np.ndarray  # (g * own,) positions in a raveled column-major stack
+    gather: tuple[np.ndarray, ...]  # per other axis, (c, g) positions in such a stack
 
 
 class ContractionPlan:
@@ -336,16 +337,24 @@ class ContractionPlan:
     a dense table over any number of other agents) is kept own axis first
     and unpadded, in one group per table shape.  Log tables put the other
     agents' joint action first, so the log-sum-exp over it reduces over
-    contiguous (tables, own) slabs.  One `np.add.at` per group at its flat
-    positions `at` adds each table's result into its owner's row, and
-    `joint_table` lays one agent's tables out for enumeration.
+    contiguous (tables, own) slabs.  Each other axis gathers its agents'
+    log marginals with one take at the group's flat positions `gather`, one
+    `np.add.at` per group at its flat positions `at` adds each table's
+    result into its owner's row, and `joint_table` lays one agent's tables
+    out for enumeration.
     """
 
     def __init__(self, model: GameModel):
         agent_of = model.agent_of
         self.cards = model.agent_cardinalities()
+        n = len(self.cards)
+        cards = np.array(self.cards, dtype=float)[:, np.newaxis]
+        inside = np.arange(max(self.cards)) < cards
         # log 1 for every action, -inf for padding: where table sums start
-        self.log_one = stack([np.zeros(card) for card in self.cards], -np.inf)
+        self.log_one = np.asfortranarray(np.where(inside, 0.0, -np.inf))
+        # the uniform profile as `stack` lays it out, where runs start by default
+        self.uniform = np.asfortranarray(np.where(inside, 1.0 / cards, 0.0))
+        self.uniform.flags.writeable = False
         shapes: dict[tuple[int, ...], list] = {}  # shape -> [(owner, others, table)]
         for i, agent in enumerate(model.agents):
             obj = agent.objective
@@ -365,8 +374,9 @@ class ContractionPlan:
             with np.errstate(divide="ignore", over="ignore"):  # -E/hbar or log u; users check inf
                 logs = -tables / model.hbar if model.mode == "energy" else np.log(tables)
             log_tables = logs.reshape(len(entries), own, -1).transpose(2, 0, 1).copy()
-            at = (owner[:, None] + len(self.cards) * np.arange(own)).ravel()
-            self.groups.append(TableGroup(owner, others, tables, log_tables, at))
+            at = (owner[:, None] + n * np.arange(own)).ravel()
+            gather = tuple(j + n * np.arange(c)[:, None] for j, c in zip(others, tables.shape[2:]))
+            self.groups.append(TableGroup(owner, others, tables, log_tables, at, gather))
 
     def joint_table(self, agent: int) -> np.ndarray:
         """One agent's tables summed over the joint domain: one axis per
@@ -400,16 +410,16 @@ class ContractionPlan:
         # drop the sums silently.
         out = self.log_one.copy(order="F")
         with np.errstate(divide="ignore"):
-            log_p = np.log(p)
+            log_p = np.log(p).ravel(order="F")
             for group in self.groups:
                 result = group.log_tables[0]  # as it is, with no other axis
                 if group.others:
                     # the other agents' joint log marginal (joint, tables)
                     joint = None
-                    for j, c in zip(group.others, group.tables.shape[2:]):
-                        term = log_p[j][:, :c].T
+                    for at in group.gather:
+                        term = log_p.take(at)
                         joint = term if joint is None else (
-                            (joint[:, None] + term).reshape(-1, j.size))
+                            (joint[:, None] + term).reshape(-1, term.shape[1]))
                     result = log_sum_exp_first(group.log_tables + joint[:, :, np.newaxis])
                 np.add.at(out.ravel(order="F"), group.at, result.ravel())
         return out

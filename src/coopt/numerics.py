@@ -145,8 +145,9 @@ def log_sum_exp_first(values: np.ndarray) -> np.ndarray:
     overwritten.  All -inf sums to -inf, never NaN; a +inf entry gives +inf,
     a NaN NaN.  The caller suppresses log(0)'s divide warning."""
     top = values.max(axis=0)
-    # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
-    top[~np.isfinite(top)] = 0.0
+    if not np.isfinite(top).all():
+        # Shifted by 0 instead, all -inf sums to 0, whose log is -inf.
+        top[~np.isfinite(top)] = 0.0
     values -= top
     out = np.exp(values, out=values).sum(axis=0)
     np.log(out, out=out)

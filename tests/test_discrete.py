@@ -13,6 +13,7 @@ from coopt.discrete import (
     DEFAULT_TOL,
     AllZeroReturnsError,
     DivergenceError,
+    NonFiniteReturnError,
     expected_return_update,
     expected_return_update_factorized,
     iterate_to_fixed_point,
@@ -29,6 +30,7 @@ from coopt.model import (
     StrategyProfile,
     stack,
 )
+from coopt.numerics import log_sum_exp_first
 from coopt.rng import derive_seed
 
 
@@ -255,6 +257,73 @@ class TestIteration:
         model = helpers.single_agent_energy([-1e308, 0.0], hbar=1e-10)
         with pytest.raises(DivergenceError, match="step 1"):
             iterate_to_fixed_point(model, 1.0)
+
+
+def own_table_model(mode, **tables):
+    """One binary agent per keyword, each on its own variable, with a table
+    over that variable alone: its log returns are its log table as given."""
+    kind = DenseEnergy if mode == "energy" else DenseUtility
+    return GameModel(
+        tuple(DomainSpec(f"x_{name}", 2) for name in tables),
+        tuple(Agent(name, f"x_{name}", kind((f"x_{name}",), values))
+              for name, values in tables.items()),
+        hbar=1e-10 if mode == "energy" else 1.0,
+        mode=mode,
+    )
+
+
+class TestRefusalOrder:
+    """The refusals behind normalize_policy's one finiteness test of its row
+    maxima, with numpy's RuntimeWarnings raised as errors, as the suite
+    runs: a +inf or NaN return is refused before an all-zero agent,
+    wherever the two stand."""
+
+    @pytest.mark.parametrize("rows, index", [
+        ([[-np.inf, -np.inf], [1.0, np.inf]], 1),
+        ([[-np.inf, -np.inf], [np.nan, 0.0]], 1),
+        ([[1.0, np.nan], [-np.inf, -np.inf]], 0),
+        ([[np.inf, 0.0], [0.0, np.nan]], 0),
+    ])
+    def test_non_finite_returns_are_refused_before_all_zero_ones(self, rows, index):
+        with pytest.raises(NonFiniteReturnError) as caught:
+            normalize_policy(np.asfortranarray(rows), 2.0)
+        assert caught.value.index == index
+
+    def test_an_all_zero_row_alone_is_refused_by_its_index(self):
+        with pytest.raises(AllZeroReturnsError) as caught:
+            normalize_policy(np.asfortranarray([[0.0, 1.0], [-np.inf, -np.inf]]), 2.0)
+        assert caught.value.index == 1
+
+    # at hbar 1e-10, energies of 1e308 give -inf log returns and -1e308 +inf
+    @pytest.mark.parametrize("model, agent", [
+        (own_table_model("energy", cold=[1e308, 1e308], hot=[-1e308, 0.0]), "hot"),
+        (own_table_model("energy", hot=[-1e308, 0.0], cold=[1e308, 1e308]), "hot"),
+        (own_table_model("utility", zero=[0.0, 0.0], nan=[1.0, np.nan]), "nan"),
+    ])
+    def test_a_divergent_agent_beside_an_all_zero_one_is_a_divergence(self, model, agent):
+        with pytest.raises(DivergenceError, match=f"step 1: agent '{agent}': non-finite"):
+            iterate_to_fixed_point(model, 2.0)
+
+    @pytest.mark.parametrize("model", [
+        own_table_model("energy", warm=[0.0, 1e-10], cold=[1e308, 1e308]),
+        own_table_model("utility", zero=[0.0, 0.0], one=[1.0, 1.0]),
+    ])
+    def test_an_all_zero_agent_alone_is_refused_by_name(self, model):
+        name = next(a.name for a in model.agents if a.name in ("cold", "zero"))
+        with pytest.raises(AllZeroReturnsError, match=f"agent '{name}': all expected returns"):
+            iterate_to_fixed_point(model, 2.0)
+
+    def test_log_sum_exp_maps_non_finite_columns_and_keeps_finite_ones(self):
+        inf = np.inf
+        values = np.array([[-inf, 1.0, 0.5, -inf, 0.25],
+                           [-inf, inf, np.nan, 2.0, -1.0],
+                           [-inf, -inf, 1.0, 3.0, 0.5]])
+        with np.errstate(divide="ignore"):  # log(0), as log_sum_exp_first's callers
+            out = log_sum_exp_first(values.copy())
+            finite = log_sum_exp_first(values[:, 3:].copy())
+        assert out[0] == -inf and out[1] == inf and np.isnan(out[2])
+        assert out[3:].tobytes() == finite.tobytes()
+
 
 class TestIterationInvariants:
     def test_normalization_conserved_every_step(self):

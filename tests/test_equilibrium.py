@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+from coopt import bundled_path, fileio
 from coopt.discrete import iterate_to_fixed_point, random_profile
 from coopt.equilibrium import (
     EnumerationTooLargeError,
@@ -423,3 +424,61 @@ def test_welfare_outside_the_float_range_is_rejected_and_left_empty(shift, hbar,
     assert all(row.welfare is None and row.global_hit is not None for row in report.rows)
     # and the column is written empty
     assert all(line.split(",")[5] == "" for line in report.to_csv().splitlines()[1:])
+
+
+def mixed_cardinality_model():
+    """The first seeded random pairwise model whose agents' cardinalities differ."""
+    return next(m for m in map(helpers.random_pairwise_model, range(100, 160))
+                if len(set(m.agent_cardinalities())) > 1)
+
+
+SWEPT_MODELS = {
+    **{name: lambda name=name: fileio.load_problem(bundled_path(name))
+       for name in ("coordination", "matching_pennies", "pairwise_chain", "prisoners_dilemma")},
+    "dense-utility": lambda: helpers.random_dense_model(61, n_agents=3, card=3, mode="utility"),
+    "dense-energy": lambda: helpers.random_dense_model(62, n_agents=3, card=3, mode="energy"),
+    "mixed-energy": mixed_cardinality_model,
+    "mixed-utility": lambda: to_utility_model(mixed_cardinality_model()),
+}
+
+
+def trace_bytes(result):
+    return [(s.step, s.max_change, s.p.tobytes(), s.log_returns.tobytes())
+            for s in result.trace.steps]
+
+
+@pytest.mark.parametrize("name", SWEPT_MODELS)
+def test_sweep_cells_equal_separate_calls_bitwise(name):
+    """Each row's epsilon and welfare are what epsilon_of_profile and
+    social_welfare give for its cell's own run, as the CSV writes them; a
+    run from the default start is the run from the uniform profile."""
+    model = SWEPT_MODELS[name]()
+    grid, restarts = [0.25, 1.0, 4.0, 32.0], 2
+    report = alpha_sweep(model, grid, restarts=restarts, base_seed=3, max_iter=500)
+    assert len(report.rows) == len(grid) * restarts
+    for k, row in enumerate(report.rows):
+        init = None if k % restarts == 0 else random_profile(model, row.seed)
+        result = iterate_to_fixed_point(model, row.alpha, init, max_iter=500)
+        assert (row.converged, row.iterations) == (result.converged, result.iterations)
+        utility = model.mode == "utility"
+        epsilon = epsilon_of_profile(model, result.profile).epsilon if utility else None
+        try:
+            welfare = social_welfare(model, result.profile)
+        except ValueError:
+            welfare = None
+        assert (repr(row.epsilon), repr(row.welfare)) == (repr(epsilon), repr(welfare))
+
+    for alpha in grid:
+        default = iterate_to_fixed_point(model, alpha, max_iter=500, keep_trace=True)
+        uniform = iterate_to_fixed_point(
+            model, alpha, StrategyProfile.uniform(model), max_iter=500, keep_trace=True
+        )
+        assert [d.tobytes() for d in default.profile.dists] == [
+            d.tobytes() for d in uniform.profile.dists
+        ]
+        assert [v.tobytes() for v in default.field.log_values] == [
+            v.tobytes() for v in uniform.field.log_values
+        ]
+        fields = ("converged", "iterations", "max_change", "cycle_period")
+        assert [getattr(default, f) for f in fields] == [getattr(uniform, f) for f in fields]
+        assert trace_bytes(default) == trace_bytes(uniform)

@@ -446,8 +446,10 @@ class TestOperators:
                                            min_size=n - 1, max_size=n - 1)))
         m = np.diag(d) + np.diag(up, 1) + np.diag(up + skew, -1)
         op = DenseSymmetric(m)
-        # rounding of at most three products and two sums per entry
-        bound = 4 * np.finfo(float).eps * (np.abs(m) @ np.abs(v))
+        # rounding of at most three products and two sums per entry of the
+        # symmetric part, which both products multiply; m itself may hold 0
+        # where that part holds half a skew, and would bound its rounding by 0
+        bound = 4 * np.finfo(float).eps * (np.abs(op.matrix) @ np.abs(v))
         assert (np.abs(op.matvec(v) - op.matrix @ v) <= bound).all()
 
     def test_grid_hamiltonian_takes_the_band_product(self):

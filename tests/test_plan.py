@@ -24,7 +24,8 @@ from coopt.discrete import (
     normalize_policy,
     random_profile,
 )
-from coopt.equilibrium import epsilon_of_profile
+from coopt.cli import parse_alpha_grid
+from coopt.equilibrium import alpha_sweep, epsilon_of_profile
 from coopt.model import (
     Agent,
     DenseEnergy,
@@ -490,6 +491,23 @@ def test_one_normalize_policy_call_per_iteration(
     assert len(calls) == result.iterations
     if game is not None and not converged:  # the cycle cases
         assert result.iterations < max_iter
+
+
+@pytest.mark.parametrize("game, grid", [
+    # perfbench's games-sweep grids, swept as it sweeps them
+    ("prisoners_dilemma", "0.25:32:log:8"),
+    ("matching_pennies", "0.5:4:log:4"),
+    ("coordination", "0.25:1:log:3"),
+    ("pairwise_chain", "0.25:2:log:4"),
+    (None, "0.5:8:log:3"),
+])
+def test_one_normalize_policy_call_per_sweep_iteration(monkeypatch, game, grid):
+    """The count that perfbench's games-sweep consistency check compares
+    with the iterations the sweep's rows report."""
+    model = ring_model() if game is None else fileio.load_problem(bundled_path(game))
+    calls = count_calls(monkeypatch, discrete, "normalize_policy")
+    report = alpha_sweep(model, parse_alpha_grid(grid), restarts=2, base_seed=1)
+    assert len(calls) == sum(row.iterations for row in report.rows) > len(report.rows)
 
 
 def test_one_rk4_step_call_per_agent_per_step(monkeypatch):
