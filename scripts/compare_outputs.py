@@ -26,8 +26,10 @@ trace), `sweep` and `nash` on a seeded four-agent energy game whose agent 0
 holds pairwise terms of two shapes, which its contraction plan adds in
 another order than the terms, and `coopt solve` on malformed problem files,
 at least one per kind of problem `validate` words, one with a numeric
-string in a pairwise table, one with true or false in each numeric field
-and one that is UTF-16, not UTF-8, `coopt verify` on
+string in a pairwise table, one with true or false in each numeric field,
+one whose objective holds a key beside `dense`, one whose objective holds
+both `dense` and `pairwise`, and one that is UTF-16, not UTF-8,
+`coopt verify` on
 malformed profile files, at least one per message that `load_profile` and
 `validate_profile` word, one with true and false in an entry and one with
 true in a field that is not read, and `coopt quantum` on malformed
@@ -35,7 +37,8 @@ Hamiltonian files, at least one per message that `load_hamiltonian` words
 and one with true or false in each numeric field, and `coopt solve` where
 the map or its output leaves the float range or an agent's returns are all
 zero (`pairwise_chain` at hbar = 1e-4 and 1e-320, and a generated utility
-game), once per tree in a fresh
+game), and `coopt sweep` on a utility game whose payoffs are finite but
+whose mean payoff overflows, once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  Then, in
 a second fresh interpreter that runs no CLI job, so that no digest depends
@@ -359,8 +362,9 @@ def malformed_problems() -> dict[str, dict | bytes]:
     each kind of problem it words that a problem file can carry (a dense
     table in the other mode's class cannot: the loader picks the class by
     mode); and ones the loader refuses: a pairwise table holding a string
-    that spells a number, true or false in each numeric field, and a file's
-    bytes in UTF-16."""
+    that spells a number, true or false in each numeric field, an
+    objective holding a key beside `dense`, one holding both `dense` and
+    `pairwise`, and a file's bytes in UTF-16."""
     table = [[0.0, 1.0], [1.0, 0.0]]
 
     def pairwise(*terms):
@@ -409,6 +413,9 @@ def malformed_problems() -> dict[str, dict | bytes]:
         "pairwise-numeric-string": problem(pairwise(("y", [["1", "0"], [0, 1]]))),
         "pairwise-bool": problem(pairwise(("y", [[0.0, True], [1.0, 0.0]]))),
         "dense-values-bool": problem(dense(["x", "y"], [True, 0.0, 0.0, 1.0])),
+        "objective-extra-key": problem({**dense(["x", "y"], [0.0, 1.0, 1.0, 0.0]), "note": "x"}),
+        "objective-dense-and-pairwise": problem(
+            {**dense(["x", "y"], [0.0, 1.0, 1.0, 0.0]), **pairwise(("y", table))}),
         "hbar-bool": problem(pairwise(("y", table)), hbar=True),
         "utf-16": json.dumps(problem(pairwise(("y", table)))).encode("utf-16"),
     }
@@ -450,6 +457,25 @@ def refusal_jobs(inputs: Path) -> list[list[str]]:
         [*solve, chain, "--hbar", "1e-320", "--out", "refused.hbar1e-320.json"],
         [*solve, str(zero), "--out", "refused.all-zero.json"],
     ]
+
+
+def overflow_sweep_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt sweep` on a utility game whose payoffs are finite (1.35e308
+    each at the uniform profile) but whose mean payoff overflows; writes
+    its problem file to inputs."""
+    values = [1e308, 1.7e308, 1.7e308, 1e308]
+    problem = inputs / "overflow.json"
+    problem.write_text(json.dumps({
+        "mode": "utility",
+        "variables": [{"name": "x", "cardinality": 2}, {"name": "y", "cardinality": 2}],
+        "agents": [
+            {"name": name, "acts_on": own,
+             "objective": {"dense": {"order": ["x", "y"], "values": values}}}
+            for name, own in (("a", "x"), ("b", "y"))
+        ],
+    }))
+    return [["sweep", "--problem", str(problem), "--alpha-grid", "1:2:lin:2",
+             "--out", "sweep.overflow.csv"]]
 
 
 def malformed_profiles() -> tuple[dict, dict[str, object]]:
@@ -728,7 +754,8 @@ def main(argv=None) -> int:
                 + quantum_jobs(inputs) + seeded + reversed_game_jobs(inputs)
                 + dense_three_jobs(inputs) + term_order_jobs(inputs)
                 + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
-                + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs))
+                + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs)
+                + overflow_sweep_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs) + seeded_spectra)
         compared = len(list((workdir / "new").iterdir()))

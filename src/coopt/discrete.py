@@ -3,8 +3,11 @@
 Each step computes every agent's expected return per own action, as the
 expectation of exp(-E/hbar) (energy mode) or of the utility (utility mode)
 over the other agents' current action distributions, then maps returns to
-a new profile through the alpha-power normalization.  All accumulation
-runs in the log domain so small hbar and large alpha stay finite.
+a new profile through the alpha-power normalization.  The returns come
+from the model's contraction plan, so one update serves dense tables and
+pairwise terms alike and nothing here asks which kind an agent holds.  All
+accumulation runs in the log domain so small hbar and large alpha stay
+finite.
 """
 
 import functools
@@ -13,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    ContractionPlan,
-    GameModel,
-    PairwiseEnergy,
-    StrategyProfile,
-    validate_profile,
-)
+from .model import ContractionPlan, GameModel, StrategyProfile, validate_profile
 from .numerics import Frozen
 from .rng import SplitMix64, random_simplex
 
@@ -108,34 +105,21 @@ def random_profile(model: GameModel, seed: int) -> StrategyProfile:
     )
 
 
-def _field(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
-    plan = model.plan
-    return ExpectedReturnField(plan.rows(plan.log_returns(validate_profile(model, profile))))
-
-
 def expected_return_update(model: GameModel, profile: StrategyProfile) -> ExpectedReturnField:
-    """Exact-enumeration update; every objective must be a dense table."""
-    for agent in model.agents:
-        if isinstance(agent.objective, PairwiseEnergy):
-            raise ValueError(
-                f"agent {agent.name!r} has a pairwise objective; use the factorized update"
-            )
-    return _field(model, profile)
-
-
-def expected_return_update_factorized(
-    model: GameModel, profile: StrategyProfile
-) -> ExpectedReturnField:
-    """Per-term update for pairwise energies.
+    """Every agent's expected return per own action against the others'
+    marginals, from the model's contraction plan, for dense tables and
+    pairwise terms alike.
 
     The expectation of exp(-sum of pairwise terms / hbar) splits into a
     product of per-neighbor expectations because each neighbor appears in
     exactly one table; cost is linear in the number of terms.
     """
-    for agent in model.agents:
-        if not isinstance(agent.objective, PairwiseEnergy):
-            raise ValueError(f"agent {agent.name!r} does not have a pairwise objective")
-    return _field(model, profile)
+    plan = model.plan
+    return ExpectedReturnField(plan.rows(plan.log_returns(validate_profile(model, profile))))
+
+
+# one update serves every model; callers may import it under either name
+expected_return_update_factorized = expected_return_update
 
 
 def normalize_policy(log_returns: np.ndarray, alpha: float) -> np.ndarray:

@@ -98,15 +98,24 @@ def weight_error(what: str, weight: float, hbar: float) -> ValueError:
     return ValueError(f"{what} {fate} at hbar={hbar!r}; use a larger hbar")
 
 
-def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
-    """Unweighted mean of the agents' expected payoffs.  For energy models
-    it raises ValueError naming hbar when the mean weight underflows to 0 or
-    overflows."""
-    _, payoffs = _payoffs(model, profile)
-    welfare = float(np.mean([float(d @ v) for d, v in zip(profile.dists, payoffs)]))
+def _mean_payoff(model: GameModel, payoffs) -> float:
+    """The mean of the agents' expected payoffs; ValueError when it
+    overflows, or for energy models, naming hbar, underflows to 0."""
+    with np.errstate(over="ignore"):  # an overflowing mean is refused below
+        welfare = float(np.mean(payoffs))
     if model.mode == "energy" and not 0.0 < welfare < math.inf:
         raise weight_error("the mean expected Boltzmann weight", welfare, model.hbar)
+    if not welfare < math.inf:
+        raise ValueError("the mean expected utility overflows")
     return welfare
+
+
+def social_welfare(model: GameModel, profile: StrategyProfile) -> float:
+    """Unweighted mean of the agents' expected payoffs.  It raises
+    ValueError when the mean overflows, and for energy models, naming hbar,
+    when the mean weight underflows to 0."""
+    _, payoffs = _payoffs(model, profile)
+    return _mean_payoff(model, [float(d @ v) for d, v in zip(profile.dists, payoffs)])
 
 
 def epsilon_of_profile(model: GameModel, profile: StrategyProfile) -> EpsilonCertificate:
@@ -189,9 +198,10 @@ def alpha_sweep(
     the global-minimum hit flag for energy models (against the minimum of
     the plan's joint tables, summed one agent at a time; empty when the
     joint domain exceeds MAX_ENUMERATION_SIZE); welfare always, using the
-    Boltzmann weights for energy models (left empty when their mean
-    underflows to 0 or overflows) and, for utility models, the payoffs of
-    the epsilon certificate.  Cell failures are recorded, not raised.
+    Boltzmann weights for energy models and, for utility models, the
+    payoffs of the epsilon certificate, and left empty when the mean
+    overflows or, for energy models, underflows to 0.  Cell failures are
+    recorded, not raised.
     """
     validate(model)
     alphas = [float(a) for a in alpha_grid]
@@ -217,15 +227,14 @@ def alpha_sweep(
                 continue
             epsilon = None
             if model.mode == "utility":
-                # the certificate's payoffs are the ones social_welfare averages
                 certificate = epsilon_of_profile(model, result.profile)
                 epsilon = certificate.epsilon
-                welfare = float(np.mean(certificate.payoffs))
-            else:
-                try:
-                    welfare = social_welfare(model, result.profile)
-                except ValueError:  # the weights left the float range at this hbar
-                    welfare = None
+            try:
+                # the certificate's payoffs are the ones social_welfare averages
+                welfare = (social_welfare(model, result.profile) if epsilon is None
+                           else _mean_payoff(model, certificate.payoffs))
+            except ValueError:  # the mean left the float range
+                welfare = None
             hit = None
             if total is not None:
                 value = float(total[decode_assignment(result.profile)])

@@ -275,6 +275,30 @@ class TestSweep:
         assert len(rows) == 6
         assert all(row[5] == "" and row[6] in ("true", "false") for row in rows)
 
+    def test_utility_welfare_whose_mean_overflows_is_left_empty(self, tmp_path):
+        # Each agent's payoff is 1.35e308, but their sum overflows.
+        values = [1e308, 1.7e308, 1.7e308, 1e308]
+        problem = tmp_path / "game.json"
+        problem.write_text(json.dumps({
+            "mode": "utility",
+            "variables": [{"name": "x", "cardinality": 2}, {"name": "y", "cardinality": 2}],
+            "agents": [
+                {"name": name, "acts_on": own,
+                 "objective": {"dense": {"order": ["x", "y"], "values": values}}}
+                for name, own in (("a", "x"), ("b", "y"))
+            ],
+        }))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "--problem", str(problem), "--alpha-grid", "1:2:lin:2",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[:2] + row[4:] for row in rows] == [
+            ["1.0", "5156922822541503845", "0.0", "", ""],
+            ["2.0", "5120397642381829728", "0.0", "", ""],
+        ]
+
 
 @pytest.mark.parametrize(
     "argv,flag",

@@ -177,6 +177,31 @@ def test_runtime_refusals_are_compared_and_an_unnamed_agent_is_reported(tmp_path
     assert found == ["refused.all-zero.json.stderr"]
 
 
+def test_overflowing_welfare_sweep_is_compared_and_an_infinite_welfare_is_reported(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.overflow_sweep_jobs(inputs)
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    assert (new / "sweep.overflow.csv.stderr").read_text() == ""
+    rows = [line.split(",") for line in (new / "sweep.overflow.csv").read_text().splitlines()]
+    assert [row[5] for row in rows] == ["welfare", "", ""]
+
+    # A tree whose utility cells write the plain mean, which overflows.
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    equilibrium = tree / "src" / "coopt" / "equilibrium.py"
+    source = equilibrium.read_text()
+    call = "_mean_payoff(model, certificate.payoffs)"
+    assert source.count(call) == 1
+    equilibrium.write_text(source.replace(call, "float(np.mean(certificate.payoffs))"))
+    found = script.compare(ROOT, tree, jobs, tmp_path / "moved")
+    assert found == ["sweep.overflow.csv"]
+    assert script.describe(found[0], tmp_path / "moved" / "old", tmp_path / "moved" / "new") == (
+        "sweep.overflow.csv (structure differs)")
+
+
 def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path):
     script = load_script()
     inputs = tmp_path / "inputs"

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from dense_expansion import densify
+from test_plan import MIXED_SEEDS, assert_close, mixed_model, seeded_profile
 from coopt import bundled_path, fileio
 from coopt.cli import parse_alpha_grid
 from coopt.discrete import (
@@ -92,10 +93,13 @@ class TestExpectedReturnUpdate:
         for got, want in zip(field.values, oracle):
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
-    def test_rejects_pairwise_objectives(self):
-        model = helpers.random_pairwise_model(3)
-        with pytest.raises(ValueError, match="factorized"):
-            expected_return_update(model, StrategyProfile.uniform(model))
+    @pytest.mark.parametrize("seed", MIXED_SEEDS)
+    def test_mixed_dense_and_pairwise_agents_match_enumeration(self, seed):
+        model = mixed_model(seed)
+        profile = seeded_profile(model, seed + 1)
+        oracle = helpers.returns_by_enumeration(model, profile)
+        for update in (expected_return_update, expected_return_update_factorized):
+            assert_close(update(model, profile).values, oracle)
 
 
 class TestFactorizedUpdate:
@@ -128,10 +132,14 @@ class TestFactorizedUpdate:
         for got, want in zip(factorized.values, dense.values):
             assert np.abs(got - want).max() <= 1e-12 * max(1e-30, np.abs(want).max())
 
-    def test_rejects_dense_objectives(self):
-        model = helpers.prisoners_dilemma()
-        with pytest.raises(ValueError, match="pairwise"):
-            expected_return_update_factorized(model, StrategyProfile.uniform(model))
+    @pytest.mark.parametrize("seed", MIXED_SEEDS)
+    def test_is_the_one_update_bitwise(self, seed):
+        assert expected_return_update_factorized is expected_return_update
+        model = mixed_model(seed)
+        profile = seeded_profile(model, seed + 1)
+        one = expected_return_update(model, profile)
+        other = expected_return_update_factorized(model, profile)
+        assert [v.tobytes() for v in other.log_values] == [v.tobytes() for v in one.log_values]
 
 
 class TestNormalizePolicy:

@@ -426,6 +426,37 @@ def test_welfare_outside_the_float_range_is_rejected_and_left_empty(shift, hbar,
     assert all(line.split(",")[5] == "" for line in report.to_csv().splitlines()[1:])
 
 
+def large_utility_game(agree, differ):
+    """Two binary agents, each paid `agree` where their actions agree and
+    `differ` where they differ."""
+    values = np.array([agree, differ, differ, agree])
+    return GameModel(
+        (DomainSpec("x1", 2), DomainSpec("x2", 2)),
+        (
+            Agent("left", "x1", DenseUtility(("x1", "x2"), values)),
+            Agent("right", "x2", DenseUtility(("x2", "x1"), values)),
+        ),
+        mode="utility",
+    )
+
+
+def test_utility_welfare_whose_mean_overflows_is_rejected_and_left_empty():
+    # Each agent's payoff is 1.35e308, but their sum overflows; the test
+    # configuration makes numpy's overflow warning an error.
+    model = large_utility_game(1e308, 1.7e308)
+    uniform = StrategyProfile.uniform(model)
+    assert epsilon_of_profile(model, uniform).payoffs == pytest.approx((1.35e308, 1.35e308))
+    with pytest.raises(ValueError, match="^the mean expected utility overflows$"):
+        social_welfare(model, uniform)
+    report = alpha_sweep(model, [1.0, 2.0], restarts=2)
+    assert all(row.welfare is None and row.converged for row in report.rows)
+    assert all(line.split(",")[5] == "" for line in report.to_csv().splitlines()[1:])
+    # a mean just inside the float range is the plain mean
+    near = large_utility_game(0.8e308, 0.9e308)
+    payoffs = epsilon_of_profile(near, StrategyProfile.uniform(near)).payoffs
+    assert social_welfare(near, StrategyProfile.uniform(near)) == float(np.mean(payoffs)) > 0.8e308
+
+
 def mixed_cardinality_model():
     """The first seeded random pairwise model whose agents' cardinalities differ."""
     return next(m for m in map(helpers.random_pairwise_model, range(100, 160))
@@ -439,6 +470,8 @@ SWEPT_MODELS = {
     "dense-energy": lambda: helpers.random_dense_model(62, n_agents=3, card=3, mode="energy"),
     "mixed-energy": mixed_cardinality_model,
     "mixed-utility": lambda: to_utility_model(mixed_cardinality_model()),
+    "utility-near-float-limit": lambda: large_utility_game(0.8e308, 0.9e308),
+    "utility-mean-overflows": lambda: large_utility_game(1e308, 1.7e308),
 }
 
 

@@ -272,6 +272,19 @@ class TestBooleansInListsExitOne:
         assert main(["solve", "--problem", str(path), "--alpha", "2"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "beside", [{"note": "x"}, {"pairwise": [{"with": "y", "table": [[1, 0], [0, 1]]}]}],
+        ids=["note", "pairwise"],
+    )
+    def test_objective_holds_exactly_one_kind(self, tmp_path, capsys, beside):
+        # an objective object is read whole: no field may stand beside its kind
+        objective = {"dense": {"order": ["x", "y"], "values": [1, 0, 0, 1]}, **beside}
+        path = write_json(tmp_path, "p.json", _two_by_two("energy", objective))
+        assert main(["solve", "--problem", str(path), "--alpha", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: agents[0].objective: "
+            "expected an object with exactly one of 'dense', 'pairwise'\n")
+
 
 class TestUnreadableFilesExitOne:
     """A file that is not UTF-8 or is nested past the interpreter's
@@ -366,6 +379,13 @@ class TestHamiltonianLoading:
         path = write_json(tmp_path, "h.json", {"matrix": [[1.0]]})
         with pytest.raises(FileFormatError, match="diagonal"):
             load_hamiltonian(path)
+
+    def test_key_beside_the_operator_rejected(self, tmp_path):
+        path = write_json(tmp_path, "h.json", {"diagonal": [1.0, 2.0], "note": "x"})
+        with pytest.raises(FileFormatError) as excinfo:
+            load_hamiltonian(path)
+        assert str(excinfo.value) == (
+            f"{path}: expected an object with exactly one of 'diagonal', 'dense', 'grid'")
 
 
 class TestProfileLoading:

@@ -19,7 +19,7 @@ from dense_expansion import densify, full_domain_table
 from coopt import bundled_path, continuous, discrete, fileio
 from coopt.continuous import WaveState, effective_hamiltonian, evolve_coupled
 from coopt.discrete import (
-    expected_return_update_factorized,
+    expected_return_update,
     iterate_to_fixed_point,
     normalize_policy,
     random_profile,
@@ -84,13 +84,14 @@ def test_log_returns_match_enumeration(seed):
     pairwise = helpers.random_pairwise_model(seed)
     profile = seeded_profile(pairwise, seed + 1)
     oracle = helpers.returns_by_enumeration(pairwise, profile)
-    assert_close(expected_return_update_factorized(pairwise, profile).values, oracle)
+    assert_close(expected_return_update(pairwise, profile).values, oracle)
 
     mixed = mixed_model(seed)
+    want = helpers.returns_by_enumeration(mixed, profile)
+    assert_close(expected_return_update(mixed, profile).values, want)
     # The field of the first iteration is taken at the initial profile, and
     # at alpha 1 the next profile is the normalized field.
     result = iterate_to_fixed_point(mixed, 1.0, profile, max_iter=1)
-    want = helpers.returns_by_enumeration(mixed, profile)
     assert_close(result.field.values, want)
     assert_close(result.profile.dists, [psi / psi.sum() for psi in want])
 
