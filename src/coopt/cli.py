@@ -92,7 +92,6 @@ def _cmd_solve(args) -> int:
         _initial_profile(model, args),
         tol=args.tol,
         max_iter=args.max_iter,
-        keep_trace=args.trace is not None,
     )
     logs = result.field.log_values
     # an expected return that underflows to 0 is valid output

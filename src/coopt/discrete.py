@@ -10,14 +10,12 @@ accumulation runs in the log domain so small hbar and large alpha stay
 finite.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import ContractionPlan, GameModel, StrategyProfile, validate_profile
-from .numerics import Frozen
+from .model import GameModel, StrategyProfile, validate_profile
 from .rng import SplitMix64, random_simplex
 
 ALPHA_CAP = 1e6
@@ -60,40 +58,28 @@ class ExpectedReturnField(NamedTuple):
         return tuple(np.exp(lv) for lv in self.log_values)
 
 
-class TraceStep(Frozen):
-    """One iteration, holding its stacked profile and log returns; the
-    per-agent profile and field are built from them on first read.  It
-    keeps an instance dict, where the cached properties store them."""
-
-    def __init__(self, step: int, max_change: float, p, log_returns, plan: ContractionPlan):
-        vars(self).update(step=step, max_change=max_change, p=p, log_returns=log_returns, plan=plan)
-
-    @functools.cached_property
-    def profile(self) -> StrategyProfile:
-        return StrategyProfile(self.plan.rows(self.p))
-
-    @functools.cached_property
-    def field(self) -> ExpectedReturnField:
-        return ExpectedReturnField(self.plan.rows(self.log_returns))
-
-
 class IterationTrace(NamedTuple):
-    steps: tuple[TraceStep, ...]
+    """The infinity-norm change of each map evaluation, step 1 first."""
+
+    max_changes: tuple[float, ...]
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write("step,max_change\n")
-            for s in self.steps:
-                f.write(f"{s.step},{float(s.max_change)!r}\n")
+            for step, change in enumerate(self.max_changes, 1):
+                f.write(f"{step},{change!r}\n")
 
 
 class FixedPointResult(NamedTuple):
+    """Where the map stopped; `trace` holds every step's max_change, so it
+    has `iterations` entries whatever the stop."""
+
     profile: StrategyProfile
     converged: bool
     iterations: int
     max_change: float
     field: ExpectedReturnField
-    trace: IterationTrace | None = None
+    trace: IterationTrace
     cycle_period: int | None = None
 
 
@@ -160,7 +146,6 @@ def iterate_to_fixed_point(
     init: StrategyProfile | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    keep_trace: bool = False,
 ) -> FixedPointResult:
     """Run the synchronous update-and-normalize map until the profile stops
     moving (infinity norm <= tol), the iteration budget runs out, or the
@@ -174,7 +159,8 @@ def iterate_to_fixed_point(
     with `iterations` the map evaluations made and `cycle_period` t - s.
     Repeats are found by Brent's power-of-two scheme (R. P. Brent, BIT 20
     (1980) 176): the states at steps 1, 2, 4, 8, ... are saved in turn and
-    each step's state is compared with the last one saved.
+    each step's state is compared with the last one saved.  The result's
+    trace holds each evaluation's max_change, one per iteration.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite (got {tol})")
@@ -182,7 +168,7 @@ def iterate_to_fixed_point(
         raise ValueError("max_iter must be at least 1")
     plan = model.plan
     p = plan.uniform if init is None else validate_profile(model, init)
-    steps: list[TraceStep] = []
+    changes: list[float] = []
     converged = False
     cycle_period = None
     saved, saved_at = None, 0
@@ -199,8 +185,7 @@ def iterate_to_fixed_point(
             raise AllZeroReturnsError(e.index, model.agents[e.index].name) from None
         change = float(np.abs(new_p - p).max())
         p = new_p
-        if keep_trace:
-            steps.append(TraceStep(t, change, p, log_returns, plan))
+        changes.append(change)
         if change <= tol:
             converged = True
             break
@@ -217,6 +202,6 @@ def iterate_to_fixed_point(
         iterations=t,
         max_change=change,
         field=ExpectedReturnField(plan.rows(log_returns)),
-        trace=IterationTrace(tuple(steps)) if keep_trace else None,
+        trace=IterationTrace(tuple(changes)),
         cycle_period=cycle_period,
     )

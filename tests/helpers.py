@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from coopt.discrete import iterate_to_fixed_point
 from coopt.model import (
     Agent,
     DenseEnergy,
@@ -101,6 +102,20 @@ def row_sum_bound(op):
     |eigenvalue|, taken from its entries."""
     matrix = np.diag(op.entries) if isinstance(op, Diagonal) else op.matrix
     return float(np.abs(matrix).sum(axis=1).max())
+
+
+# ----------------------------------------------------------------- replay
+
+def map_steps(model, alpha, init, count):
+    """The first `count` map evaluations from init (None for uniform), one
+    iterate_to_fixed_point call with max_iter=1 each, every call starting
+    from the profile the one before returned: entry t - 1 is step t's
+    result, with its profile, field and max_change."""
+    steps = []
+    for _ in range(count):
+        steps.append(iterate_to_fixed_point(model, alpha, init, max_iter=1))
+        init = steps[-1].profile
+    return steps
 
 
 # ------------------------------------------------------------- generators

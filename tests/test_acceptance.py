@@ -189,10 +189,9 @@ def test_criterion_8_conservation_and_invariance():
         pd = helpers.prisoners_dilemma()
         chain = load_problem(bundled_path("pairwise_chain"))
         for model, alpha in ((pd, 2.0), (chain, 1.5)):
-            result = iterate_to_fixed_point(
-                model, alpha, random_profile(model, 5), keep_trace=True
-            )
-            for step in result.trace.steps:
+            init = random_profile(model, 5)
+            result = iterate_to_fixed_point(model, alpha, init)
+            for step in helpers.map_steps(model, alpha, init, result.iterations):
                 for d in step.profile.dists:
                     assert abs(float(d.sum()) - 1.0) <= 1e-12
 

@@ -50,14 +50,25 @@ class TestSolve:
         assert doc["schema_version"] == 1
         assert "epsilon_certificate" in doc
 
-    def test_trace_file(self, tmp_path):
-        trace = tmp_path / "trace.csv"
-        proc = run_cli("solve", "--problem", PD, "--alpha", "2", "--trace", str(trace),
-                       "--out", str(tmp_path / "r.json"))
-        assert proc.returncode == 0
+    @pytest.mark.parametrize("problem, argv, code", [
+        (PD, ["--alpha", "2"], 0),
+        # the cycle stop scripts/compare_outputs.py runs
+        (str(bundled_path("matching_pennies")),
+         ["--alpha", "4", "--init", "random", "--seed", "7"], 2),
+    ], ids=["converged", "cycle"])
+    def test_trace_file(self, tmp_path, problem, argv, code):
+        """One row per map evaluation, the last one the document's max_change."""
+        trace, out = tmp_path / "trace.csv", tmp_path / "r.json"
+        proc = run_cli("solve", "--problem", problem, *argv, "--trace", str(trace),
+                       "--out", str(out))
+        assert proc.returncode == code, proc.stderr
+        doc = json.loads(out.read_text())
+        assert ("cycle_period" in doc) == (code == 2)
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,max_change"
-        assert len(lines) > 1
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(step) for step, _ in rows] == list(range(1, doc["iterations"] + 1))
+        assert rows[-1][1] == repr(doc["max_change"])
 
     def test_non_convergence_exits_two(self, tmp_path):
         mp = str(bundled_path("matching_pennies"))

@@ -35,16 +35,17 @@ from coopt.numerics import log_sum_exp_first
 from coopt.rng import derive_seed
 
 
-def write_detail_csv(trace, path, model: GameModel) -> None:
-    """Per-step, per-agent, per-action probability and expected return."""
+def write_detail_csv(steps, path, model: GameModel) -> None:
+    """Per-step, per-agent, per-action probability and expected return,
+    from the one-step results of helpers.map_steps."""
     with open(path, "w") as f:
         f.write("step,agent,action,p,psi\n")
-        for s in trace.steps:
+        for t, s in enumerate(steps, 1):
             values = s.field.values
             for agent, dist, psi in zip(model.agents, s.profile.dists, values):
                 for action in range(dist.size):
                     f.write(
-                        f"{s.step},{agent.name},{action},"
+                        f"{t},{agent.name},{action},"
                         f"{float(dist[action])!r},{float(psi[action])!r}\n"
                     )
 
@@ -213,12 +214,12 @@ class TestIteration:
 
     def test_prisoners_dilemma_high_alpha_defects(self):
         model = helpers.prisoners_dilemma()
-        result = iterate_to_fixed_point(model, 8.0, keep_trace=True)
+        result = iterate_to_fixed_point(model, 8.0)
         assert result.converged
         for d in result.profile.dists:
             assert d[1] > 0.99
         # defection strictly dominates, so it leads at every step
-        for step in result.trace.steps:
+        for step in helpers.map_steps(model, 8.0, None, result.iterations):
             for d in step.profile.dists:
                 assert d[1] > 0.5
 
@@ -336,8 +337,9 @@ class TestRefusalOrder:
 class TestIterationInvariants:
     def test_normalization_conserved_every_step(self):
         model = helpers.random_dense_model(31, n_agents=3, card=3, mode="utility")
-        result = iterate_to_fixed_point(model, 2.5, random_profile(model, 8), keep_trace=True)
-        for step in result.trace.steps:
+        init = random_profile(model, 8)
+        result = iterate_to_fixed_point(model, 2.5, init)
+        for step in helpers.map_steps(model, 2.5, init, result.iterations):
             for d in step.profile.dists:
                 assert abs(d.sum() - 1.0) <= 1e-12
 
@@ -350,9 +352,10 @@ class TestIterationInvariants:
         )
         shifted = GameModel(base.variables, shifted_agents, hbar=base.hbar, mode="energy")
         init = random_profile(base, 99)
-        r1 = iterate_to_fixed_point(base, 3.0, init, max_iter=50, keep_trace=True)
-        r2 = iterate_to_fixed_point(shifted, 3.0, init, max_iter=50, keep_trace=True)
-        for s1, s2 in zip(r1.trace.steps, r2.trace.steps):
+        r1 = iterate_to_fixed_point(base, 3.0, init, max_iter=50)
+        r2 = iterate_to_fixed_point(shifted, 3.0, init, max_iter=50)
+        for s1, s2 in zip(helpers.map_steps(base, 3.0, init, r1.iterations),
+                          helpers.map_steps(shifted, 3.0, init, r2.iterations)):
             for d1, d2 in zip(s1.profile.dists, s2.profile.dists):
                 np.testing.assert_allclose(d1, d2, atol=1e-10)
 
@@ -384,8 +387,9 @@ class TestIterationInvariants:
             ),
             mode="utility",
         )
-        result = iterate_to_fixed_point(model, 1.5, random_profile(model, 4), keep_trace=True)
-        for step in result.trace.steps:
+        init = random_profile(model, 4)
+        result = iterate_to_fixed_point(model, 1.5, init)
+        for step in helpers.map_steps(model, 1.5, init, result.iterations):
             assert step.profile.dists[0][0] > step.profile.dists[0][1]
 
     def test_log_domain_matches_linear_domain_oracle(self):
@@ -405,11 +409,11 @@ class TestIterationInvariants:
 class TestTraceOutput:
     def test_summary_and_detail_csv(self, tmp_path):
         model = helpers.prisoners_dilemma()
-        result = iterate_to_fixed_point(model, 2.0, keep_trace=True)
+        result = iterate_to_fixed_point(model, 2.0)
         summary = tmp_path / "trace.csv"
         detail = tmp_path / "detail.csv"
         result.trace.write_csv(summary)
-        write_detail_csv(result.trace, detail, model)
+        write_detail_csv(helpers.map_steps(model, 2.0, None, result.iterations), detail, model)
 
         lines = summary.read_text().splitlines()
         assert lines[0] == "step,max_change"
@@ -422,6 +426,44 @@ class TestTraceOutput:
         detail_lines = detail.read_text().splitlines()
         assert detail_lines[0] == "step,agent,action,p,psi"
         assert len(detail_lines) == 1 + result.iterations * 4  # 2 agents x 2 actions
+
+
+# one case per kind of model and per kind of stop: (model, alpha, random-start
+# seed or None for uniform, max_iter, how the run stops)
+TRACE_CASES = {
+    "dense": (lambda: helpers.random_dense_model(17, n_agents=3, card=3, mode="energy"),
+              2.0, 3, DEFAULT_MAX_ITER, "converged"),
+    "pairwise": (lambda: fileio.load_problem(bundled_path("pairwise_chain")),
+                 1.5, None, DEFAULT_MAX_ITER, "converged"),
+    "mixed": (lambda: mixed_model(MIXED_SEEDS[0]), 2.0, 5, DEFAULT_MAX_ITER, "converged"),
+    "utility": (helpers.prisoners_dilemma, 2.0, None, DEFAULT_MAX_ITER, "converged"),
+    "cycle": (lambda: fileio.load_problem(bundled_path("matching_pennies")),
+              4.0, 7, DEFAULT_MAX_ITER, "cycle"),
+    "max-iter": (lambda: helpers.random_dense_model(31, n_agents=3, card=3, mode="utility"),
+                 2.5, 8, 4, "max_iter"),
+}
+
+
+@pytest.mark.parametrize("case", TRACE_CASES)
+def test_trace_holds_each_steps_max_change(case):
+    """The trace is the max_change of every map evaluation, as one-step
+    calls chained from the same start give them, bit for bit."""
+    make, alpha, seed, max_iter, stop = TRACE_CASES[case]
+    model = make()
+    init = None if seed is None else random_profile(model, seed)
+    result = iterate_to_fixed_point(model, alpha, init, max_iter=max_iter)
+    assert stop == ("converged" if result.converged
+                    else "max_iter" if result.cycle_period is None else "cycle")
+    changes = result.trace.max_changes
+    assert len(changes) == result.iterations
+    assert all(type(c) is float for c in changes)
+    replay = helpers.map_steps(model, alpha, init, result.iterations)
+    assert [c.hex() for c in changes] == [s.max_change.hex() for s in replay]
+    last = replay[-1]
+    assert [d.tobytes() for d in last.profile.dists] == [
+        d.tobytes() for d in result.profile.dists]
+    assert [v.tobytes() for v in last.field.log_values] == [
+        v.tobytes() for v in result.field.log_values]
 
 
 # ------------------------------------------------- the stop on an exact repeat
@@ -455,14 +497,25 @@ def plain_steps(model, alpha, init, tol, max_iter):
     return rows
 
 
+def replay_rows(model, alpha, init, count):
+    """(max_change, bytes of p, bytes of log_returns) of the first count map
+    evaluations from init, stacked as plain_steps stacks them, from the
+    one-step calls of helpers.map_steps."""
+    return [(s.max_change, stack(s.profile.dists, 0.0).tobytes(),
+             stack(s.field.log_values, -np.inf).tobytes())
+            for s in helpers.map_steps(model, alpha, init, count)]
+
+
 def check_against_plain_steps(model, alpha, init, max_iter, tol=DEFAULT_TOL):
-    """Runs iterate_to_fixed_point and replays it step by step; returns the
-    cycle period it reported."""
-    result = iterate_to_fixed_point(model, alpha, init, tol=tol, max_iter=max_iter, keep_trace=True)
+    """Runs iterate_to_fixed_point and replays it step by step, both as
+    one-step library calls and as the plain loop; returns the cycle period
+    it reported."""
+    result = iterate_to_fixed_point(model, alpha, init, tol=tol, max_iter=max_iter)
     t, period = result.iterations, result.cycle_period
     rows = plain_steps(model, alpha, init, tol, t + (period or 0))
-    assert [(s.step, s.max_change, s.p.tobytes(), s.log_returns.tobytes())
-            for s in result.trace.steps] == [(*row[:3], row[3].tobytes()) for row in rows[:t]]
+    assert replay_rows(model, alpha, init, t) == [
+        (change, p, log_returns.tobytes()) for _, change, p, log_returns in rows[:t]]
+    assert result.trace.max_changes == tuple(row[1] for row in rows[:t])
     _, change, p, log_returns = rows[t - 1]
     assert result.max_change == change
     assert stack(result.profile.dists, 0.0).tobytes() == p

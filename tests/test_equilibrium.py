@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import helpers
+from test_discrete import plain_steps, replay_rows
 from coopt import bundled_path, fileio
-from coopt.discrete import iterate_to_fixed_point, random_profile
+from coopt.discrete import DEFAULT_TOL, iterate_to_fixed_point, random_profile
 from coopt.equilibrium import (
     EnumerationTooLargeError,
     alpha_sweep,
@@ -475,11 +476,6 @@ SWEPT_MODELS = {
 }
 
 
-def trace_bytes(result):
-    return [(s.step, s.max_change, s.p.tobytes(), s.log_returns.tobytes())
-            for s in result.trace.steps]
-
-
 @pytest.mark.parametrize("name", SWEPT_MODELS)
 def test_sweep_cells_equal_separate_calls_bitwise(name):
     """Each row's epsilon and welfare are what epsilon_of_profile and
@@ -502,10 +498,9 @@ def test_sweep_cells_equal_separate_calls_bitwise(name):
         assert (repr(row.epsilon), repr(row.welfare)) == (repr(epsilon), repr(welfare))
 
     for alpha in grid:
-        default = iterate_to_fixed_point(model, alpha, max_iter=500, keep_trace=True)
-        uniform = iterate_to_fixed_point(
-            model, alpha, StrategyProfile.uniform(model), max_iter=500, keep_trace=True
-        )
+        default = iterate_to_fixed_point(model, alpha, max_iter=500)
+        uniform = iterate_to_fixed_point(model, alpha, StrategyProfile.uniform(model),
+                                         max_iter=500)
         assert [d.tobytes() for d in default.profile.dists] == [
             d.tobytes() for d in uniform.profile.dists
         ]
@@ -514,4 +509,10 @@ def test_sweep_cells_equal_separate_calls_bitwise(name):
         ]
         fields = ("converged", "iterations", "max_change", "cycle_period")
         assert [getattr(default, f) for f in fields] == [getattr(uniform, f) for f in fields]
-        assert trace_bytes(default) == trace_bytes(uniform)
+        replayed = replay_rows(model, alpha, None, default.iterations)
+        assert replayed == replay_rows(model, alpha, StrategyProfile.uniform(model),
+                                       uniform.iterations)
+        assert replayed == [(change, p, log_returns.tobytes()) for _, change, p, log_returns
+                            in plain_steps(model, alpha, None, DEFAULT_TOL, default.iterations)]
+        assert default.trace.max_changes == uniform.trace.max_changes == tuple(
+            row[0] for row in replayed)

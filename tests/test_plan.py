@@ -409,18 +409,6 @@ def test_epsilon_of_a_solved_profile_matches_contiguous_copies_bitwise():
         assert certificate.payoffs[i] == float(dists[i] @ table)
 
 
-def test_trace_steps_build_profile_and_field_when_read():
-    model = ring_model()
-    result = iterate_to_fixed_point(model, 0.5, keep_trace=True)
-    last = result.trace.steps[-1]
-    assert "profile" not in vars(last) and "field" not in vars(last)
-    for got, want in zip(last.profile.dists, result.profile.dists):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(last.field.log_values, result.field.log_values):
-        np.testing.assert_array_equal(got, want)
-    assert last.profile is last.profile
-
-
 @pytest.mark.parametrize("seed", MIXED_SEEDS)
 def test_effective_hamiltonian_matches_densified_model(seed):
     mixed = mixed_model(seed)

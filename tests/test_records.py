@@ -25,7 +25,7 @@ from coopt.model import (
     PairwiseEnergy,
     StrategyProfile,
 )
-from coopt.numerics import DenseSymmetric, Diagonal, jacobi_eigen
+from coopt.numerics import DenseSymmetric, Diagonal, Frozen, jacobi_eigen
 
 
 def test_import_leaves_the_eigensolver_unloaded():
@@ -53,7 +53,7 @@ def records():
     """(record, one of its fields) for every record kind coopt returns."""
     model = helpers.prisoners_dilemma()
     energy = helpers.random_pairwise_model(3)
-    result = iterate_to_fixed_point(model, 2.0, keep_trace=True)
+    result = iterate_to_fixed_point(model, 2.0)
     points, _ = evolve_linear(Diagonal(np.array([1.0, 2.0])), np.array([0.6, 0.8]))
     sweep = alpha_sweep(model, [1.0])
     return [
@@ -70,8 +70,7 @@ def records():
         (points[-1], "time"),
         (result, "profile"),
         (result.field, "log_values"),
-        (result.trace, "steps"),
-        (result.trace.steps[0], "max_change"),
+        (result.trace, "max_changes"),
         (epsilon_of_profile(model, result.profile), "epsilon"),
         (sweep, "rows"),
         (sweep.rows[0], "alpha"),
@@ -91,10 +90,20 @@ def test_assigning_or_deleting_a_field_raises(index):
 
 
 def test_converting_records_keep_no_instance_dict():
-    model = helpers.prisoners_dilemma()
-    for record in (model.agents[0].objective, StrategyProfile.uniform(model),
-                   WaveState.uniform(model), Diagonal(np.ones(2)), DenseSymmetric(np.eye(2))):
-        assert not hasattr(record, "__dict__"), type(record)
+    for info in pkgutil.iter_modules(coopt.__path__):
+        if info.name != "__main__":  # runs the CLI
+            importlib.import_module(f"coopt.{info.name}")
+    found, pending = set(), [Frozen]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub.__module__.startswith("coopt.") and sub not in found:
+                found.add(sub)
+                pending.append(sub)
+    assert {DenseEnergy, DenseUtility, PairwiseEnergy, StrategyProfile, WaveState,
+            Diagonal, DenseSymmetric} <= found
+    for cls in found:
+        # a nonzero offset means every instance carries a __dict__
+        assert cls.__dictoffset__ == 0, cls
 
 
 def test_epsilon_certificates_compare_by_value():
