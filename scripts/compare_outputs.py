@@ -37,8 +37,10 @@ Hamiltonian files, at least one per message that `load_hamiltonian` words
 and one with true or false in each numeric field, and `coopt solve` where
 the map or its output leaves the float range or an agent's returns are all
 zero (`pairwise_chain` at hbar = 1e-4 and 1e-320, and a generated utility
-game), and `coopt sweep` on a utility game whose payoffs are finite but
-whose mean payoff overflows, once per tree in a fresh
+game), `coopt sweep` on a utility game whose payoffs are finite but
+whose mean payoff overflows, and `coopt sweep` with cells the map refuses
+(a two-agent energy game whose returns overflow at alpha 2 only, and the
+all-zero utility game), once per tree in a fresh
 interpreter with that tree's src/ on the path; every job's stderr is an
 output file too, so error messages are compared byte for byte.  Then, in
 a second fresh interpreter that runs no CLI job, so that no digest depends
@@ -432,14 +434,9 @@ def malformed_jobs(inputs: Path) -> list[list[str]]:
     return jobs
 
 
-def refusal_jobs(inputs: Path) -> list[list[str]]:
-    """`coopt solve` runs that are refused once the map has run:
-    `pairwise_chain` at an hbar whose expected returns overflow only on
-    output, and at one where the map's own returns leave the float range,
-    and a utility game whose agent `Col` has all-zero utilities; writes
-    their problem files to inputs."""
-    chain = str(inputs / "pairwise_chain.json")
-    shutil.copyfile(bundled_path("pairwise_chain"), chain)
+def write_all_zero_game(inputs: Path) -> Path:
+    """Writes to inputs a utility game whose agent `Col` has all-zero
+    utilities, which the map refuses at its first step."""
     zero = inputs / "all-zero.json"
     zero.write_text(json.dumps({
         "mode": "utility",
@@ -451,6 +448,18 @@ def refusal_jobs(inputs: Path) -> list[list[str]]:
              "objective": {"dense": {"order": ["r", "c"], "values": [0, 0, 0, 0]}}},
         ],
     }))
+    return zero
+
+
+def refusal_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt solve` runs that are refused once the map has run:
+    `pairwise_chain` at an hbar whose expected returns overflow only on
+    output, and at one where the map's own returns leave the float range,
+    and a utility game whose agent `Col` has all-zero utilities; writes
+    their problem files to inputs."""
+    chain = str(inputs / "pairwise_chain.json")
+    shutil.copyfile(bundled_path("pairwise_chain"), chain)
+    zero = write_all_zero_game(inputs)
     solve = ["solve", "--alpha", str(SOFT_ALPHA), "--problem"]
     return [
         [*solve, chain, "--hbar", "1e-4", "--out", "refused.hbar1e-4.json"],
@@ -476,6 +485,31 @@ def overflow_sweep_jobs(inputs: Path) -> list[list[str]]:
     }))
     return [["sweep", "--problem", str(problem), "--alpha-grid", "1:2:lin:2",
              "--out", "sweep.overflow.csv"]]
+
+
+def refused_sweep_jobs(inputs: Path) -> list[list[str]]:
+    """`coopt sweep` runs with cells the map refuses: a two-agent energy
+    game whose agent B's expected return overflows at alpha 2 but not at
+    alpha 1, and the all-zero utility game, whose every cell is refused;
+    writes their problem files to inputs."""
+    overflow = inputs / "overflow-at-alpha2.json"
+    overflow.write_text(json.dumps({
+        "mode": "energy",
+        "hbar": 1.0,
+        "variables": [{"name": "a", "cardinality": 2}, {"name": "b", "cardinality": 2}],
+        "agents": [
+            {"name": "A", "acts_on": "a",
+             "objective": {"pairwise": [{"with": "b", "table": [[1e308, -1e308], [0, 0]]}]}},
+            {"name": "B", "acts_on": "b",
+             "objective": {"pairwise": [{"with": "a", "table": [[0, 1], [1, 0]]}]}},
+        ],
+    }))
+    sweep = ["--alpha-grid", "1:2:lin:2", "--restarts", "2"]
+    return [
+        ["sweep", "--problem", str(overflow), *sweep, "--out", "sweep.refused-alpha2.csv"],
+        ["sweep", "--problem", str(write_all_zero_game(inputs)), *sweep,
+         "--out", "sweep.refused-all-zero.csv"],
+    ]
 
 
 def malformed_profiles() -> tuple[dict, dict[str, object]]:
@@ -545,8 +579,8 @@ def malformed_profile_jobs(inputs: Path) -> list[list[str]]:
 
 def malformed_hamiltonians() -> dict[str, dict]:
     """Hamiltonian documents that `load_hamiltonian` refuses, by name: at
-    least one for each message it words, and one with true or false in
-    each numeric field."""
+    least one for each message it words, the dense operator's own among
+    them, and one with true or false in each numeric field."""
     return {
         "no-key": {},
         "two-keys": {"diagonal": [1.0], "dense": [[1.0]]},
@@ -561,6 +595,8 @@ def malformed_hamiltonians() -> dict[str, dict]:
         "potential-bool": {"grid": {"xmin": -1.0, "xmax": 1.0, "n": 3,
                                     "potential": [0.0, True, 0.0]}},
         "dense-asymmetric": {"dense": [[0.0, 1.0], [0.5, 0.0]]},
+        "dense-not-square": {"dense": [[1.0, 2.0]]},
+        "dense-non-finite": {"dense": [[math.inf, 0.0], [0.0, 1.0]]},
     }
 
 
@@ -755,7 +791,7 @@ def main(argv=None) -> int:
                 + dense_three_jobs(inputs) + term_order_jobs(inputs)
                 + malformed_jobs(inputs) + malformed_profile_jobs(inputs)
                 + malformed_hamiltonian_jobs(inputs) + refusal_jobs(inputs)
-                + overflow_sweep_jobs(inputs))
+                + overflow_sweep_jobs(inputs) + refused_sweep_jobs(inputs))
         found = compare(args.old_root, args.new_root, jobs, workdir,
                         trajectory_jobs(inputs), spectrum_jobs(inputs) + seeded_spectra)
         compared = len(list((workdir / "new").iterdir()))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .model import GameModel, stack
 from .numerics import DenseSymmetric, Diagonal, EigenDecomposition, HermitianOperator, rk4_step
-from .numerics import Frozen
 from .rng import random_unit_vector
 
 # The default horizon, in units of hbar: the flow's time scale is
@@ -55,21 +54,6 @@ _TRAJECTORY_POINTS = 1000
 
 class EvolutionError(RuntimeError):
     """Non-finite state encountered during evolution."""
-
-
-class WaveState(Frozen):
-    """Per-agent real amplitude vectors, each of unit Euclidean norm."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes):
-        object.__setattr__(self, "amplitudes", tuple(np.asarray(a, dtype=float) for a in amplitudes))
-
-    @classmethod
-    def uniform(cls, model: GameModel) -> "WaveState":
-        return cls(
-            tuple(np.full(c, 1.0 / math.sqrt(c)) for c in model.agent_cardinalities())
-        )
 
 
 class TrajectoryPoint(NamedTuple):
@@ -197,12 +181,12 @@ def _require_energy(model: GameModel) -> None:
         raise ValueError("effective Hamiltonians are defined for energy-mode models")
 
 
-def effective_hamiltonian(model: GameModel, state: WaveState, index: int) -> Diagonal:
+def effective_hamiltonian(model: GameModel, amplitudes, index: int) -> Diagonal:
     """Diagonal operator of per-action energy expectations for one agent,
-    taken over the other agents' squared amplitudes."""
+    taken over the other agents' squared amplitudes, one vector per agent."""
     _require_energy(model)
-    amplitudes = stack(state.amplitudes, 0.0)
-    return Diagonal(model.plan.rows(model.plan.expectations(amplitudes * amplitudes))[index])
+    stacked = stack([np.asarray(a, dtype=float) for a in amplitudes], 0.0)
+    return Diagonal(model.plan.rows(model.plan.expectations(stacked * stacked))[index])
 
 
 def coupled_scale(model: GameModel) -> float:
@@ -330,7 +314,7 @@ def lowest_states(
 
 def evolve_coupled(
     model: GameModel,
-    state0: WaveState | None = None,
+    state0=None,
     dt: float | None = None,
     t_max: float | None = None,
     tol: float = DEFAULT_STATIONARY_TOL,
@@ -338,6 +322,10 @@ def evolve_coupled(
 ) -> tuple[list[TrajectoryPoint], bool]:
     """Evolve all agents together, rebuilding every effective operator from
     the same state snapshot each step.
+
+    state0 holds one unit vector per agent, in agent order (a recorded
+    point's amplitudes restart the flow as they are); by default each agent
+    starts from the uniform vector 1/sqrt(c) over its c actions.
 
     Stops when every agent's residual against its current effective
     operator is <= tol, or at t_max (by default DEFAULT_T_MAX times the
@@ -351,10 +339,11 @@ def evolve_coupled(
     _require_energy(model)
     hbar = model.hbar
     plan = model.plan
-    state = WaveState.uniform(model) if state0 is None else state0
-    if tuple(a.size for a in state.amplitudes) != plan.cards:
+    start = ([np.full(c, 1.0 / math.sqrt(c)) for c in plan.cards] if state0 is None
+             else [np.asarray(a, dtype=float) for a in state0])
+    if tuple(a.size for a in start) != plan.cards:
         raise ValueError("initial state does not match the agents' cardinalities")
-    amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(state.amplitudes)], 0.0)
+    amplitudes = stack([_unit(a, f"psi[{i}]") for i, a in enumerate(start)], 0.0)
 
     dt, max_steps, record_every = _schedule(
         coupled_scale(model), hbar, dt, t_max, tol, record_every

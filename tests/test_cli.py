@@ -22,6 +22,21 @@ def run_cli(*args, timeout=None):
     )
 
 
+def _all_zero_game():
+    """Utility game whose agent Col holds all-zero utilities, so the map
+    refuses it at its first step."""
+    return {
+        "mode": "utility",
+        "variables": [{"name": "r", "cardinality": 2}, {"name": "c", "cardinality": 2}],
+        "agents": [
+            {"name": "Row", "acts_on": "r",
+             "objective": {"dense": {"order": ["r", "c"], "values": [1, 2, 3, 4]}}},
+            {"name": "Col", "acts_on": "c",
+             "objective": {"dense": {"order": ["r", "c"], "values": [0, 0, 0, 0]}}},
+        ],
+    }
+
+
 def write_agreement_game(path, hbar):
     """Two binary agents with the pairwise energy table [[1, 2], [2, 1]]."""
     table = [[1.0, 2.0], [2.0, 1.0]]
@@ -105,17 +120,8 @@ class TestSolve:
         self, tmp_path, problem, hbar, message
     ):
         path = bundled_path(problem) if problem != "all-zero" else tmp_path / "zero.json"
-        if problem == "all-zero":  # Col's utilities are all zero
-            path.write_text(json.dumps({
-                "mode": "utility",
-                "variables": [{"name": "r", "cardinality": 2}, {"name": "c", "cardinality": 2}],
-                "agents": [
-                    {"name": "Row", "acts_on": "r",
-                     "objective": {"dense": {"order": ["r", "c"], "values": [1, 2, 3, 4]}}},
-                    {"name": "Col", "acts_on": "c",
-                     "objective": {"dense": {"order": ["r", "c"], "values": [0, 0, 0, 0]}}},
-                ],
-            }))
+        if problem == "all-zero":
+            path.write_text(json.dumps(_all_zero_game()))
         out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
         proc = run_cli("solve", "--problem", str(path), "--alpha", "1",
                        *(["--hbar", hbar] if hbar else []),
@@ -310,6 +316,32 @@ class TestSweep:
             ["2.0", "5120397642381829728", "0.0", "", ""],
         ]
 
+    def test_refused_cells_are_written_empty_and_exit_two(self, tmp_path):
+        # agent B's expected return overflows at alpha 2, not at alpha 1
+        problem = tmp_path / "game.json"
+        problem.write_text(json.dumps(_two_agents([[1e308, -1e308], [0, 0]])))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "--problem", str(problem), "--alpha-grid", "1:2:lin:2",
+                       "--restarts", "2", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert out.read_text().splitlines()[1:] == [
+            "1.0,5156922822541503845,true,3,,,false",
+            "1.0,13197271613650035135,true,3,,,false",
+            "2.0,5120397642381829728,false,0,,,",
+            "2.0,9691361167763047584,false,0,,,",
+        ]
+
+    def test_all_zero_returns_refuse_every_cell(self, tmp_path):
+        problem = tmp_path / "zero.json"
+        problem.write_text(json.dumps(_all_zero_game()))
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "--problem", str(problem), "--alpha-grid", "1:2:lin:2",
+                       "--restarts", "2", "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[2:] == ["false", "0", "", "", ""] for row in rows)
+
 
 @pytest.mark.parametrize(
     "argv,flag",
@@ -469,6 +501,16 @@ class TestQuantum:
         doc = json.loads(out.read_text())
         assert doc["states"][0]["converged"]
         assert round(doc["states"][0]["time"] / doc["dt"]) == 1080
+
+    def test_zero_operator_is_stationary_at_once(self, tmp_path):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"dense": [[0, 0], [0, 0]]}))
+        out = tmp_path / "q.json"
+        proc = run_cli("quantum", "--hamiltonian", str(h), "--out", str(out))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (state,) = json.loads(out.read_text())["states"]
+        assert state["converged"] is True
+        assert (state["time"], state["rayleigh"], state["residual"]) == (0.0, 0.0, 0.0)
 
     def test_empty_diagonal_exits_one_naming_the_file(self, tmp_path):
         h = tmp_path / "h.json"

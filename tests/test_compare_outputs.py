@@ -202,6 +202,23 @@ def test_overflowing_welfare_sweep_is_compared_and_an_infinite_welfare_is_report
         "sweep.overflow.csv (structure differs)")
 
 
+def test_sweeps_with_refused_cells_are_compared(tmp_path):
+    script = load_script()
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    jobs = script.refused_sweep_jobs(inputs)
+    assert script.run_tree(ROOT, jobs, tmp_path / "codes") == [2, 2]
+    assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
+    new = tmp_path / "same" / "new"
+    assert (new / "sweep.refused-alpha2.csv").read_text().splitlines()[3:] == [
+        "2.0,5120397642381829728,false,0,,,",
+        "2.0,9691361167763047584,false,0,,,",
+    ]
+    rows = (new / "sweep.refused-all-zero.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(row.endswith(",false,0,,,") for row in rows)
+    assert [(new / f"{job[-1]}.stderr").read_text() for job in jobs] == ["", ""]
+
+
 def test_malformed_profiles_are_refused_and_a_dropped_check_is_reported(tmp_path):
     script = load_script()
     inputs = tmp_path / "inputs"
@@ -263,9 +280,9 @@ def test_malformed_hamiltonians_are_refused_and_a_reader_of_strings_is_reported(
     assert script.compare(ROOT, ROOT, jobs, tmp_path / "same") == []
     new = tmp_path / "same" / "new"
     written = sorted(p.name for p in new.iterdir())
-    names = ["dense-asymmetric", "dense-bool", "dense-null", "dense-numeric-strings",
-             "diagonal-bool", "diagonal-not-numbers", "no-key", "potential-2d", "potential-bool",
-             "two-keys", "unknown-key"]
+    names = ["dense-asymmetric", "dense-bool", "dense-non-finite", "dense-not-square",
+             "dense-null", "dense-numeric-strings", "diagonal-bool", "diagonal-not-numbers",
+             "no-key", "potential-2d", "potential-bool", "two-keys", "unknown-key"]
     assert written == [f"bad-hamiltonian.{name}.json.stderr" for name in names]
     refusals = [(new / name).read_text() for name in written]
     assert all(m.startswith("error: ") and m.count("\n") == 1 for m in refusals)

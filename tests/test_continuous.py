@@ -15,7 +15,6 @@ from dense_expansion import densify
 from coopt import bundled_path, continuous, fileio
 from coopt.continuous import (
     RK4_MONOTONE_LIMIT,
-    WaveState,
     build_grid_hamiltonian,
     coupled_scale,
     default_step,
@@ -29,6 +28,11 @@ from coopt.continuous import (
 from coopt.model import Agent, DenseEnergy, DomainSpec, GameModel, PairwiseEnergy
 from coopt.numerics import DenseSymmetric, Diagonal, jacobi_eigen
 from coopt.rng import random_unit_vector
+
+
+def uniform(model):
+    """Every agent's uniform unit vector, evolve_coupled's default start."""
+    return tuple(np.full(c, 1.0 / math.sqrt(c)) for c in model.agent_cardinalities())
 
 
 def same_sign_pairwise(seed):
@@ -72,7 +76,7 @@ def coupled_replay(model, steps, dt):
     each agent's energies summed from its pairwise tables and stepped by
     classical RK4."""
     agent_of = {agent.acts_on: i for i, agent in enumerate(model.agents)}
-    psis = [np.full(c, 1.0 / math.sqrt(c)) for c in model.agent_cardinalities()]
+    psis = list(uniform(model))
     history = [psis]
     for _ in range(steps):
         weights = [psi * psi for psi in psis]
@@ -124,8 +128,7 @@ def mixed_energy_model():
 class TestEffectiveHamiltonian:
     def test_single_agent_recovers_raw_energies(self):
         model = helpers.single_agent_energy([0.4, 1.9, 0.2])
-        state = WaveState.uniform(model)
-        op = effective_hamiltonian(model, state, 0)
+        op = effective_hamiltonian(model, uniform(model), 0)
         np.testing.assert_array_equal(op.entries, [0.4, 1.9, 0.2])
 
     def test_constant_energy_gives_constant_diagonal(self):
@@ -138,12 +141,12 @@ class TestEffectiveHamiltonian:
             ),
             mode="energy",
         )
-        op = effective_hamiltonian(energy, WaveState.uniform(energy), 0)
+        op = effective_hamiltonian(energy, uniform(energy), 0)
         np.testing.assert_allclose(op.entries, [2.5, 2.5], rtol=1e-15)
 
     def test_point_mass_neighbor_reads_off_one_column(self):
         model = agreement_energy_pair()
-        state = WaveState((np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+        state = (np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         op = effective_hamiltonian(model, state, 0)
         np.testing.assert_array_equal(op.entries, [0.0, 1.0])
 
@@ -151,7 +154,7 @@ class TestEffectiveHamiltonian:
         model = helpers.random_pairwise_model(21)
         cards = model.agent_cardinalities()
         dists = helpers.random_profile_arrays(22, cards)
-        state = WaveState(tuple(np.sqrt(d) for d in dists))
+        state = tuple(np.sqrt(d) for d in dists)
         dense_model = GameModel(
             model.variables,
             tuple(
@@ -169,7 +172,7 @@ class TestEffectiveHamiltonian:
     def test_utility_mode_rejected(self):
         model = helpers.prisoners_dilemma()
         with pytest.raises(ValueError, match="energy"):
-            effective_hamiltonian(model, WaveState.uniform(model), 0)
+            effective_hamiltonian(model, uniform(model), 0)
 
 
 class TestStationarityCheck:
@@ -562,7 +565,7 @@ class TestEvolveCoupled:
         energies = np.array([0.5, 1.5, 1.0])
         model = helpers.single_agent_energy(energies - 1.0)
         assert coupled_scale(model) == helpers.centre(Diagonal(energies))[1] == 0.5
-        state0 = WaveState((np.array([0.8, 0.36, 0.48]),))
+        state0 = (np.array([0.8, 0.36, 0.48]),)
         c_points, c_converged = evolve_coupled(model, state0, t_max=40.0)
         l_points, l_converged = evolve_linear(
             Diagonal(energies), np.array([0.8, 0.36, 0.48]), t_max=40.0
@@ -583,7 +586,7 @@ class TestEvolveCoupled:
             ),
             mode="energy",
         )
-        state0 = WaveState((np.array([0.6, 0.8]), np.array([1.0, 0.0])))
+        state0 = (np.array([0.6, 0.8]), np.array([1.0, 0.0]))
         points, converged = evolve_coupled(model, state0)
         assert converged and points[-1].time == 0.0
         np.testing.assert_array_equal(points[-1].amplitudes[0], [0.6, 0.8])
@@ -591,7 +594,7 @@ class TestEvolveCoupled:
     def test_agreement_game_collapses_to_the_favored_action(self):
         model = agreement_energy_pair()
         lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
-        state0 = WaveState((lean, lean))
+        state0 = (lean, lean)
         points, converged = evolve_coupled(model, state0, tol=1e-9)
         assert converged
         for psi in points[-1].amplitudes:
@@ -609,8 +612,17 @@ class TestEvolveCoupled:
         with pytest.raises(ValueError, match="energy"):
             evolve_coupled(model)
 
+    def test_nested_lists_start_as_arrays_do(self):
+        model = agreement_energy_pair()
+        lean = [math.sqrt(0.6), math.sqrt(0.4)]
+        from_lists, _ = evolve_coupled(model, [lean, lean], t_max=5.0)
+        from_arrays, _ = evolve_coupled(model, (np.array(lean), np.array(lean)), t_max=5.0)
+        assert [p.time for p in from_lists] == [p.time for p in from_arrays]
+        for a, b in zip(from_lists, from_arrays):
+            assert all(np.array_equal(x, y) for x, y in zip(a.amplitudes, b.amplitudes))
+
     def test_state_of_the_wrong_length_rejected(self):
-        state0 = WaveState((np.array([1.0]), np.array([1.0, 0.0])))
+        state0 = (np.array([1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="cardinalities"):
             evolve_coupled(agreement_energy_pair(), state0)
 
@@ -626,14 +638,13 @@ class TestEvolveCoupled:
     )
     def test_scale_bound_holds_along_the_trajectory(self, model):
         dists = helpers.random_profile_arrays(80, model.agent_cardinalities())
-        state0 = WaveState(tuple(np.sqrt(d) for d in dists))
+        state0 = tuple(np.sqrt(d) for d in dists)
         points, _ = evolve_coupled(model, state0, t_max=20.0, record_every=1)
         bound = coupled_scale(model)
         assert len(points) > 2
         for point in points:
-            state = WaveState(point.amplitudes)
             for i in range(len(model.agents)):
-                lo, hi = effective_hamiltonian(model, state, i).interval()
+                lo, hi = effective_hamiltonian(model, point.amplitudes, i).interval()
                 assert max(-lo, hi) <= bound
 
     @pytest.mark.parametrize(
@@ -661,7 +672,7 @@ class TestEvolveCoupled:
         model = agreement_energy_pair()
         assert coupled_scale(model) == 1.0
         lean = np.array([math.sqrt(0.6), math.sqrt(0.4)])
-        points, _ = evolve_coupled(model, WaveState((lean, lean)), t_max=5.0, record_every=1)
+        points, _ = evolve_coupled(model, (lean, lean), t_max=5.0, record_every=1)
         assert points[1].time == 0.99 * RK4_MONOTONE_LIMIT * model.hbar / 1.0
 
     def test_scale_bound_past_the_float_range_is_refused_by_name(self):

@@ -10,6 +10,7 @@ from coopt import bundled_path, fileio
 from coopt.discrete import DEFAULT_TOL, iterate_to_fixed_point, random_profile
 from coopt.equilibrium import (
     EnumerationTooLargeError,
+    SweepRow,
     alpha_sweep,
     decode_assignment,
     enumerate_pure_nash,
@@ -399,6 +400,37 @@ class TestAlphaSweep:
             profile = iterate_to_fixed_point(model, alpha, init).profile
             value = totals[decode_assignment(profile)]
             assert row.global_hit == (value <= lowest + 1e-12 * (1.0 + abs(lowest)))
+
+    def test_a_refused_cell_is_recorded_unconverged_with_empty_fields(self):
+        # agent B's expected return overflows at alpha 2, not at alpha 1
+        model = GameModel(
+            (DomainSpec("a", 2), DomainSpec("b", 2)),
+            (
+                Agent("A", "a", PairwiseEnergy((("b", np.array([[1e308, -1e308], [0.0, 0.0]])),))),
+                Agent("B", "b", PairwiseEnergy((("a", np.array([[0.0, 1.0], [1.0, 0.0]])),))),
+            ),
+            mode="energy",
+        )
+        with np.errstate(all="ignore"):  # as the CLI runs the map
+            report = alpha_sweep(model, [1.0, 2.0], restarts=2)
+        assert [row[2:] for row in report.rows[:2]] == [(True, 3, None, None, False)] * 2
+        assert report.rows[2:] == tuple(
+            SweepRow(2.0, seed, False, 0, None, None, None)
+            for seed in (5120397642381829728, 9691361167763047584)
+        )
+
+    def test_all_zero_returns_refuse_every_cell(self):
+        model = GameModel(
+            (DomainSpec("r", 2), DomainSpec("c", 2)),
+            (
+                Agent("Row", "r", DenseUtility(("r", "c"), np.array([1.0, 2.0, 3.0, 4.0]))),
+                Agent("Col", "c", DenseUtility(("r", "c"), np.zeros(4))),
+            ),
+            mode="utility",
+        )
+        report = alpha_sweep(model, [1.0, 2.0], restarts=2)
+        assert len(report.rows) == 4
+        assert all(row[2:] == (False, 0, None, None, None) for row in report.rows)
 
     def test_energy_model_beyond_the_enumeration_cap_leaves_global_hit_empty(self):
         report = alpha_sweep(binary_chain(21), [1.0, 8.0], restarts=2)  # 2**21 assignments

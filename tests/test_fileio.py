@@ -147,6 +147,20 @@ class TestMistypedFieldsExitOne:
         assert main(["quantum", "--hamiltonian", str(path)]) == 1
         assert "diagonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [("[[1, 2]]", "must be a square matrix"),
+         ("[[NaN, 0.0], [0.0, 1.0]]", "entries must be finite"),
+         ("[[Infinity, 0.0], [0.0, 1.0]]", "entries must be finite"),
+         ("[[1.0, 0.0], [0.0, -Infinity]]", "entries must be finite")],
+        ids=["not-square", "NaN", "Infinity", "-Infinity"],
+    )
+    def test_dense_operator_refusal(self, tmp_path, capsys, matrix, message):
+        path = tmp_path / "h.json"
+        path.write_text(f'{{"dense": {matrix}}}')
+        assert main(["quantum", "--hamiltonian", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: dense: dense operator {message}\n"
+
 
 BIG = int("9" * 400)  # a valid JSON integer, far past the float range
 

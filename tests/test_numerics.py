@@ -143,7 +143,7 @@ class TestJacobi:
         "name",
         [
             "n1", "n2", "n3", "n31", "n64", "n201", "repeated", "oscillator",
-            "tridiagonal-and-dense-blocks", "zero-subdiagonal",
+            "tridiagonal-and-dense-blocks", "zero-subdiagonal", "zero",
         ],
     )
     def test_agrees_with_lapack(self, name):
@@ -158,6 +158,9 @@ class TestJacobi:
             # a[1, 0] = 0 above a nonzero tail: the first reflector has alpha = 0
             h = helpers.random_symmetric_matrix(43, 7, span=2.0)
             h[1, 0] = h[0, 1] = 0.0
+        elif name == "zero":
+            # every entry zero: the tolerance is exactly 0, met by the early return
+            h = np.zeros((3, 3))
         elif name == "repeated":
             # Householder reflection of a diagonal with multiplicities 3, 2 and 1
             s = SplitMix64(41)

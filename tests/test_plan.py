@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import helpers
 from dense_expansion import densify, full_domain_table
 from coopt import bundled_path, continuous, discrete, fileio
-from coopt.continuous import WaveState, effective_hamiltonian, evolve_coupled
+from coopt.continuous import effective_hamiltonian, evolve_coupled
 from coopt.discrete import (
     expected_return_update,
     iterate_to_fixed_point,
@@ -414,7 +414,7 @@ def test_effective_hamiltonian_matches_densified_model(seed):
     mixed = mixed_model(seed)
     dense = densified(mixed)
     dists = helpers.random_profile_arrays(seed + 3, mixed.agent_cardinalities())
-    state = WaveState(tuple(np.sqrt(d) for d in dists))
+    state = tuple(np.sqrt(d) for d in dists)
     for i in range(len(mixed.agents)):
         assert_close(
             [effective_hamiltonian(mixed, state, i).entries],

@@ -13,7 +13,7 @@ import pytest
 
 import coopt
 import helpers
-from coopt.continuous import WaveState, evolve_linear
+from coopt.continuous import evolve_linear
 from coopt.discrete import iterate_to_fixed_point
 from coopt.equilibrium import alpha_sweep, epsilon_of_profile
 from coopt.model import (
@@ -52,7 +52,6 @@ def test_game_model_is_the_only_dataclass():
 def records():
     """(record, one of its fields) for every record kind coopt returns."""
     model = helpers.prisoners_dilemma()
-    energy = helpers.random_pairwise_model(3)
     result = iterate_to_fixed_point(model, 2.0)
     points, _ = evolve_linear(Diagonal(np.array([1.0, 2.0])), np.array([0.6, 0.8]))
     sweep = alpha_sweep(model, [1.0])
@@ -63,7 +62,6 @@ def records():
         (PairwiseEnergy((("y", np.ones((2, 2))),)), "terms"),
         (model.agents[0], "objective"),
         (StrategyProfile.uniform(model), "dists"),
-        (WaveState.uniform(energy), "amplitudes"),
         (Diagonal(np.array([1.0, 2.0])), "entries"),
         (DenseSymmetric(np.eye(2)), "matrix"),
         (jacobi_eigen(DenseSymmetric(np.eye(2))), "eigenvalues"),
@@ -99,7 +97,7 @@ def test_converting_records_keep_no_instance_dict():
             if sub.__module__.startswith("coopt.") and sub not in found:
                 found.add(sub)
                 pending.append(sub)
-    assert {DenseEnergy, DenseUtility, PairwiseEnergy, StrategyProfile, WaveState,
+    assert {DenseEnergy, DenseUtility, PairwiseEnergy, StrategyProfile,
             Diagonal, DenseSymmetric} <= found
     for cls in found:
         # a nonzero offset means every instance carries a __dict__
